@@ -25,6 +25,7 @@ from .bounds import (
     weighted_range,
 )
 from .densities import (
+    CellTable,
     ControlVariateCoverageError,
     CustomDensity,
     Density,

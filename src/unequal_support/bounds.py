@@ -15,7 +15,7 @@ piecewise-uniform densities with step evaluation functions.
 import math
 from dataclasses import dataclass, replace
 
-from .densities import EstimationProblem, PiecewiseUniform
+from .densities import CellTable, EstimationProblem
 from .estimators import EstimateResult
 
 __all__ = [
@@ -159,31 +159,17 @@ def weighted_range(problem: EstimationProblem, t: float = 0.0) -> float:
     """Exact range of f(x)(h(x) - t)/g(x) over the sampling support.
 
     Only piecewise-uniform target and sampling densities with a step
-    evaluation function are supported; the integrand is then constant
-    between breakpoints, so evaluating each refined subinterval once is
-    exact. Points where f vanishes contribute the value 0, which widens
-    the range of sign-changing integrands past any closed form based on
-    max |h| alone.
+    evaluation function and an interval pruning set are supported; the
+    integrand is then constant on each cell of the problem's
+    :class:`CellTable`. Cells where f vanishes contribute the value 0,
+    which widens the range of sign-changing integrands past any closed
+    form based on max |h| alone.
     """
-    f, g, h = problem.target, problem.sampling, problem.evaluation
-    if not (isinstance(f, PiecewiseUniform) and isinstance(g, PiecewiseUniform)):
-        raise TypeError("weighted_range needs piecewise-uniform target and sampling")
-    if h.pieces is None:
-        raise TypeError("weighted_range needs a piecewise-constant evaluation")
-    cuts: set[float] = set()
-    for union in (f.support, g.support, h.support):
-        cuts.update(union.lows.tolist())
-        cuts.update(union.highs.tolist())
-    pts = sorted(cuts)
-    values = []
-    for a, bb in zip(pts, pts[1:]):
-        if bb <= a:
-            continue
-        mid = 0.5 * (a + bb)
-        gv = float(g.pdf(mid))
-        if gv <= 0.0:
-            continue
-        values.append(float(f.pdf(mid)) / gv * (float(h(mid)) - t))
-    if not values:
-        raise ValueError("sampling support has zero length")
-    return max(values) - min(values)
+    table = CellTable.from_problem(problem)
+    if table is None:
+        raise TypeError(
+            "weighted_range needs piecewise-uniform target and sampling, "
+            "a piecewise-constant evaluation and an interval pruning set"
+        )
+    values = table.w * (table.h - t)
+    return float(values.max() - values.min())

@@ -6,6 +6,10 @@ interval masses and inverse-CDF sampling, so draws are deterministic per
 seed and masses are exact. Arbitrary densities can be plugged in through
 :class:`CustomDensity`, in which case the pruning-set mass must be
 supplied by the caller.
+
+A problem built only from piecewise-uniform densities, a step evaluation
+and an interval pruning set is constant between finitely many
+breakpoints; :class:`CellTable` lists those cells.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +31,9 @@ __all__ = [
     "EvaluationFunction",
     "PruningSet",
     "EstimationProblem",
+    "CellTable",
+    "check_pruning_coverage",
+    "check_control_variate_coverage",
     "SampleBatch",
     "pdf_eval",
     "draw",
@@ -390,11 +397,82 @@ class EstimationProblem:
         w = fv / gv
         hv = self.evaluation(values)
         in_c = self.pruning.contains(values)
-        if np.any((fv * hv != 0.0) & ~in_c):
-            raise PruningCoverageError(
-                "sample with f(x)h(x) != 0 lies outside the pruning set"
-            )
+        check_pruning_coverage(fv * hv, in_c)
         return w, hv, in_c
+
+
+def check_pruning_coverage(fh, in_c) -> None:
+    """Raise if any f(x)h(x) != 0 lies outside C."""
+    if np.any((fh != 0.0) & ~in_c):
+        raise PruningCoverageError(
+            "sample with f(x)h(x) != 0 lies outside the pruning set"
+        )
+
+
+def check_control_variate_coverage(w, in_c, t: float) -> None:
+    """Raise if t != 0 and any weight f(x)/g(x) != 0 lies outside C.
+
+    With a nonzero control variate the centered term w (h - t) is
+    nonzero wherever f is, so C must cover all of F.
+    """
+    if t != 0.0 and np.any((w != 0.0) & ~in_c):
+        raise ControlVariateCoverageError(
+            "control variate requires the pruning set to cover the "
+            "target support; found f(x) != 0 outside C"
+        )
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """The constant cells of a piecewise-constant problem.
+
+    Between consecutive breakpoints of f, g, h and C all four are
+    constant, so the count of samples in each cell is a sufficient
+    statistic for every estimator. Each cell ``[lows[j], highs[j]]``
+    carries its mass ``p`` under g, the weight ``w`` = f/g, the
+    evaluation ``h`` and membership ``in_c`` in C, all read at the cell
+    midpoint. Cells outside the sampling support are left out: no sample
+    can land there.
+    """
+
+    lows: np.ndarray
+    highs: np.ndarray
+    p: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    in_c: np.ndarray
+
+    @classmethod
+    def from_problem(cls, problem: EstimationProblem) -> "CellTable | None":
+        """The problem's cells, or None unless f and g are piecewise-uniform,
+        h is a step function and C is an interval union."""
+        f, g, h = problem.target, problem.sampling, problem.evaluation
+        c_set = problem.pruning.intervals
+        if not (isinstance(f, PiecewiseUniform) and isinstance(g, PiecewiseUniform)):
+            return None
+        if h.pieces is None or c_set is None:
+            return None
+        unions = (f.support, g.support, h.support, c_set)
+        edges = np.unique(np.concatenate([np.r_[u.lows, u.highs] for u in unions]))
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        gv = g.pdf(mid)
+        keep = gv > 0.0
+        lows, highs, mid, gv = edges[:-1][keep], edges[1:][keep], mid[keep], gv[keep]
+        return cls(
+            lows=lows,
+            highs=highs,
+            p=gv * (highs - lows),
+            w=f.pdf(mid) / gv,
+            h=h(mid),
+            in_c=problem.pruning.contains(mid),
+        )
+
+    def check_coverage(self, counts: np.ndarray, t: float) -> None:
+        """The batch checks of the sample path, on the cells some trial hit."""
+        hit = counts.any(axis=0)
+        w, in_c = self.w[hit], self.in_c[hit]
+        check_pruning_coverage(w * self.h[hit], in_c)
+        check_control_variate_coverage(w, in_c, t)
 
 
 def pdf_eval(density, x):

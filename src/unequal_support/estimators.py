@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import (
-    ControlVariateCoverageError,
     EstimationProblem,
     SampleBatch,
     SamplingSupportError,
+    check_control_variate_coverage,
 )
 
 __all__ = [
@@ -107,11 +107,7 @@ def us_estimate(
     """
     w, h, in_c = _terms(problem, batch)
     t = cv.t
-    if t != 0.0 and np.any((w != 0.0) & ~in_c):
-        raise ControlVariateCoverageError(
-            "control variate requires the pruning set to cover the "
-            "target support; found f(x) != 0 outside C"
-        )
+    check_control_variate_coverage(w, in_c, t)
     k = int(in_c.sum())
     if k == 0:
         return EstimateResult(value=0.0, k=0, defined=False)

@@ -13,6 +13,13 @@ fixed-size chunks of 4096 whose counter-based streams are keyed by
 rerun with the same flags yields byte-identical output, and a future
 parallel runner could own one chunk per worker without changing any
 number.
+
+What a chunk's stream draws depends on the problem. For a
+piecewise-constant problem (one with a :class:`CellTable`, simulated
+without a return surface) it draws each trial's per-cell sample counts,
+Multinomial(n, p), and never the samples themselves, so a chunk costs
+O(trials x cells) time and memory whatever n is. Every other problem
+draws the (trials, n) samples, and memory grows with n.
 """
 
 import json
@@ -22,13 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from ._kernels import batch_estimates
+from ._kernels import batch_estimates, cell_estimates
 from .densities import (
+    CellTable,
     EstimationProblem,
     EvaluationFunction,
     PiecewiseUniform,
     PruningSet,
     TruncatedNormal,
+    check_control_variate_coverage,
 )
 from .estimators import ControlVariate
 from .moments import MomentInputs, MomentReport, illustrative_params, moment_report, rho
@@ -257,19 +266,33 @@ def simulate_estimates(
 ) -> SimulationResult:
     """All three estimators over ``trials`` independent batches of size n.
 
-    When a return surface is given, the deterministic evaluation is
-    replaced by its noisy observations (the surrogate-study path);
-    weights and pruning membership still come from the problem.
+    A piecewise-constant problem is simulated from per-cell sample
+    counts (see the module docstring); any other problem from its
+    samples. When a return surface is given, the deterministic
+    evaluation is replaced by its noisy observations (the surrogate-study
+    path); weights and pruning membership still come from the problem.
+    Either way a batch with f(x)h(x) != 0 outside C raises
+    :class:`PruningCoverageError`, and with t != 0 one with f(x) != 0
+    outside C raises :class:`ControlVariateCoverageError`.
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
+    table = CellTable.from_problem(problem) if surface is None else None
     parts = []
     n_chunks = -(-trials // CHUNK_TRIALS)
     for chunk in range(n_chunks):
         rows = min(CHUNK_TRIALS, trials - chunk * CHUNK_TRIALS)
         rng = _chunk_rng(seed, chunk)
+        if table is not None:
+            counts = rng.multinomial(n, table.p, size=rows)
+            table.check_coverage(counts, t)
+            parts.append(
+                cell_estimates(counts, n, table.w, table.h, table.in_c, problem.c, t)
+            )
+            continue
         x = problem.sampling.sample(rng, (rows, n))
         w, hv, in_c = problem.batch_terms(x)
+        check_control_variate_coverage(w, in_c, t)
         if surface is not None:
             hv = surface.observe(rng, x)
         parts.append(batch_estimates(w, hv, in_c, problem.c, t))
