@@ -15,7 +15,7 @@ piecewise-uniform densities with step evaluation functions.
 import math
 from dataclasses import dataclass, replace
 
-from .densities import CellTable, EstimationProblem
+from .densities import EstimationProblem
 from .estimators import EstimateResult
 
 __all__ = [
@@ -165,7 +165,7 @@ def weighted_range(problem: EstimationProblem, t: float = 0.0) -> float:
     which widens the range of sign-changing integrands past any closed
     form based on max |h| alone.
     """
-    table = CellTable.from_problem(problem)
+    table = problem.cells
     if table is None:
         raise TypeError(
             "weighted_range needs piecewise-uniform target and sampling, "

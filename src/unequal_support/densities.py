@@ -13,6 +13,7 @@ breakpoints; :class:`CellTable` lists those cells.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -48,7 +49,12 @@ class UnequalSupportError(ValueError):
 
 
 class SamplingSupportError(UnequalSupportError):
-    """A sample claims to come from g but has g(x) = 0."""
+    """g(x) = 0 where it must not be.
+
+    Raised for a sample that claims to come from g but has g(x) = 0, and
+    for a problem whose f(x)h(x) != 0 somewhere g(x) = 0: no sample can
+    reach that part of theta, so every estimator would miss it.
+    """
 
 
 class PruningCoverageError(UnequalSupportError):
@@ -365,10 +371,13 @@ class SampleBatch:
 class EstimationProblem:
     """Target f, sampling g, evaluation h, and pruning set C with mass c.
 
-    The standing assumption is F ∩ H ⊆ C ⊆ G. It cannot be verified for
-    arbitrary predicates, so it is spot-checked on every batch that flows
-    through the estimators: any sample with f(x)h(x) != 0 outside C
-    raises :class:`PruningCoverageError`.
+    The standing assumption is F ∩ H ⊆ C ⊆ G. When f and g both expose
+    an interval ``support``, F ∩ H ⊆ G is checked on construction, at
+    the midpoint of every cell between the breakpoints of f, g and h,
+    and a violation raises :class:`SamplingSupportError`. C cannot be
+    verified for arbitrary predicates, so it is spot-checked on every
+    batch that flows through the estimators: any sample with
+    f(x)h(x) != 0 outside C raises :class:`PruningCoverageError`.
     """
 
     target: object
@@ -376,9 +385,31 @@ class EstimationProblem:
     evaluation: EvaluationFunction
     pruning: PruningSet
 
+    def __post_init__(self):
+        f_set = getattr(self.target, "support", None)
+        g_set = getattr(self.sampling, "support", None)
+        if not (isinstance(f_set, IntervalUnion) and isinstance(g_set, IntervalUnion)):
+            return
+        h = self.evaluation
+        lows, highs, mid = _breakpoint_cells(f_set, g_set, h.support)
+        # Membership in each support is constant on a cell, and
+        # Density.contains agrees with pdf > 0.
+        missed = f_set.contains(mid) & ~g_set.contains(mid) & (h(mid) != 0.0)
+        if np.any(missed):
+            j = np.flatnonzero(missed)[0]
+            raise SamplingSupportError(
+                f"f(x)h(x) != 0 on [{lows[j]:g}, {highs[j]:g}], where the "
+                "sampling density is zero; no sample can reach that mass"
+            )
+
     @property
     def c(self) -> float:
         return self.pruning.c
+
+    @cached_property
+    def cells(self) -> "CellTable | None":
+        """The problem's :class:`CellTable`, built once, or None."""
+        return CellTable.from_problem(self)
 
     def batch_terms(self, values: np.ndarray):
         """Per-sample (weight, evaluation, in-C) arrays for a batch.
@@ -399,6 +430,12 @@ class EstimationProblem:
         in_c = self.pruning.contains(values)
         check_pruning_coverage(fv * hv, in_c)
         return w, hv, in_c
+
+
+def _breakpoint_cells(*unions: IntervalUnion):
+    """(lows, highs, midpoints) of the cells between the unions' endpoints."""
+    edges = np.unique(np.concatenate([a for u in unions for a in (u.lows, u.highs)]))
+    return edges[:-1], edges[1:], 0.5 * (edges[:-1] + edges[1:])
 
 
 def check_pruning_coverage(fh, in_c) -> None:
@@ -452,12 +489,10 @@ class CellTable:
             return None
         if h.pieces is None or c_set is None:
             return None
-        unions = (f.support, g.support, h.support, c_set)
-        edges = np.unique(np.concatenate([np.r_[u.lows, u.highs] for u in unions]))
-        mid = 0.5 * (edges[:-1] + edges[1:])
+        lows, highs, mid = _breakpoint_cells(f.support, g.support, h.support, c_set)
         gv = g.pdf(mid)
         keep = gv > 0.0
-        lows, highs, mid, gv = edges[:-1][keep], edges[1:][keep], mid[keep], gv[keep]
+        lows, highs, mid, gv = lows[keep], highs[keep], mid[keep], gv[keep]
         return cls(
             lows=lows,
             highs=highs,

@@ -27,11 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from ._kernels import batch_estimates, cell_estimates
 from .densities import (
-    CellTable,
     EstimationProblem,
     EvaluationFunction,
     PiecewiseUniform,
@@ -203,11 +201,24 @@ def treatment_problem(
 _QUAD_PANELS = 100_000
 
 
+def _quad_nodes(lo: float, hi: float) -> np.ndarray:
+    return np.linspace(lo, hi, _QUAD_PANELS + 1)
+
+
+def _simpson(y: np.ndarray, lo: float, hi: float) -> float:
+    """Composite Simpson rule for y on the nodes ``_quad_nodes(lo, hi)``.
+
+    The nodes are uniform and the panel count is even, so the weights
+    are h/3 times 1, 4, 2, 4, ..., 2, 4, 1.
+    """
+    h = (hi - lo) / (y.size - 1)
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
+
+
 def treatment_sampling_mean(surface: SyntheticReturnSurface) -> float:
     """Expected return under the sampling policy (control variate value)."""
-    xs = np.linspace(surface.cr_low, surface.cr_high, _QUAD_PANELS + 1)
-    dens = 1.0 / (surface.cr_high - surface.cr_low)
-    return float(simpson(dens * surface.marginal_return(xs), x=xs))
+    lo, hi = surface.cr_low, surface.cr_high
+    return _simpson(surface.marginal_return(_quad_nodes(lo, hi)), lo, hi) / (hi - lo)
 
 
 def treatment_ground_truth(
@@ -215,22 +226,23 @@ def treatment_ground_truth(
 ) -> tuple[float, float]:
     """(theta, v) for the surrogate by deterministic quadrature.
 
-    theta is the expected return under the target policy. v is the
-    variance of one centered term f(X)/g(X) (R - t) given X in C, where
-    the observed return R adds the surface's CF tilt and day noise to
-    the marginal return; their mean-zero variance enters as
-    E[w^2 | C] * extra_variance.
+    theta is the expected return under the target policy and does not
+    depend on t. v is the variance of one centered term f(X)/g(X) (R - t)
+    given X in C, where the observed return R adds the surface's CF tilt
+    and day noise to the marginal return; their mean-zero variance
+    enters as E[w^2 | C] * extra_variance. One pass over the nodes gives
+    both.
     """
     lo = problem.target.lower
     hi = problem.target.upper
-    xs = np.linspace(lo, hi, _QUAD_PANELS + 1)
+    xs = _quad_nodes(lo, hi)
     fv = problem.target.pdf(xs)
     gv = problem.sampling.pdf(xs)
     base = surface.marginal_return(xs)
-    theta = float(simpson(fv * base, x=xs))
+    theta = _simpson(fv * base, lo, hi)
     ratio = fv * fv / gv
-    second = float(simpson(ratio * (base - t) ** 2, x=xs))
-    weight_sq = float(simpson(ratio, x=xs))
+    second = _simpson(ratio * (base - t) ** 2, lo, hi)
+    weight_sq = _simpson(ratio, lo, hi)
     c = problem.c
     first = (theta - t) / c
     v = second / c + (weight_sq / c) * surface.extra_variance - first * first
@@ -277,7 +289,7 @@ def simulate_estimates(
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
-    table = CellTable.from_problem(problem) if surface is None else None
+    table = problem.cells if surface is None else None
     parts = []
     n_chunks = -(-trials // CHUNK_TRIALS)
     for chunk in range(n_chunks):
@@ -564,19 +576,18 @@ def sweep_treatment_surrogate(
     if not cr_min_grid:
         raise ValueError("cr_min grid must be nonempty")
     surface = surface or SyntheticReturnSurface()
+    if cv_mode == "sampling-mean":
+        t = treatment_sampling_mean(surface)
+    elif cv_mode == "none":
+        t = 0.0
+    elif cv_mode.startswith("value:"):
+        t = float(cv_mode.split(":", 1)[1])
+    else:
+        raise ValueError("cv must be none, value:<real>, or sampling-mean")
     rows = []
     for index, cr_min in enumerate(cr_min_grid):
         problem = treatment_problem(cr_min, surface)
-        if cv_mode == "sampling-mean":
-            t = treatment_sampling_mean(surface)
-        elif cv_mode == "none":
-            t = 0.0
-        elif cv_mode.startswith("value:"):
-            t = float(cv_mode.split(":", 1)[1])
-        else:
-            raise ValueError("cv must be none, value:<real>, or sampling-mean")
-        theta, _ = treatment_ground_truth(problem, surface, t=0.0)
-        _, v_centered = treatment_ground_truth(problem, surface, t=t)
+        theta, v_centered = treatment_ground_truth(problem, surface, t=t)
         point_seed = derive_seed(seed, index)
         analytic = analytic_reports(n, problem.c, v_centered, theta, t)
         empirical = run_trials(

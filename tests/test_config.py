@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from unequal_support.config import build_density, build_problem, load_problem
-from unequal_support.densities import PiecewiseUniform, TruncatedNormal
+from unequal_support.densities import (
+    PiecewiseUniform,
+    SamplingSupportError,
+    TruncatedNormal,
+)
 
 GOOD_DOC = {
     "problem": {
@@ -106,6 +110,24 @@ class TestLoadProblem:
         path.write_text(GOOD_YAML)
         problem = load_problem(path)
         assert problem.c == pytest.approx(0.25)
+
+    def test_target_outside_sampling_support_rejected(self, tmp_path):
+        path = tmp_path / "gap.yaml"
+        path.write_text(
+            """
+problem:
+  target: {kind: uniform, low: 0.2, high: 2.0}
+  sampling:
+    kind: piecewise-uniform
+    intervals: [[0.0, 1.0], [1.5, 2.0]]
+  evaluation:
+    pieces: [[0.0, 2.0, 1.0]]
+  pruning:
+    intervals: [[0.0, 2.0]]
+"""
+        )
+        with pytest.raises(SamplingSupportError):
+            load_problem(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -22,6 +22,7 @@ from unequal_support.densities import (
     interval_mass,
     pdf_eval,
 )
+from unequal_support.experiments import run_trials
 
 
 class TestDensityProtocol:
@@ -231,6 +232,33 @@ class TestEstimationProblem:
         assert hv.tolist() == [1.0, 0.0]
         assert in_c.tolist() == [True, False]
         assert problem.c == 0.5
+
+    def test_target_mass_outside_sampling_support_rejected(self):
+        # theta = 1, but g = 0 on (1, 1.5) where f h = 1/1.8: every
+        # estimator would converge to sum p w h = 1.3/1.8 instead.
+        g = PiecewiseUniform([(0.0, 1.0), (1.5, 2.0)])
+        f = PiecewiseUniform.uniform(0.2, 2.0)
+        h = EvaluationFunction.piecewise_constant([(0.0, 2.0, 1.0)])
+        with pytest.raises(SamplingSupportError, match=r"\[1, 1.5\]"):
+            EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 2.0)], g))
+
+    def test_truncated_normal_target_outside_sampling_rejected(self):
+        g = PiecewiseUniform.uniform(0.5, 2.0)
+        f = TruncatedNormal(0.0, 1.0, mean=1.0, stddev=1.0)
+        h = EvaluationFunction(lambda x: x + 1.0, [(0.0, 2.0)], 0.0, 3.0)
+        with pytest.raises(SamplingSupportError):
+            EstimationProblem(f, g, h, PruningSet.from_intervals([(0.5, 2.0)], g))
+
+    def test_target_outside_sampling_where_h_vanishes_accepted(self):
+        # f > 0 on the gap (1, 1.5) but h = 0 there, so theta = E_f[h]
+        # misses nothing and IS stays unbiased.
+        g = PiecewiseUniform([(0.0, 1.0), (1.5, 2.0)])
+        f = PiecewiseUniform.uniform(0.2, 2.0)
+        h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0), (1.5, 2.0, 1.0)])
+        problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 2.0)], g))
+        theta = 1.3 / 1.8
+        stats = run_trials(problem, 20, 20_000, theta, seed=5)
+        assert abs(stats["IS"].mean - theta) <= 4.0 * stats["IS"].se_mean
 
     def test_sample_outside_g_rejected(self):
         problem = self._problem()

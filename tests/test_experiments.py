@@ -2,11 +2,16 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
+from unequal_support import experiments
 from unequal_support.densities import (
+    CellTable,
     EstimationProblem,
     EvaluationFunction,
     PiecewiseUniform,
@@ -229,6 +234,29 @@ class TestSweepBounds:
         assert rows[0].mean_us_lower == rows[0].mean_us_upper
 
 
+class TestCellTableBuiltOnce:
+    @pytest.mark.parametrize("sweep", ["bounds", "coverage"])
+    def test_one_table_per_sweep(self, monkeypatch, sweep):
+        built = []
+        original = CellTable.from_problem.__func__
+
+        def counting(cls, problem):
+            built.append(problem)
+            return original(cls, problem)
+
+        monkeypatch.setattr(CellTable, "from_problem", classmethod(counting))
+        if sweep == "bounds":
+            sweep_bounds(0.5, [10, 20], delta=0.1, trials=500, seed=2)
+        else:
+            coverage_experiment(0.5, [10, 20], delta=0.1, trials=500, seed=2)
+        assert len(built) == 1
+
+    def test_cached_on_the_problem(self):
+        problem = illustrative_problem(0.5)
+        assert problem.cells is problem.cells
+        assert np.array_equal(problem.cells.p, CellTable.from_problem(problem).p)
+
+
 class TestCoverage:
     def test_lower_bound_coverage(self):
         rows = coverage_experiment(1.0, [10, 50], delta=0.1, trials=4000, theta=1.0, seed=4)
@@ -267,6 +295,47 @@ class TestTreatmentSurrogate:
         t = treatment_sampling_mean(surface)
         _, v_centered = treatment_ground_truth(problem, surface, t=t)
         assert v_centered < v / 10.0
+
+    @pytest.mark.parametrize("cr_min", [8.5, 9.0, 10.375, 10.9])
+    def test_simpson_rule_matches_scipy(self, cr_min):
+        surface = SyntheticReturnSurface()
+        problem = treatment_problem(cr_min, surface)
+        lo, hi = problem.target.lower, problem.target.upper
+        xs = np.linspace(lo, hi, experiments._QUAD_PANELS + 1)
+        assert np.array_equal(experiments._quad_nodes(lo, hi), xs)
+        fv, gv = problem.target.pdf(xs), problem.sampling.pdf(xs)
+        base = surface.marginal_return(xs)
+        t = treatment_sampling_mean(surface)
+        for y in (fv * base, fv * fv / gv * (base - t) ** 2, fv * fv / gv):
+            assert experiments._simpson(y, lo, hi) == pytest.approx(
+                simpson(y, x=xs), rel=1e-13
+            )
+
+    def test_one_quadrature_pass_per_point(self, monkeypatch):
+        calls = {"truth": [], "mean": 0}
+        truth, mean = treatment_ground_truth, treatment_sampling_mean
+
+        def counting_truth(problem, surface, t=0.0):
+            calls["truth"].append(t)
+            return truth(problem, surface, t)
+
+        def counting_mean(surface):
+            calls["mean"] += 1
+            return mean(surface)
+
+        monkeypatch.setattr(experiments, "treatment_ground_truth", counting_truth)
+        monkeypatch.setattr(experiments, "treatment_sampling_mean", counting_mean)
+        grid = [9.0, 10.0, 10.5]
+        rows = sweep_treatment_surrogate(grid, n=5, trials=100, cv_mode="sampling-mean")
+        surface = SyntheticReturnSurface()
+        t = mean(surface)
+        assert calls == {"truth": [t] * len(grid), "mean": 1}
+        for row, cr_min in zip(rows, grid):
+            problem = treatment_problem(cr_min, surface)
+            # theta does not depend on t, so the centered pass yields it too
+            theta, v = truth(problem, surface, t)
+            assert theta == truth(problem, surface, 0.0)[0]
+            assert (row.theta, row.v) == (theta, v)
 
     def test_sampling_mean_value(self):
         # mean of base + gain*(1 - rel^2) over the CR range: E[rel^2] = 1/3.
@@ -339,3 +408,15 @@ class TestSeedDerivation:
         assert derive_seed(0, 0) == derive_seed(0, 0)
         assert derive_seed(0, 0) != derive_seed(0, 1)
         assert derive_seed(1, 0) != derive_seed(0, 0)
+
+
+class TestImportCost:
+    def test_package_imports_no_scipy_stats_or_integrate(self):
+        probe = (
+            "import sys, unequal_support, unequal_support.cli\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from unequal_support.moments import (
+    _INV_MOMENT_EPS,
     MomentInputs,
+    _inv_moment_window,
     binom_inv_moment,
     illustrative_params,
     moment_report,
@@ -105,6 +107,28 @@ class TestBinomInvMoment:
         value = binom_inv_moment(10_000, 0.015)
         # For large n, E[1/K | K>0] approaches 1/E[K].
         assert value == pytest.approx(1.0 / 150.0, rel=0.05)
+
+    @pytest.mark.parametrize("c", [1e-6, 0.015, 0.25, 0.75, 1.0 - 1e-6])
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5, 10**6])
+    def test_large_n_against_full_sum(self, n, c):
+        k = np.arange(1, n + 1)
+        pmf = binom.pmf(k, n, c)
+        oracle = math.fsum(pmf / k) / math.fsum(pmf)
+        assert binom_inv_moment(n, c) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-6, 0.015, 0.25, 0.75, 1.0 - 1e-6])
+    @pytest.mark.parametrize("n", [1, 30, 10**3, 10**6])
+    def test_window_leaves_out_at_most_the_stated_mass(self, n, c):
+        lo, hi = _inv_moment_window(n, c)
+        outside = binom.cdf(lo - 1, n, c) + binom.sf(hi, n, c)
+        assert outside <= 2.0 * _INV_MOMENT_EPS * rho(n, c) / n
+        # O(sqrt(n)) wide: ln(n / (eps rho)) < 800 for every double rho > 0
+        # and n <= 10^6, so the half-width is below sqrt(400 n).
+        assert hi - lo <= 40.0 * math.sqrt(n) + 2.0
+
+    def test_window_is_small_at_large_n(self):
+        lo, hi = _inv_moment_window(10**6, 0.25)
+        assert hi - lo + 1 <= 11_000
 
 
 class TestMomentReport:
