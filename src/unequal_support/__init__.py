@@ -40,13 +40,11 @@ from .densities import (
     TruncatedNormal,
     UnequalSupportError,
     draw,
-    interval_mass,
     pdf_eval,
 )
 from .estimators import (
     ControlVariate,
     EstimateResult,
-    count_in_c,
     importance_weight,
     is_estimate,
     us_estimate,

@@ -15,6 +15,8 @@ piecewise-uniform densities with step evaluation functions.
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .densities import EstimationProblem
 from .estimators import EstimateResult
 
@@ -76,8 +78,10 @@ class BoundResult:
     side: str
 
 
-def _margin(scale: float, delta: float, m: int) -> float:
-    return scale * math.sqrt(math.log(1.0 / delta) / (2.0 * m))
+def _margin(scale, delta: float, m):
+    """Hoeffding margin scale * sqrt(ln(1/delta) / (2m)); scale and m may
+    be arrays."""
+    return scale * np.sqrt(math.log(1.0 / delta) / (2.0 * m))
 
 
 def _signed(estimate: float, margin: float, side: str) -> float:

@@ -89,6 +89,16 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
+def _cv_spec(text: str) -> str:
+    """The ``--cv`` spec itself, once :meth:`ControlVariate.from_spec`
+    accepts it; its sampling mean is computed later, per problem."""
+    try:
+        ControlVariate.from_spec(text, lambda: 0.0)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output file (stdout when omitted)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -122,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cr-min", type=float, default=10.375)
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cv", default="none")
+    p.add_argument("--cv", type=_cv_spec, default="none")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser(
@@ -133,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", type=_int_list, default=DEFAULT_N_GRID)
     p.add_argument("--trials", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cv", default="none")
+    p.add_argument("--cv", type=_cv_spec, default="none")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_sweep_illustrative)
 
@@ -142,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=30)
     p.add_argument("--trials", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cv", default="none")
+    p.add_argument("--cv", type=_cv_spec, default="none")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_sweep_treatment)
 
@@ -188,19 +198,12 @@ def _cmd_estimate(args) -> int:
         surface = SyntheticReturnSurface()
         problem = treatment_problem(args.cr_min, surface)
 
-    if args.cv == "none":
-        t = 0.0
-    elif args.cv == "sampling-mean":
-        if surface is not None:
-            t = treatment_sampling_mean(surface)
-        else:
-            t = evaluation_sampling_mean(problem)
-    elif args.cv.startswith("value:"):
-        t = float(args.cv.split(":", 1)[1])
-    else:
-        raise SystemExit("--cv must be none, value:<real>, or sampling-mean")
+    def sampling_mean():
+        if surface is None:
+            return evaluation_sampling_mean(problem)
+        return treatment_sampling_mean(surface)
 
-    cv = ControlVariate(t)
+    cv = ControlVariate.from_spec(args.cv, sampling_mean)
     batch = draw(problem.sampling, args.seed, args.n)
     results = {
         "IS": is_estimate(problem, batch, cv),
@@ -212,7 +215,7 @@ def _cmd_estimate(args) -> int:
         status = "defined" if res.defined else "undefined (value by convention)"
         print(f"{label:<3} = {res.value:.17g}  [{status}]")
     print(
-        f"k = {k} of {args.n}, c-hat = {k / args.n:.17g}, c = {problem.c:.17g}, t = {t:.17g}"
+        f"k = {k} of {args.n}, c-hat = {k / args.n:.17g}, c = {problem.c:.17g}, t = {cv.t:.17g}"
     )
     return 0
 

@@ -38,7 +38,6 @@ __all__ = [
     "SampleBatch",
     "pdf_eval",
     "draw",
-    "interval_mass",
 ]
 
 _MASS_TOL = 1e-12
@@ -105,11 +104,16 @@ class IntervalUnion:
     def total_length(self) -> float:
         return float(np.sum(self.highs - self.lows))
 
-    def contains(self, x) -> np.ndarray:
+    def locate(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(index, inside) per point: the interval that x would lie in,
+        clipped to a valid index, and whether x lies in it."""
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.lows, x, side="right") - 1
         idx_c = np.clip(idx, 0, len(self.lows) - 1)
-        return (idx >= 0) & (x <= self.highs[idx_c])
+        return idx_c, (idx >= 0) & (x <= self.highs[idx_c])
+
+    def contains(self, x) -> np.ndarray:
+        return self.locate(x)[1]
 
     def overlap_lengths(self, other: "IntervalUnion") -> np.ndarray:
         """Length of other's overlap with each of this union's intervals."""
@@ -179,12 +183,8 @@ class PiecewiseUniform:
         return cls([(low, high)])
 
     def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support.lows, self.support.highs
-        idx = np.searchsorted(lo, x, side="right") - 1
-        idx_c = np.clip(idx, 0, len(lo) - 1)
-        inside = (idx >= 0) & (x <= hi[idx_c])
-        return np.where(inside, self.heights[idx_c], 0.0)
+        idx, inside = self.support.locate(x)
+        return np.where(inside, self.heights[idx], 0.0)
 
     def contains(self, x) -> np.ndarray:
         return self.support.contains(x)
@@ -523,8 +523,3 @@ def draw(density, seed: int, count: int) -> SampleBatch:
     rng = np.random.default_rng(seed)
     values = density.sample(rng, count)
     return SampleBatch(values=values, seed=seed, n=count)
-
-
-def interval_mass(density, intervals) -> float:
-    """Analytic mass of a disjoint interval union under the density."""
-    return density.interval_mass(intervals)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import batch_estimates, cell_estimates
+from .bounds import _margin, weighted_range
 from .densities import (
     EstimationProblem,
     EvaluationFunction,
@@ -529,31 +530,21 @@ def sweep_illustrative(
         for theta in theta_grid:
             problem = illustrative_problem(f_max, theta)
             c, v = illustrative_params(f_max, theta)
-            t = _resolve_cv(cv_mode, problem)
+            cv = ControlVariate.from_spec(
+                cv_mode, lambda: evaluation_sampling_mean(problem)
+            )
             for n in n_grid:
                 point_seed = derive_seed(seed, index)
                 index += 1
-                analytic = analytic_reports(n, c, v, theta, t)
-                empirical = run_trials(
-                    problem, n, trials, theta, ControlVariate(t), point_seed
-                )
+                analytic = analytic_reports(n, c, v, theta, cv.t)
+                empirical = run_trials(problem, n, trials, theta, cv, point_seed)
                 rows.append(
                     SweepRow(
-                        "f_max", f_max, theta, n, c, v, t, point_seed,
+                        "f_max", f_max, theta, n, c, v, cv.t, point_seed,
                         analytic, empirical,
                     )
                 )
     return rows
-
-
-def _resolve_cv(cv_mode: str, problem: EstimationProblem) -> float:
-    if cv_mode == "none":
-        return 0.0
-    if cv_mode == "sampling-mean":
-        return evaluation_sampling_mean(problem)
-    if cv_mode.startswith("value:"):
-        return float(cv_mode.split(":", 1)[1])
-    raise ValueError("cv must be none, value:<real>, or sampling-mean")
 
 
 def sweep_treatment_surrogate(
@@ -576,26 +567,19 @@ def sweep_treatment_surrogate(
     if not cr_min_grid:
         raise ValueError("cr_min grid must be nonempty")
     surface = surface or SyntheticReturnSurface()
-    if cv_mode == "sampling-mean":
-        t = treatment_sampling_mean(surface)
-    elif cv_mode == "none":
-        t = 0.0
-    elif cv_mode.startswith("value:"):
-        t = float(cv_mode.split(":", 1)[1])
-    else:
-        raise ValueError("cv must be none, value:<real>, or sampling-mean")
+    cv = ControlVariate.from_spec(cv_mode, lambda: treatment_sampling_mean(surface))
     rows = []
     for index, cr_min in enumerate(cr_min_grid):
         problem = treatment_problem(cr_min, surface)
-        theta, v_centered = treatment_ground_truth(problem, surface, t=t)
+        theta, v_centered = treatment_ground_truth(problem, surface, t=cv.t)
         point_seed = derive_seed(seed, index)
-        analytic = analytic_reports(n, problem.c, v_centered, theta, t)
+        analytic = analytic_reports(n, problem.c, v_centered, theta, cv.t)
         empirical = run_trials(
-            problem, n, trials, theta, ControlVariate(t), point_seed, surface=surface
+            problem, n, trials, theta, cv, point_seed, surface=surface
         )
         rows.append(
             SweepRow(
-                "cr_min", cr_min, theta, n, problem.c, v_centered, t, point_seed,
+                "cr_min", cr_min, theta, n, problem.c, v_centered, cv.t, point_seed,
                 analytic, empirical,
             )
         )
@@ -635,14 +619,6 @@ class BoundsSweepRow:
     to_record = record
 
 
-def _margins(b: float, c: float, delta: float, n: int, k: np.ndarray):
-    log_term = math.log(1.0 / delta)
-    is_margin = b * math.sqrt(log_term / (2.0 * n))
-    k_pos = np.maximum(k, 1)
-    us_margin = c * b * np.sqrt(log_term / (2.0 * k_pos))
-    return is_margin, us_margin
-
-
 def sweep_bounds(
     f_max: float,
     n_grid,
@@ -652,8 +628,6 @@ def sweep_bounds(
     theta: float = 1.0,
 ) -> list[BoundsSweepRow]:
     """Mean bound locations per n for the two-uniform example."""
-    from .bounds import weighted_range
-
     n_grid = list(n_grid)
     if not n_grid:
         raise ValueError("n grid must be nonempty")
@@ -666,7 +640,8 @@ def sweep_bounds(
     for index, n in enumerate(n_grid):
         point_seed = derive_seed(seed, index)
         sim = simulate_estimates(problem, n, trials, point_seed)
-        is_margin, us_margin = _margins(b, c, delta, n, sim.k)
+        is_margin = _margin(b, delta, n)
+        us_margin = _margin(c * b, delta, np.maximum(sim.k, 1))
         defined = sim.us_defined
         us_values = sim.us_values[defined]
         us_margins = us_margin[defined]
@@ -727,8 +702,6 @@ def coverage_experiment(
     The pruned estimator's coverage is measured among trials with k > 0,
     the only trials where its bound exists.
     """
-    from .bounds import weighted_range
-
     n_grid = list(n_grid)
     if not n_grid:
         raise ValueError("n grid must be nonempty")
@@ -741,7 +714,8 @@ def coverage_experiment(
     for index, n in enumerate(n_grid):
         point_seed = derive_seed(seed, index)
         sim = simulate_estimates(problem, n, trials, point_seed)
-        is_margin, us_margin = _margins(b, c, delta, n, sim.k)
+        is_margin = _margin(b, delta, n)
+        us_margin = _margin(c * b, delta, np.maximum(sim.k, 1))
         defined = sim.us_defined
         cover_is = float(np.mean(sim.is_values - is_margin <= theta))
         cover_us = float(

@@ -71,6 +71,15 @@ class TestEstimate:
             main(["estimate", "--cv", "median"])
 
 
+@pytest.mark.parametrize("command", ["sweep-illustrative", "sweep-treatment"])
+def test_sweeps_reject_bad_cv_alike(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--cv", "median"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --cv: cv must be none, value:<real>, or sampling-mean" in err
+
+
 class TestSweepIllustrative:
     ARGS = [
         "sweep-illustrative",

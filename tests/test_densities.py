@@ -19,7 +19,6 @@ from unequal_support.densities import (
     SamplingSupportError,
     TruncatedNormal,
     draw,
-    interval_mass,
     pdf_eval,
 )
 from unequal_support.experiments import run_trials
@@ -80,8 +79,8 @@ class TestPiecewiseUniform:
 
     def test_interval_mass_illustrative(self):
         g = PiecewiseUniform.uniform(0.0, 2.0)
-        assert abs(interval_mass(g, [(0.0, 1.0)]) - 0.5) <= 1e-12
-        assert abs(interval_mass(g, [(0.0, 2.0)]) - 1.0) <= 1e-12
+        assert abs(g.interval_mass([(0.0, 1.0)]) - 0.5) <= 1e-12
+        assert abs(g.interval_mass([(0.0, 2.0)]) - 1.0) <= 1e-12
 
     def test_weights_validated(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from unequal_support.densities import (
 )
 from unequal_support.estimators import (
     ControlVariate,
-    count_in_c,
     importance_weight,
     is_estimate,
     us_estimate,
@@ -71,9 +70,7 @@ class TestIsEstimate:
         values = np.array([0.1, 0.4, 1.2, 1.9, 0.8])
         batch = SampleBatch(values, seed=None, n=5)
         res = is_estimate(problem, batch)
-        k = count_in_c(problem, batch)
-        assert k == 3
-        assert res.value == pytest.approx(2.0 * k / 5, rel=1e-15)
+        assert res.value == pytest.approx(2.0 * 3 / 5, rel=1e-15)
         assert res.defined and res.k == 3
 
     def test_on_distribution_is_sample_mean(self):
@@ -131,6 +128,9 @@ class TestUsEstimate:
         assert us_estimate(problem, batch).defined
         with pytest.raises(ControlVariateCoverageError):
             us_estimate(problem, batch, ControlVariate(0.5))
+        # IS and WIS do not restrict the centered sum to C, so they accept it.
+        assert is_estimate(problem, batch, ControlVariate(0.5)).value == 0.5
+        assert wis_estimate(problem, batch, ControlVariate(0.5)).value == 0.5
 
     def test_coincides_with_is_when_c_covers_g(self):
         rng = np.random.default_rng(2024)
@@ -148,6 +148,17 @@ class TestUsEstimate:
             assert us.defined and us.k == n
             assert abs(us.value - is_.value) <= 1e-12 * max(1.0, abs(is_.value))
 
+    def test_coincides_with_is_at_a_million_samples(self):
+        f = PiecewiseUniform.uniform(0.0, 1.0)
+        g = PiecewiseUniform.uniform(0.0, 2.0)
+        h = EvaluationFunction.piecewise_constant([(0.0, 1.0, -1.0), (1.0, 2.0, 3.0)])
+        problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 2.0)], g))
+        batch = draw(g, 606, 1_000_000)
+        us = us_estimate(problem, batch)
+        is_ = is_estimate(problem, batch)
+        assert us.k == batch.n
+        assert abs(us.value - is_.value) <= 1e-12 * max(1.0, abs(is_.value))
+
 
 class TestEmpiricalC:
     def test_recovers_is_on_any_pruning_set(self):
@@ -162,6 +173,14 @@ class TestEmpiricalC:
                 continue
             ref = is_estimate(problem, batch)
             assert abs(emp.value - ref.value) <= 1e-12 * max(1.0, abs(ref.value))
+
+    def test_recovers_is_at_a_million_samples(self):
+        problem = signed_problem(0.5, theta=4.0)
+        batch = draw(problem.sampling, 707, 1_000_000)
+        emp = us_estimate_empirical_c(problem, batch)
+        ref = is_estimate(problem, batch)
+        assert emp.defined and 0 < emp.k < batch.n
+        assert abs(emp.value - ref.value) <= 1e-12 * max(1.0, abs(ref.value))
 
     def test_counting_form(self):
         problem = basic_problem(1.0)

@@ -1,18 +1,11 @@
-"""Batched kernels against each other and against the scalar estimators."""
+"""The batched kernel against a per-row reference and the scalar estimators."""
 
-import json
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
 
-from unequal_support._kernels import (
-    _batch_estimates_numpy,
-    _batch_estimates_rows,
-    batch_estimates,
-)
+from unequal_support._kernels import batch_estimates
 from unequal_support.densities import SampleBatch
 from unequal_support.estimators import (
     ControlVariate,
@@ -31,24 +24,38 @@ def random_inputs(seed, trials=400, n=37):
     return w, hv, in_c
 
 
+def fsum_oracle(w, hv, in_c, c, t):
+    """(IS, US, WIS, k, WIS-defined) per row, each sum written out with
+    ``math.fsum``; shares no code with the kernel."""
+    rows = []
+    for w_row, h_row, c_row in zip(w, hv, in_c):
+        terms = [wj * (hj - t) for wj, hj in zip(w_row, h_row)]
+        total = math.fsum(terms)
+        k = int(sum(c_row))
+        in_c_total = math.fsum(x for x, inside in zip(terms, c_row) if inside)
+        weight_sum = math.fsum(w_row)
+        rows.append((
+            t + total / len(terms),
+            t + c * in_c_total / k if k > 0 else 0.0,
+            t + total / weight_sum if weight_sum > 0.0 else 0.0,
+            k,
+            weight_sum > 0.0,
+        ))
+    return [np.array(col) for col in zip(*rows)]
+
+
 class TestPathAgreement:
     @pytest.mark.parametrize("t", [0.0, 1.25])
-    def test_row_loop_matches_vectorized(self, t):
+    def test_matches_fsum_oracle(self, t):
         w, hv, in_c = random_inputs(11)
-        a = _batch_estimates_rows(w, hv, in_c, 0.4, t)
-        b = _batch_estimates_numpy(w, hv, in_c, 0.4, t)
-        for x, y in zip(a, b):
-            np.testing.assert_allclose(
-                np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                rtol=1e-12, atol=1e-12,
-            )
-
-    @pytest.mark.parametrize("t", [0.0, -0.5])
-    def test_dispatch_matches_vectorized(self, t):
-        w, hv, in_c = random_inputs(12)
-        a = batch_estimates(w, hv, in_c, 0.7, t)
-        b = _batch_estimates_numpy(w, hv, in_c, 0.7, t)
-        for x, y in zip(a, b):
+        in_c &= hv > -1.0  # some weighted samples outside C
+        w[0] = 0.0  # k = 0 and every weight zero
+        in_c[0] = False
+        in_c[1] = False  # k = 0 with positive weights
+        got = batch_estimates(w, hv, in_c, 0.4, t)
+        ref = fsum_oracle(w, hv, in_c, 0.4, t)
+        assert ref[3][0] == ref[3][1] == 0 and not ref[4][0] and ref[4][1]
+        for x, y in zip(got, ref):
             np.testing.assert_allclose(
                 np.asarray(x, dtype=float), np.asarray(y, dtype=float),
                 rtol=1e-12, atol=1e-12,
@@ -93,85 +100,3 @@ class TestAgainstScalarEstimators:
             assert wis_v[i] == pytest.approx(ref_wis.value, rel=1e-10, abs=1e-12)
             assert k[i] == ref_us.k
             assert bool(wis_def[i]) == ref_wis.defined
-
-
-# Run in a child interpreter after the caller's prelude: imports the kernels
-# module fresh, then prints how it dispatched as one JSON object.
-KERNEL_STATE_PROBE = """
-import json
-import numpy as np
-from unequal_support import _kernels
-try:
-    import numba
-    numba_importable = True
-except ImportError:
-    numba_importable = False
-rng = np.random.default_rng(7)
-w = np.where(rng.uniform(size=(50, 9)) < 0.3, 0.0, rng.uniform(0.0, 5.0, (50, 9)))
-hv = rng.normal(0.0, 2.0, (50, 9))
-got = _kernels.batch_estimates(w, hv, w > 0.0, 0.6, 0.25)
-ref = _kernels._batch_estimates_numpy(w, hv, w > 0.0, 0.6, 0.25)
-print(json.dumps({
-    "using_numba": _kernels.USING_NUMBA,
-    "numpy_impl": _kernels._impl is _kernels._batch_estimates_numpy,
-    "rows_impl": _kernels._impl is _kernels._batch_estimates_rows,
-    "numba_importable": numba_importable,
-    "matches_numpy": all(np.array_equal(a, b) for a, b in zip(got, ref)),
-}))
-"""
-
-
-def fresh_kernel_state(prelude="", flag=None):
-    """Import ``_kernels`` in a new interpreter and report how it dispatched.
-
-    ``UNEQUAL_SUPPORT_NO_NUMBA`` is removed from the child's environment
-    unless ``flag`` gives it a value, so the result does not depend on the
-    environment the suite runs in. ``prelude`` runs before the import.
-    """
-    env = dict(os.environ)
-    env.pop("UNEQUAL_SUPPORT_NO_NUMBA", None)
-    if flag is not None:
-        env["UNEQUAL_SUPPORT_NO_NUMBA"] = flag
-    out = subprocess.run(
-        [sys.executable, "-c", prelude + "\n" + KERNEL_STATE_PROBE],
-        env=env, capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout)
-
-
-# A stand-in JIT whose ``njit`` returns the function it is given, so the
-# dispatch rules can be checked on machines where numba is not installed.
-STAND_IN_JIT = (
-    "import sys, types\n"
-    "sys.modules['numba'] = types.SimpleNamespace(njit=lambda **kw: (lambda f: f))\n"
-)
-
-
-class TestEnvironmentFlag:
-    def test_flag_forces_numpy_path(self):
-        state = fresh_kernel_state(flag="1")
-        assert state["using_numba"] is False
-        assert state["numpy_impl"]
-
-    def test_default_state_reported(self):
-        # With the flag unset the JIT path is taken exactly when numba
-        # imports, and USING_NUMBA reports the path batch_estimates uses.
-        state = fresh_kernel_state()
-        assert state["using_numba"] == state["numba_importable"]
-        assert state["numpy_impl"] == (not state["using_numba"])
-
-    def test_unimportable_numba_falls_back_to_numpy(self):
-        state = fresh_kernel_state(prelude="import sys; sys.modules['numba'] = None")
-        assert state["numba_importable"] is False
-        assert state["using_numba"] is False
-        assert state["numpy_impl"]
-        assert state["matches_numpy"]
-
-    @pytest.mark.parametrize("flag", [None, "", "1"])
-    def test_flag_is_the_only_opt_out_of_an_importable_jit(self, flag):
-        state = fresh_kernel_state(prelude=STAND_IN_JIT, flag=flag)
-        jit_expected = not flag
-        assert state["using_numba"] is jit_expected
-        assert state["rows_impl"] is jit_expected
-        assert state["numpy_impl"] is not jit_expected
