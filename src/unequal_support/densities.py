@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "UnequalSupportError",
@@ -59,6 +58,10 @@ class SamplingSupportError(UnequalSupportError):
 class PruningCoverageError(UnequalSupportError):
     """A sample with f(x)h(x) != 0 fell outside the pruning set C.
 
+    Where observed values stand in for h (see
+    :meth:`EstimationProblem.batch_terms`), f(x) times the observed
+    value is checked instead.
+
     Signals a violation of the standing assumption that the pruning set
     covers the joint support of the target density and the evaluation
     function.
@@ -79,6 +82,10 @@ class IntervalUnion:
     Endpoints count as inside (closed convention), so membership agrees
     with a positive pdf on the boundary. Intervals may touch but their
     interiors must be disjoint.
+
+    The membership path is picked at construction: a union of one
+    interval binds ``locate`` and ``contains`` to two comparisons, any
+    other union searches its sorted lower endpoints.
     """
 
     def __init__(self, intervals: Sequence[Sequence[float]]):
@@ -93,6 +100,10 @@ class IntervalUnion:
                 raise ValueError("intervals overlap")
         self.lows = np.array([a for a, _ in ivs])
         self.highs = np.array([b for _, b in ivs])
+        if len(ivs) == 1:
+            self._low, self._high = ivs[0]
+            self.locate = self._locate_one
+            self.contains = self._contains_one
 
     def __len__(self) -> int:
         return len(self.lows)
@@ -114,6 +125,14 @@ class IntervalUnion:
 
     def contains(self, x) -> np.ndarray:
         return self.locate(x)[1]
+
+    def _locate_one(self, x) -> tuple[np.ndarray, np.ndarray]:
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape, dtype=np.intp), self._contains_one(x)
+
+    def _contains_one(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return (x >= self._low) & (x <= self._high)
 
     def overlap_lengths(self, other: "IntervalUnion") -> np.ndarray:
         """Length of other's overlap with each of this union's intervals."""
@@ -155,7 +174,11 @@ class PiecewiseUniform:
     ``weights[j]`` is the probability mass of interval j (default:
     proportional to length, i.e. uniform over the union). Sampling maps a
     single uniform draw through the piecewise-linear inverse CDF, so the
-    draw count per seed is deterministic.
+    draw count per seed is deterministic. Whether the density has one
+    piece is settled at construction; if it has, ``sample`` and ``pdf``
+    skip the interval search. Sampling then computes
+    ``lo + u / weight * (hi - lo)`` in place, the inverse CDF at piece 0
+    (CDF offset 0), so the draws are bit-equal to the general path's.
     """
 
     kind = "piecewise-uniform"
@@ -177,12 +200,15 @@ class PiecewiseUniform:
         self.heights = w / lengths
         self._cum = np.concatenate([[0.0], np.cumsum(w)])
         self._cum[-1] = 1.0
+        self._span = (self.support.lows[0], self.support.highs[0]) if len(w) == 1 else None
 
     @classmethod
     def uniform(cls, low: float, high: float) -> "PiecewiseUniform":
         return cls([(low, high)])
 
     def pdf(self, x) -> np.ndarray:
+        if self._span is not None:
+            return np.where(self.support.contains(x), self.heights[0], 0.0)
         idx, inside = self.support.locate(x)
         return np.where(inside, self.heights[idx], 0.0)
 
@@ -191,6 +217,12 @@ class PiecewiseUniform:
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         u = rng.uniform(0.0, 1.0, size=size)
+        if self._span is not None:
+            lo, hi = self._span
+            u /= self.weights[0]
+            u *= hi - lo
+            u += lo
+            return u
         j = np.clip(np.searchsorted(self._cum, u, side="right") - 1, 0, len(self.weights) - 1)
         lo, hi = self.support.lows[j], self.support.highs[j]
         frac = (u - self._cum[j]) / self.weights[j]
@@ -206,7 +238,9 @@ class TruncatedNormal:
     """Normal(mean, stddev) truncated to [lower, upper] and renormalized.
 
     Sampling uses the inverse CDF on the truncated quantile range, so a
-    fixed seed always consumes exactly one uniform per draw.
+    fixed seed always consumes exactly one uniform per draw. scipy's
+    ``ndtr``/``ndtri`` are imported where they are used, so code that
+    never builds a truncated normal never loads scipy.
     """
 
     kind = "truncated-normal"
@@ -216,6 +250,8 @@ class TruncatedNormal:
             raise ValueError("lower must be < upper")
         if stddev <= 0:
             raise ValueError("stddev must be positive")
+        from scipy.special import ndtr
+
         self.lower = float(lower)
         self.upper = float(upper)
         self.mean = float(mean)
@@ -239,10 +275,14 @@ class TruncatedNormal:
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         u = rng.uniform(0.0, 1.0, size=size)
         q = self._cdf_lo + u * self._z
+        from scipy.special import ndtri
+
         x = self.mean + self.stddev * ndtri(q)
         return np.clip(x, self.lower, self.upper)
 
     def interval_mass(self, intervals) -> float:
+        from scipy.special import ndtr
+
         query = _as_interval_union(intervals)
         total = 0.0
         for a, b in query:
@@ -411,12 +451,16 @@ class EstimationProblem:
         """The problem's :class:`CellTable`, built once, or None."""
         return CellTable.from_problem(self)
 
-    def batch_terms(self, values: np.ndarray):
+    def batch_terms(self, values: np.ndarray, observed: np.ndarray | None = None):
         """Per-sample (weight, evaluation, in-C) arrays for a batch.
 
         Accepts any array shape; trailing axis semantics are up to the
-        caller. Raises if a sample is impossible under g or if the
-        pruning spot-check fails.
+        caller. ``observed``, when given, holds one observed value per
+        sample (a noisy return, say) and is returned in place of h(x):
+        h is then not evaluated, and the pruning spot-check reads f(x)
+        times the observed value, the terms the estimators sum. Raises
+        if a sample is impossible under g or if the pruning spot-check
+        fails.
         """
         values = np.asarray(values, dtype=float)
         gv = self.sampling.pdf(values)
@@ -426,7 +470,12 @@ class EstimationProblem:
             )
         fv = self.target.pdf(values)
         w = fv / gv
-        hv = self.evaluation(values)
+        if observed is None:
+            hv = self.evaluation(values)
+        else:
+            hv = np.asarray(observed, dtype=float)
+            if hv.shape != values.shape:
+                raise ValueError("observed must hold one value per sample")
         in_c = self.pruning.contains(values)
         check_pruning_coverage(fv * hv, in_c)
         return w, hv, in_c

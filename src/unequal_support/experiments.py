@@ -281,12 +281,14 @@ def simulate_estimates(
 
     A piecewise-constant problem is simulated from per-cell sample
     counts (see the module docstring); any other problem from its
-    samples. When a return surface is given, the deterministic
-    evaluation is replaced by its noisy observations (the surrogate-study
-    path); weights and pruning membership still come from the problem.
-    Either way a batch with f(x)h(x) != 0 outside C raises
-    :class:`PruningCoverageError`, and with t != 0 one with f(x) != 0
-    outside C raises :class:`ControlVariateCoverageError`.
+    samples. When a return surface is given, its noisy observations
+    take the place of the deterministic evaluation (the surrogate-study
+    path): each chunk draws x, then the surface's observations (CF, then
+    noise), and h is never evaluated. Weights and pruning membership
+    still come from the problem. A batch with f(x)h(x) != 0 outside C
+    raises :class:`PruningCoverageError`; on the surface path the check
+    reads f(x) times the observed value instead. With t != 0 a batch
+    with f(x) != 0 outside C raises :class:`ControlVariateCoverageError`.
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
@@ -304,10 +306,9 @@ def simulate_estimates(
             )
             continue
         x = problem.sampling.sample(rng, (rows, n))
-        w, hv, in_c = problem.batch_terms(x)
+        observed = None if surface is None else surface.observe(rng, x)
+        w, hv, in_c = problem.batch_terms(x, observed)
         check_control_variate_coverage(w, in_c, t)
-        if surface is not None:
-            hv = surface.observe(rng, x)
         parts.append(batch_estimates(w, hv, in_c, problem.c, t))
     cols = [np.concatenate([p[i] for p in parts]) for i in range(5)]
     return SimulationResult(*cols)
@@ -354,7 +355,8 @@ def _moment_block(values: np.ndarray, theta: float) -> tuple[float, ...]:
     mean = float(values.mean())
     centered = values - mean
     variance = float(centered.dot(centered) / (count - 1))
-    fourth = float(np.mean(centered**4))
+    sq = centered * centered
+    fourth = float(sq.dot(sq) / count)
     sq_err = (values - theta) ** 2
     mse = float(sq_err.mean())
     se_mean = math.sqrt(variance / count)
@@ -616,8 +618,6 @@ class BoundsSweepRow:
     def record(self) -> dict:
         return dict(self.__dict__)
 
-    to_record = record
-
 
 def sweep_bounds(
     f_max: float,
@@ -685,8 +685,6 @@ class CoverageRow:
 
     def record(self) -> dict:
         return dict(self.__dict__)
-
-    to_record = record
 
 
 def coverage_experiment(
@@ -758,8 +756,6 @@ class MomentsRow:
     def record(self) -> dict:
         return dict(self.__dict__)
 
-    to_record = record
-
 
 # ---------------------------------------------------------------------------
 # Emission
@@ -776,7 +772,12 @@ def _format_cell(value) -> str:
 
 
 def render(rows, format: str) -> str:
-    """Deterministic CSV or JSON text for a list of row objects."""
+    """Deterministic CSV or JSON text for a list of row objects.
+
+    CSV takes each row's flat ``record()``. JSON takes the nested
+    ``to_record()`` where a row defines one (:class:`SweepRow`) and the
+    flat record otherwise.
+    """
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to emit")
@@ -790,7 +791,8 @@ def render(rows, format: str) -> str:
         lines += [",".join(_format_cell(rec[key]) for key in header) for rec in records]
         return "\n".join(lines) + "\n"
     if format == "json":
-        return json.dumps([row.to_record() for row in rows], indent=2) + "\n"
+        records = [getattr(row, "to_record", row.record)() for row in rows]
+        return json.dumps(records, indent=2) + "\n"
     raise ValueError("format must be csv or json")
 
 

@@ -57,6 +57,30 @@ class TestIntervalUnion:
         union = IntervalUnion([(0.0, 1.0), (1.0, 2.0)])
         assert union.total_length == 2.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        low=st.floats(-1e6, 1e6),
+        length=st.floats(1e-6, 1e6),
+        points=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=30),
+    )
+    def test_one_interval_matches_search(self, low, length, points):
+        high = low + length
+        if not low < high:
+            return
+        union = IntervalUnion([(low, high)])
+        edges = [low, high, np.nextafter(low, -np.inf), np.nextafter(high, np.inf)]
+        x = np.array(points + edges + [-np.inf, np.inf, np.nan])
+        # The general lookup: search the sorted lower endpoints.
+        idx = np.searchsorted(union.lows, x, side="right") - 1
+        idx_c = np.clip(idx, 0, len(union) - 1)
+        inside = (idx >= 0) & (x <= union.highs[idx_c])
+        got_idx, got_inside = union.locate(x)
+        assert np.array_equal(got_idx, idx_c)
+        assert np.array_equal(got_inside, inside)
+        assert np.array_equal(union.contains(x), inside)
+        assert union.contains(low) and union.contains(high)
+        assert not union.contains(np.nan)
+
 
 class TestPiecewiseUniform:
     def test_uniform_pdf_values(self):
@@ -94,6 +118,31 @@ class TestPiecewiseUniform:
         x = d.sample(rng, 40_000)
         frac_high = np.mean(x >= 5.0)
         assert abs(frac_high - 0.75) <= 3.0 * np.sqrt(0.75 * 0.25 / 40_000)
+
+    @pytest.mark.parametrize(
+        "interval, weights",
+        [((0.0, 2.0), None), ((8.5, 11.0), None), ((-3.0, 7.25), [1.0 - 4e-13])],
+    )
+    def test_one_piece_sample_is_the_inverse_cdf(self, interval, weights):
+        d = PiecewiseUniform([interval], weights)
+        fast_rng, rng = np.random.default_rng(17), np.random.default_rng(17)
+        fast = d.sample(fast_rng, (64, 9))
+        # The general inverse CDF from the same generator state.
+        cum = np.concatenate([[0.0], np.cumsum(d.weights)])
+        cum[-1] = 1.0
+        u = rng.uniform(0.0, 1.0, size=(64, 9))
+        j = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(d.weights) - 1)
+        lo, hi = d.support.lows[j], d.support.highs[j]
+        expected = lo + (u - cum[j]) / d.weights[j] * (hi - lo)
+        assert np.array_equal(fast.view(np.uint64), expected.view(np.uint64))
+        assert fast_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_one_piece_pdf_matches_lookup(self):
+        d = PiecewiseUniform([(-1.0, 3.0)])
+        x = np.array([-np.inf, -1.5, -1.0, 0.0, 3.0, 3.5, np.inf, np.nan])
+        idx, inside = d.support.locate(x)
+        assert np.array_equal(d.pdf(x), np.where(inside, d.heights[idx], 0.0))
+        assert pdf_eval(d, 3.0) == 0.25
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -4,17 +4,21 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from unequal_support import experiments
+from unequal_support._kernels import batch_estimates
 from unequal_support.densities import (
     CellTable,
+    ControlVariateCoverageError,
     EstimationProblem,
     EvaluationFunction,
     PiecewiseUniform,
+    PruningCoverageError,
     PruningSet,
 )
 from unequal_support.estimators import ControlVariate
@@ -89,6 +93,82 @@ class TestSimulateEstimates:
             simulate_estimates(problem, 0, 10, seed=1)
         with pytest.raises(ValueError):
             simulate_estimates(problem, 10, 0, seed=1)
+
+
+class HEvaluated(Exception):
+    pass
+
+
+def _surrogate_with(surface, evaluation=None, pruning=None):
+    """The surrogate problem at cr_min = 9.5, with parts swapped in."""
+    base = treatment_problem(9.5, surface)
+    return EstimationProblem(
+        base.target,
+        base.sampling,
+        evaluation or base.evaluation,
+        pruning or base.pruning,
+    )
+
+
+class TestSurfacePath:
+    """With a return surface, observations stand in for h(x)."""
+
+    def test_h_is_not_evaluated(self):
+        surface = SyntheticReturnSurface()
+        armed = []
+
+        def fn(x):
+            if armed:
+                raise HEvaluated
+            return surface.marginal_return(x)
+
+        base = treatment_problem(9.5, surface).evaluation
+        evaluation = EvaluationFunction(fn, base.support, base.low, base.high)
+        problem = _surrogate_with(surface, evaluation=evaluation)
+        armed.append(True)  # construction checks h once; batches must not
+        sim = simulate_estimates(problem, 6, 300, seed=3, surface=surface)
+        assert np.isfinite(sim.is_values).all()
+        with pytest.raises(HEvaluated):
+            simulate_estimates(problem, 6, 300, seed=3)
+
+    def test_pruning_check_reads_observed_values(self):
+        surface = SyntheticReturnSurface()
+        sampling = treatment_problem(9.5, surface).sampling
+        narrow = PruningSet.from_intervals([(10.0, 11.0)], sampling)
+        problem = _surrogate_with(surface, pruning=narrow)
+        for t in (0.0, 0.3):
+            with pytest.raises(PruningCoverageError):
+                simulate_estimates(problem, 6, 300, seed=3, t=t, surface=surface)
+        # Observations of 0 give f(x) R = 0 outside C although h != 0
+        # there, so only the control-variate check, which reads f alone,
+        # can fail.
+        flat = SyntheticReturnSurface(
+            base_level=0.0, base_gain=0.0, tilt_amplitude=0.0, noise_scale=0.0
+        )
+        simulate_estimates(problem, 6, 300, seed=3, surface=flat)
+        with pytest.raises(ControlVariateCoverageError):
+            simulate_estimates(problem, 6, 300, seed=3, t=0.3, surface=flat)
+
+    def test_matches_terms_rebuilt_in_draw_order(self):
+        surface = SyntheticReturnSurface()
+        problem = treatment_problem(9.75, surface)
+        n, seed, t = 7, 123, 0.3
+        chunk_rows = [experiments.CHUNK_TRIALS, 50]
+        sim = simulate_estimates(problem, n, sum(chunk_rows), seed, t=t, surface=surface)
+        parts = []
+        for chunk, rows in enumerate(chunk_rows):
+            # Each chunk draws x, then CF, then the day noise.
+            rng = experiments._chunk_rng(seed, chunk)
+            x = problem.sampling.sample(rng, (rows, n))
+            cf = rng.uniform(surface.cf_low, surface.cf_high, size=x.shape)
+            noise = rng.uniform(-surface.noise_scale, surface.noise_scale, size=x.shape)
+            observed = surface.expected_return(x, cf) + noise
+            w = problem.target.pdf(x) / problem.sampling.pdf(x)
+            in_c = problem.pruning.contains(x)
+            parts.append(batch_estimates(w, observed, in_c, problem.c, t))
+        got = (sim.is_values, sim.us_values, sim.wis_values, sim.k, sim.wis_defined)
+        for i, column in enumerate(got):
+            assert np.array_equal(column, np.concatenate([p[i] for p in parts]))
 
 
 class TestSummarize:
@@ -420,3 +500,29 @@ class TestImportCost:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+    def test_package_and_piecewise_commands_load_no_scipy(self):
+        config = Path(__file__).resolve().parent.parent / "configs" / "illustrative.yaml"
+        probe = (
+            "import contextlib, io, sys\n"
+            "import unequal_support\n"
+            "from unequal_support import cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    argv = ['moments', '--n', '50', '--c', '0.5', '--v', '4', '--theta', '0']\n"
+            "    assert cli.main(argv) == 0\n"
+            "    assert cli.main(['estimate', '--example', 'illustrative']) == 0\n"
+            f"    assert cli.main(['estimate', '--config', {str(config)!r}]) == 0\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['estimate', '--example', 'treatment']) == 0\n"
+            "print('scipy.special' in loaded())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        # The truncated normal of the treatment example does load scipy,
+        # so the probe can see it.
+        assert out.stdout.splitlines() == ["[]", "[]", "True"]
