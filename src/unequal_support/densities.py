@@ -83,9 +83,9 @@ class IntervalUnion:
     with a positive pdf on the boundary. Intervals may touch but their
     interiors must be disjoint.
 
-    The membership path is picked at construction: a union of one
-    interval binds ``locate`` and ``contains`` to two comparisons, any
-    other union searches its sorted lower endpoints.
+    Whether the union has one interval is settled at construction; if
+    it has, ``locate`` and ``contains`` use two comparisons, otherwise
+    they search the sorted lower endpoints.
     """
 
     def __init__(self, intervals: Sequence[Sequence[float]]):
@@ -100,10 +100,7 @@ class IntervalUnion:
                 raise ValueError("intervals overlap")
         self.lows = np.array([a for a, _ in ivs])
         self.highs = np.array([b for _, b in ivs])
-        if len(ivs) == 1:
-            self._low, self._high = ivs[0]
-            self.locate = self._locate_one
-            self.contains = self._contains_one
+        self._one = len(ivs) == 1
 
     def __len__(self) -> int:
         return len(self.lows)
@@ -115,24 +112,20 @@ class IntervalUnion:
     def total_length(self) -> float:
         return float(np.sum(self.highs - self.lows))
 
-    def locate(self, x) -> tuple[np.ndarray, np.ndarray]:
+    def locate(self, x) -> tuple[np.ndarray | int, np.ndarray]:
         """(index, inside) per point: the interval that x would lie in,
-        clipped to a valid index, and whether x lies in it."""
+        clipped to a valid index, and whether x lies in it. For a union
+        of one interval the index is the scalar 0, which broadcasts
+        against x."""
         x = np.asarray(x, dtype=float)
+        if self._one:
+            return 0, (x >= self.lows[0]) & (x <= self.highs[0])
         idx = np.searchsorted(self.lows, x, side="right") - 1
         idx_c = np.clip(idx, 0, len(self.lows) - 1)
         return idx_c, (idx >= 0) & (x <= self.highs[idx_c])
 
     def contains(self, x) -> np.ndarray:
         return self.locate(x)[1]
-
-    def _locate_one(self, x) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape, dtype=np.intp), self._contains_one(x)
-
-    def _contains_one(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x >= self._low) & (x <= self._high)
 
     def overlap_lengths(self, other: "IntervalUnion") -> np.ndarray:
         """Length of other's overlap with each of this union's intervals."""
@@ -174,11 +167,11 @@ class PiecewiseUniform:
     ``weights[j]`` is the probability mass of interval j (default:
     proportional to length, i.e. uniform over the union). Sampling maps a
     single uniform draw through the piecewise-linear inverse CDF, so the
-    draw count per seed is deterministic. Whether the density has one
-    piece is settled at construction; if it has, ``sample`` and ``pdf``
-    skip the interval search. Sampling then computes
-    ``lo + u / weight * (hi - lo)`` in place, the inverse CDF at piece 0
-    (CDF offset 0), so the draws are bit-equal to the general path's.
+    draw count per seed is deterministic. A density of one piece skips
+    the interval search: ``pdf`` through the support's one-interval
+    ``locate``, and ``sample`` by computing ``lo + u / weight * (hi - lo)``
+    in place, the inverse CDF at piece 0 (CDF offset 0), so the draws are
+    bit-equal to the general path's.
     """
 
     kind = "piecewise-uniform"
@@ -200,15 +193,12 @@ class PiecewiseUniform:
         self.heights = w / lengths
         self._cum = np.concatenate([[0.0], np.cumsum(w)])
         self._cum[-1] = 1.0
-        self._span = (self.support.lows[0], self.support.highs[0]) if len(w) == 1 else None
 
     @classmethod
     def uniform(cls, low: float, high: float) -> "PiecewiseUniform":
         return cls([(low, high)])
 
     def pdf(self, x) -> np.ndarray:
-        if self._span is not None:
-            return np.where(self.support.contains(x), self.heights[0], 0.0)
         idx, inside = self.support.locate(x)
         return np.where(inside, self.heights[idx], 0.0)
 
@@ -217,8 +207,8 @@ class PiecewiseUniform:
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         u = rng.uniform(0.0, 1.0, size=size)
-        if self._span is not None:
-            lo, hi = self._span
+        if len(self.weights) == 1:
+            lo, hi = self.support.lows[0], self.support.highs[0]
             u /= self.weights[0]
             u *= hi - lo
             u += lo
