@@ -13,11 +13,39 @@ Both reduce their batches to four sums and hand them to one place,
 zero conventions (US is 0 when k = 0, WIS is 0 when every weight
 vanishes). The scalar estimators in :mod:`unequal_support.estimators`
 are ``batch_estimates`` on a single row.
+
+``out_array`` checks the NumPy-style ``out=`` buffers that the
+sample-path layers accept, so that a caller can run every chunk in one
+reused workspace; ``zero_outside`` masks such a buffer in place.
 """
 
 import numpy as np
 
-__all__ = ["batch_estimates", "cell_estimates"]
+__all__ = ["batch_estimates", "cell_estimates", "out_array", "zero_outside"]
+
+
+def out_array(shape, out=None) -> np.ndarray:
+    """``out`` if it is a float64 array of ``shape``; a fresh one if
+    ``out`` is None. Any other ``out`` raises ValueError."""
+    if out is None:
+        return np.empty(shape)
+    shape = tuple(shape)
+    if not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}")
+    return out
+
+
+def zero_outside(a: np.ndarray, mask) -> np.ndarray:
+    """``np.where(mask, a, 0.0)``, written over the float64 array ``a``.
+
+    The bit patterns are multiplied by 0 or 1 as int64, which is exact
+    for every value, NaN and inf included, and does not branch on the
+    mask (a masked copy does, and costs several times more on a random
+    mask).
+    """
+    bits = a.view(np.int64)
+    np.multiply(bits, mask, out=bits)
+    return a
 
 
 def _estimates_from_sums(row_sum, sum_c, sum_w, k, n, c, t):
@@ -31,12 +59,14 @@ def _estimates_from_sums(row_sum, sum_c, sum_w, k, n, c, t):
     return is_v, us_v, wis_v, k, wis_def
 
 
-def batch_estimates(w, hv, in_c, c: float, t: float = 0.0):
+def batch_estimates(w, hv, in_c, c: float, t: float = 0.0, out=None):
     """Per-trial (IS, US, WIS, k, WIS-defined) over a (trials, n) batch matrix.
 
     ``w`` and ``hv`` are the importance weights and evaluations of each
     sample; ``in_c`` marks pruning-set membership. ``t`` is the constant
-    control variate; undefined US and WIS rows take the value 0.
+    control variate; undefined US and WIS rows take the value 0. The
+    centered terms w (h - t) are formed in ``out``, a (trials, n) float64
+    scratch array, or in a fresh one when ``out`` is None.
     """
     # Contiguous rows make each row's summation order depend on its
     # values alone, not on the caller's memory layout.
@@ -46,10 +76,12 @@ def batch_estimates(w, hv, in_c, c: float, t: float = 0.0):
     if w.ndim != 2 or w.shape != hv.shape or w.shape != in_c.shape:
         raise ValueError("w, hv, in_c must share one (trials, n) shape")
     t = float(t)
-    wh = w * (hv - t)
+    wh = np.subtract(hv, t, out=out_array(w.shape, out))
+    wh *= w
+    row_sum = wh.sum(axis=1)
     return _estimates_from_sums(
-        wh.sum(axis=1),
-        np.where(in_c, wh, 0.0).sum(axis=1),
+        row_sum,
+        zero_outside(wh, in_c).sum(axis=1),
         w.sum(axis=1),
         in_c.sum(axis=1).astype(np.int64),
         w.shape[1], float(c), t,

@@ -18,6 +18,8 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from ._kernels import out_array, zero_outside
+
 __all__ = [
     "UnequalSupportError",
     "SamplingSupportError",
@@ -145,14 +147,15 @@ class Density(Protocol):
     ``contains`` must agree with pdf > 0 pointwise; ``interval_mass``
     returns the analytic probability of an interval union; ``sample``
     draws i.i.d. points inside the support from a caller-owned
-    generator.
+    generator. ``pdf`` and ``sample`` write into ``out``, a float64
+    array of the result's shape, when one is given, and return it.
     """
 
-    def pdf(self, x) -> np.ndarray: ...
+    def pdf(self, x, out=None) -> np.ndarray: ...
 
     def contains(self, x) -> np.ndarray: ...
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray: ...
+    def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray: ...
 
     def interval_mass(self, intervals) -> float: ...
 
@@ -166,12 +169,13 @@ class PiecewiseUniform:
 
     ``weights[j]`` is the probability mass of interval j (default:
     proportional to length, i.e. uniform over the union). Sampling maps a
-    single uniform draw through the piecewise-linear inverse CDF, so the
-    draw count per seed is deterministic. A density of one piece skips
-    the interval search: ``pdf`` through the support's one-interval
-    ``locate``, and ``sample`` by computing ``lo + u / weight * (hi - lo)``
-    in place, the inverse CDF at piece 0 (CDF offset 0), so the draws are
-    bit-equal to the general path's.
+    single uniform draw u through the piecewise-linear inverse CDF,
+    ``lo + (u - cum) / weight * (hi - lo)`` of u's piece, computed in
+    place, so the draw count per seed is deterministic. A density of one
+    piece skips the interval search: ``pdf`` through the support's
+    one-interval ``locate``, and ``sample`` by dropping the CDF offset,
+    which is 0 for piece 0, so the draws are bit-equal to the general
+    path's.
     """
 
     kind = "piecewise-uniform"
@@ -198,25 +202,30 @@ class PiecewiseUniform:
     def uniform(cls, low: float, high: float) -> "PiecewiseUniform":
         return cls([(low, high)])
 
-    def pdf(self, x) -> np.ndarray:
+    def pdf(self, x, out=None) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
         idx, inside = self.support.locate(x)
-        return np.where(inside, self.heights[idx], 0.0)
+        # Heights are finite and positive, so the mask multiply is exact.
+        return np.multiply(self.heights[idx], inside, out=out_array(x.shape, out))
 
     def contains(self, x) -> np.ndarray:
         return self.support.contains(x)
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        u = rng.uniform(0.0, 1.0, size=size)
+    def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
+        # random() fills the same doubles as uniform(0, 1).
+        u = rng.random(size, out=out)
         if len(self.weights) == 1:
-            lo, hi = self.support.lows[0], self.support.highs[0]
-            u /= self.weights[0]
-            u *= hi - lo
-            u += lo
-            return u
-        j = np.clip(np.searchsorted(self._cum, u, side="right") - 1, 0, len(self.weights) - 1)
+            j = 0
+        else:
+            j = np.clip(
+                np.searchsorted(self._cum, u, side="right") - 1, 0, len(self.weights) - 1
+            )
+            u -= self._cum[j]
         lo, hi = self.support.lows[j], self.support.highs[j]
-        frac = (u - self._cum[j]) / self.weights[j]
-        return lo + frac * (hi - lo)
+        u /= self.weights[j]
+        u *= hi - lo
+        u += lo
+        return u
 
     def interval_mass(self, intervals) -> float:
         query = _as_interval_union(intervals)
@@ -228,7 +237,8 @@ class TruncatedNormal:
     """Normal(mean, stddev) truncated to [lower, upper] and renormalized.
 
     Sampling uses the inverse CDF on the truncated quantile range, so a
-    fixed seed always consumes exactly one uniform per draw. scipy's
+    fixed seed always consumes exactly one uniform per draw. ``pdf`` and
+    ``sample`` run their chains in place in one array. scipy's
     ``ndtr``/``ndtri`` are imported where they are used, so code that
     never builds a truncated normal never loads scipy.
     """
@@ -253,22 +263,32 @@ class TruncatedNormal:
         if self._z <= 0:
             raise ValueError("truncation interval has no normal mass")
 
-    def pdf(self, x) -> np.ndarray:
+    def pdf(self, x, out=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        z = (x - self.mean) / self.stddev
-        dens = np.exp(-0.5 * z * z) / (self.stddev * np.sqrt(2.0 * np.pi) * self._z)
-        return np.where((x >= self.lower) & (x <= self.upper), dens, 0.0)
+        inside = self.support.contains(x)
+        z = np.subtract(x, self.mean, out=out_array(x.shape, out))
+        z /= self.stddev
+        # z * z * -0.5 equals -0.5 * z * z: scaling by a power of two is
+        # exact, and where it is not (|z| < 1e-154) exp rounds both to 1.
+        z *= z
+        z *= -0.5
+        dens = np.exp(z, out=z)
+        dens /= self.stddev * np.sqrt(2.0 * np.pi) * self._z
+        return zero_outside(dens, inside)
 
     def contains(self, x) -> np.ndarray:
         return self.support.contains(x)
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        u = rng.uniform(0.0, 1.0, size=size)
-        q = self._cdf_lo + u * self._z
+    def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
         from scipy.special import ndtri
 
-        x = self.mean + self.stddev * ndtri(q)
-        return np.clip(x, self.lower, self.upper)
+        q = rng.random(size, out=out)
+        q *= self._z
+        q += self._cdf_lo
+        x = ndtri(q, out=q)
+        x *= self.stddev
+        x += self.mean
+        return np.clip(x, self.lower, self.upper, out=x)
 
     def interval_mass(self, intervals) -> float:
         from scipy.special import ndtr
@@ -290,7 +310,8 @@ class CustomDensity:
     """User-supplied (pdf, sampler, membership) triple.
 
     No analytic interval masses are available, so pruning-set masses must
-    be provided by the caller.
+    be provided by the caller. With ``out`` given, ``pdf`` and ``sample``
+    copy the user function's result into it.
     """
 
     kind = "custom"
@@ -300,17 +321,29 @@ class CustomDensity:
         self._sampler = sampler
         self._contains = contains
 
-    def pdf(self, x) -> np.ndarray:
-        return np.asarray(self._pdf(np.asarray(x, dtype=float)), dtype=float)
+    def pdf(self, x, out=None) -> np.ndarray:
+        return _copy_into(self._pdf(np.asarray(x, dtype=float)), out)
 
     def contains(self, x) -> np.ndarray:
         return np.asarray(self._contains(np.asarray(x, dtype=float)), dtype=bool)
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return np.asarray(self._sampler(rng, size), dtype=float)
+    def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
+        return _copy_into(self._sampler(rng, size), out)
 
     def interval_mass(self, intervals) -> float:
         raise NotImplementedError("custom densities have no analytic interval mass")
+
+
+def _copy_into(values, out) -> np.ndarray:
+    """A float64 copy of values, written into ``out`` when one is given.
+
+    A copy, so that callers may overwrite the result in place without
+    touching an array a user function keeps.
+    """
+    values = np.asarray(values, dtype=float)
+    out = out_array(values.shape, out)
+    out[...] = values
+    return out
 
 
 class EvaluationFunction:
@@ -441,7 +474,9 @@ class EstimationProblem:
         """The problem's :class:`CellTable`, built once, or None."""
         return CellTable.from_problem(self)
 
-    def batch_terms(self, values: np.ndarray, observed: np.ndarray | None = None):
+    def batch_terms(
+        self, values: np.ndarray, observed: np.ndarray | None = None, out=None
+    ):
         """Per-sample (weight, evaluation, in-C) arrays for a batch.
 
         Accepts any array shape; trailing axis semantics are up to the
@@ -450,16 +485,18 @@ class EstimationProblem:
         h is then not evaluated, and the pruning spot-check reads f(x)
         times the observed value, the terms the estimators sum. Raises
         if a sample is impossible under g or if the pruning spot-check
-        fails.
+        fails. The weights are written into ``out``, a float64 array of
+        the batch's shape, when one is given; g(x) is held there until
+        f(x)/g(x) replaces it.
         """
         values = np.asarray(values, dtype=float)
-        gv = self.sampling.pdf(values)
-        if np.any(gv <= 0.0):
+        w = self.sampling.pdf(values, out=out)
+        if np.any(w <= 0.0):
             raise SamplingSupportError(
                 "sample has zero density under the sampling distribution"
             )
         fv = self.target.pdf(values)
-        w = fv / gv
+        np.divide(fv, w, out=w)
         if observed is None:
             hv = self.evaluation(values)
         else:
@@ -467,7 +504,7 @@ class EstimationProblem:
             if hv.shape != values.shape:
                 raise ValueError("observed must hold one value per sample")
         in_c = self.pruning.contains(values)
-        check_pruning_coverage(fv * hv, in_c)
+        check_pruning_coverage(np.multiply(fv, hv, out=fv), in_c)
         return w, hv, in_c
 
 

@@ -8,18 +8,20 @@ surrogate itself, not any real system).
 
 Reproducibility contract: every sweep derives one sub-seed per grid
 point from the master seed, and each point's trials are generated in
-fixed-size chunks of 4096 whose counter-based streams are keyed by
-(point seed, chunk index). Statistics are reduced in trial order, so a
-rerun with the same flags yields byte-identical output, and a future
-parallel runner could own one chunk per worker without changing any
-number.
+fixed-size chunks whose counter-based streams are keyed by (point seed,
+chunk index). Statistics are reduced in trial order, so a rerun with the
+same flags yields byte-identical output, and a future parallel runner
+could own one chunk per worker without changing any number.
 
 What a chunk's stream draws depends on the problem. For a
 piecewise-constant problem (one with a :class:`CellTable`, simulated
-without a return surface) it draws each trial's per-cell sample counts,
-Multinomial(n, p), and never the samples themselves, so a chunk costs
-O(trials x cells) time and memory whatever n is. Every other problem
-draws the (trials, n) samples, and memory grows with n.
+without a return surface) it draws each of its 4096 trials' per-cell
+sample counts, Multinomial(n, p), and never the samples themselves, so a
+chunk costs O(trials x cells) time and memory whatever n is. Every other
+problem draws the samples of min(4096, CHUNK_ELEMENTS // n) trials per
+chunk, at least one, into a workspace allocated once per call, so its
+memory is bounded by a few arrays of CHUNK_ELEMENTS = 2**17 float64
+values whatever n is; only n > 2**17 holds more, one row of n samples.
 """
 
 import json
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import batch_estimates, cell_estimates
+from ._kernels import batch_estimates, cell_estimates, out_array
 from .bounds import _margin, weighted_range
 from .densities import (
     EstimationProblem,
@@ -43,6 +45,7 @@ from .moments import MomentInputs, MomentReport, illustrative_params, moment_rep
 
 __all__ = [
     "CHUNK_TRIALS",
+    "CHUNK_ELEMENTS",
     "SimulationResult",
     "TrialStats",
     "SweepRow",
@@ -68,6 +71,8 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 4096
+# Samples per sample-path chunk: 4096 rows of n <= 32 keep CHUNK_TRIALS.
+CHUNK_ELEMENTS = 2**17
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -79,6 +84,14 @@ def derive_seed(master_seed: int, index: int) -> int:
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _uniform_into(rng: np.random.Generator, low: float, high: float, out) -> np.ndarray:
+    """``rng.uniform(low, high, out.shape)``, bit for bit, drawn into ``out``."""
+    rng.random(out=out)
+    out *= high - low
+    out += low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +144,9 @@ class SyntheticReturnSurface:
     integrates out of the estimand: the marginal evaluation of CR is
     base(CR), and the CF and noise terms only add a constant
     ``extra_variance`` to the per-sample conditional variance.
+
+    ``marginal_return`` and ``observe`` compute their chains in place, in
+    ``out`` when one is given and in a fresh array otherwise.
     """
 
     cr_low: float = 8.5
@@ -142,24 +158,41 @@ class SyntheticReturnSurface:
     tilt_amplitude: float = 0.01
     noise_scale: float = 0.03
 
-    def marginal_return(self, cr) -> np.ndarray:
+    def marginal_return(self, cr, out=None) -> np.ndarray:
         cr = np.asarray(cr, dtype=float)
         span = self.cr_high - self.cr_low
-        rel = (self.cr_high - cr) / span
-        return self.base_level + self.base_gain * (1.0 - rel * rel)
+        rel = np.subtract(self.cr_high, cr, out=out_array(cr.shape, out))
+        rel /= span
+        rel *= rel
+        base = np.subtract(1.0, rel, out=rel)
+        base *= self.base_gain
+        base += self.base_level
+        return base
+
+    def _tilt(self, cf: np.ndarray) -> np.ndarray:
+        """tilt(CF), computed over the array ``cf`` in place."""
+        cf -= 0.5 * (self.cf_low + self.cf_high)
+        cf *= self.tilt_amplitude
+        cf /= 0.5 * (self.cf_high - self.cf_low)
+        return cf
 
     def expected_return(self, cr, cf) -> np.ndarray:
-        cf = np.asarray(cf, dtype=float)
-        cf_mid = 0.5 * (self.cf_low + self.cf_high)
-        cf_half = 0.5 * (self.cf_high - self.cf_low)
-        tilt = self.tilt_amplitude * (cf - cf_mid) / cf_half
-        return self.marginal_return(cr) + tilt
+        base = self.marginal_return(cr)
+        base += self._tilt(np.array(cf, dtype=float))
+        return base
 
-    def observe(self, rng: np.random.Generator, cr: np.ndarray) -> np.ndarray:
-        """Noisy per-day returns; draw order (CF, noise) is fixed."""
-        cf = rng.uniform(self.cf_low, self.cf_high, size=cr.shape)
-        eps = rng.uniform(-self.noise_scale, self.noise_scale, size=cr.shape)
-        return self.expected_return(cr, cf) + eps
+    def observe(self, rng: np.random.Generator, cr: np.ndarray, out=None) -> np.ndarray:
+        """Noisy per-day returns; draw order (CF, noise) is fixed.
+
+        The same floating-point operations, in the same order, as
+        ``expected_return(cr, cf) + eps`` with CF and eps drawn by
+        ``rng.uniform``, so the values are bit-equal to that expression.
+        """
+        obs = self.marginal_return(cr, out=out)
+        draws = np.empty_like(obs)
+        obs += self._tilt(_uniform_into(rng, self.cf_low, self.cf_high, draws))
+        obs += _uniform_into(rng, -self.noise_scale, self.noise_scale, draws)
+        return obs
 
     @property
     def extra_variance(self) -> float:
@@ -281,7 +314,13 @@ def simulate_estimates(
 
     A piecewise-constant problem is simulated from per-cell sample
     counts (see the module docstring); any other problem from its
-    samples. When a return surface is given, its noisy observations
+    samples. The sample path allocates its workspace once per call:
+    (rows, n) float64 arrays for x, the observations, the weights and
+    one scratch, with rows = min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS //
+    n)), and every chunk writes into prefix views of it. Its peak memory
+    is therefore a few times CHUNK_ELEMENTS values plus O(trials) for the
+    results, whatever n is; for n > CHUNK_ELEMENTS a chunk is one row of
+    n samples. When a return surface is given, its noisy observations
     take the place of the deterministic evaluation (the surrogate-study
     path): each chunk draws x, then the surface's observations (CF, then
     noise), and h is never evaluated. Weights and pruning membership
@@ -293,10 +332,15 @@ def simulate_estimates(
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
     table = problem.cells if surface is None else None
+    if table is None:
+        chunk_rows = min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS // n), trials)
+        x_buf, obs_buf, w_buf, scratch = np.empty((4, chunk_rows, n))
+    else:
+        chunk_rows = CHUNK_TRIALS
     parts = []
-    n_chunks = -(-trials // CHUNK_TRIALS)
+    n_chunks = -(-trials // chunk_rows)
     for chunk in range(n_chunks):
-        rows = min(CHUNK_TRIALS, trials - chunk * CHUNK_TRIALS)
+        rows = min(chunk_rows, trials - chunk * chunk_rows)
         rng = _chunk_rng(seed, chunk)
         if table is not None:
             counts = rng.multinomial(n, table.p, size=rows)
@@ -305,11 +349,13 @@ def simulate_estimates(
                 cell_estimates(counts, n, table.w, table.h, table.in_c, problem.c, t)
             )
             continue
-        x = problem.sampling.sample(rng, (rows, n))
-        observed = None if surface is None else surface.observe(rng, x)
-        w, hv, in_c = problem.batch_terms(x, observed)
+        x = problem.sampling.sample(rng, (rows, n), out=x_buf[:rows])
+        observed = (
+            None if surface is None else surface.observe(rng, x, out=obs_buf[:rows])
+        )
+        w, hv, in_c = problem.batch_terms(x, observed, out=w_buf[:rows])
         check_control_variate_coverage(w, in_c, t)
-        parts.append(batch_estimates(w, hv, in_c, problem.c, t))
+        parts.append(batch_estimates(w, hv, in_c, problem.c, t, out=scratch[:rows]))
     cols = [np.concatenate([p[i] for p in parts]) for i in range(5)]
     return SimulationResult(*cols)
 

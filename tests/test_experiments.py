@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from unequal_support.densities import (
     PiecewiseUniform,
     PruningCoverageError,
     PruningSet,
+    TruncatedNormal,
 )
 from unequal_support.estimators import ControlVariate
 from unequal_support.experiments import (
@@ -151,24 +153,77 @@ class TestSurfacePath:
 
     def test_matches_terms_rebuilt_in_draw_order(self):
         surface = SyntheticReturnSurface()
-        problem = treatment_problem(9.75, surface)
-        n, seed, t = 7, 123, 0.3
-        chunk_rows = [experiments.CHUNK_TRIALS, 50]
-        sim = simulate_estimates(problem, n, sum(chunk_rows), seed, t=t, surface=surface)
-        parts = []
-        for chunk, rows in enumerate(chunk_rows):
-            # Each chunk draws x, then CF, then the day noise.
-            rng = experiments._chunk_rng(seed, chunk)
-            x = problem.sampling.sample(rng, (rows, n))
+        assert_matches_rebuilt(treatment_problem(9.75, surface), 123, 0.3, surface)
+
+
+# (n, rows of each chunk): n = 7 keeps 4096-row chunks; n = 100 takes
+# 2**17 // 100 = 1310 rows, two full chunks and a short last one.
+CHUNKINGS = [(7, [4096, 50]), (100, [1310, 1310, 50])]
+
+
+def rebuilt_estimates(problem, n, chunk_rows, seed, t, surface=None):
+    """simulate_estimates rebuilt in plain allocating NumPy: each chunk
+    draws x, then, with a surface, CF and then the day noise."""
+    parts = []
+    for chunk, rows in enumerate(chunk_rows):
+        rng = experiments._chunk_rng(seed, chunk)
+        x = problem.sampling.sample(rng, (rows, n))
+        if surface is None:
+            hv = problem.evaluation(x)
+        else:
             cf = rng.uniform(surface.cf_low, surface.cf_high, size=x.shape)
             noise = rng.uniform(-surface.noise_scale, surface.noise_scale, size=x.shape)
-            observed = surface.expected_return(x, cf) + noise
-            w = problem.target.pdf(x) / problem.sampling.pdf(x)
-            in_c = problem.pruning.contains(x)
-            parts.append(batch_estimates(w, observed, in_c, problem.c, t))
+            hv = surface.expected_return(x, cf) + noise
+        w = problem.target.pdf(x) / problem.sampling.pdf(x)
+        in_c = problem.pruning.contains(x)
+        parts.append(batch_estimates(w, hv, in_c, problem.c, t))
+    return [np.concatenate([p[i] for p in parts]) for i in range(5)]
+
+
+def assert_matches_rebuilt(problem, seed, t, surface=None):
+    for n, chunk_rows in CHUNKINGS:
+        sim = simulate_estimates(problem, n, sum(chunk_rows), seed, t=t, surface=surface)
+        want = rebuilt_estimates(problem, n, chunk_rows, seed, t, surface)
         got = (sim.is_values, sim.us_values, sim.wis_values, sim.k, sim.wis_defined)
-        for i, column in enumerate(got):
-            assert np.array_equal(column, np.concatenate([p[i] for p in parts]))
+        for column, expected in zip(got, want):
+            assert np.array_equal(column, expected)
+
+
+class TestSamplePathWithoutSurface:
+    def test_matches_terms_rebuilt_in_draw_order(self):
+        """Truncated-normal f, two-piece g, a smooth h and a predicate C:
+        no surface and no cell table, so the sample path runs."""
+        target = TruncatedNormal(0.25, 1.75, mean=1.0, stddev=0.4)
+        sampling = PiecewiseUniform([(0.0, 1.0), (1.0, 2.0)], weights=[0.4, 0.6])
+        evaluation = EvaluationFunction(
+            lambda x: 1.0 + np.sin(3.0 * x), [(0.0, 2.0)], 0.0, 2.0
+        )
+        pruning = PruningSet.from_predicate(lambda x: (x >= 0.25) & (x <= 1.75), 0.6)
+        problem = EstimationProblem(target, sampling, evaluation, pruning)
+        assert problem.cells is None
+        assert_matches_rebuilt(problem, 321, 0.5)
+
+
+class TestSamplePathMemory:
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+    def test_peak_does_not_grow_with_n(self, n):
+        """The sample-path twin of the cell-path memory test.
+
+        A chunk holds at most CHUNK_ELEMENTS = 2**17 samples, so the
+        workspace (x, observations, weights, one scratch) and the
+        temporaries of one chunk stay under a few times 2**17 float64
+        values, plus O(trials) for the per-trial results. Only n > 2**17
+        holds more: one row of n samples.
+        """
+        surface = SyntheticReturnSurface()
+        problem = treatment_problem(9.5, surface)
+        trials = 40
+        tracemalloc.start()
+        sim = simulate_estimates(problem, n, trials, seed=8, surface=surface)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 8 * experiments.CHUNK_ELEMENTS * 8 + 1024 * trials
+        assert np.isfinite(sim.is_values).all()
 
 
 class TestSummarize:

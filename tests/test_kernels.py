@@ -52,9 +52,15 @@ class TestPathAgreement:
         w[0] = 0.0  # k = 0 and every weight zero
         in_c[0] = False
         in_c[1] = False  # k = 0 with positive weights
+        # Non-finite h outside C reaches IS and WIS but never US.
+        in_c[2:4, 0] = False
+        hv[2, 0], w[2, 0] = np.nan, 0.0
+        hv[3, 0], w[3, 0] = np.inf, 1.0
         got = batch_estimates(w, hv, in_c, 0.4, t)
         ref = fsum_oracle(w, hv, in_c, 0.4, t)
         assert ref[3][0] == ref[3][1] == 0 and not ref[4][0] and ref[4][1]
+        assert np.isnan(ref[0][2]) and ref[0][3] == np.inf
+        assert np.isfinite(got[1][2:4]).all() and (got[3][2:4] > 0).all()
         for x, y in zip(got, ref):
             np.testing.assert_allclose(
                 np.asarray(x, dtype=float), np.asarray(y, dtype=float),
