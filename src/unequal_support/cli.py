@@ -59,17 +59,15 @@ from .densities import draw
 from .estimators import ControlVariate, is_estimate, us_estimate, wis_estimate
 from .experiments import (
     MomentsRow,
-    SyntheticReturnSurface,
     coverage_experiment,
     emit,
-    evaluation_sampling_mean,
     illustrative_problem,
     render,
+    sampling_mean,
     sweep_bounds,
     sweep_illustrative,
     sweep_treatment_surrogate,
     treatment_problem,
-    treatment_sampling_mean,
 )
 from .moments import MomentInputs, moment_report
 
@@ -189,21 +187,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_estimate(args) -> int:
-    surface = None
     if args.config:
         problem = load_problem(args.config)
     elif args.example == "illustrative":
         problem = illustrative_problem(args.f_max, args.theta)
     else:
-        surface = SyntheticReturnSurface()
-        problem = treatment_problem(args.cr_min, surface)
-
-    def sampling_mean():
-        if surface is None:
-            return evaluation_sampling_mean(problem)
-        return treatment_sampling_mean(surface)
-
-    cv = ControlVariate.from_spec(args.cv, sampling_mean)
+        problem = treatment_problem(args.cr_min)
+    cv = ControlVariate.from_spec(args.cv, lambda: sampling_mean(problem))
     batch = draw(problem.sampling, args.seed, args.n)
     results = {
         "IS": is_estimate(problem, batch, cv),

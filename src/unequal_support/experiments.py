@@ -6,6 +6,12 @@ width and coverage sweeps, and a treatment-policy example over a fully
 declared synthetic return surface (its numbers characterize the
 surrogate itself, not any real system).
 
+Every sweep's analytic inputs come from its problem: ``sampling_mean``
+(E_g[h]) and ``moment_inputs`` ((theta, v)) sum over the problem's
+terms, its cell table or Simpson nodes. The two analytic-vs-empirical
+sweeps share one loop over (coordinate, problem, theta) points, and the
+bound and coverage sweeps one bound-trial loop.
+
 Reproducibility contract: every sweep derives one sub-seed per grid
 point from the master seed, and each point's trials are generated in
 fixed-size chunks whose counter-based streams are keyed by (point seed,
@@ -41,7 +47,7 @@ from .densities import (
     check_control_variate_coverage,
 )
 from .estimators import ControlVariate
-from .moments import MomentInputs, MomentReport, illustrative_params, moment_report, rho
+from .moments import MomentInputs, MomentReport, moment_report, rho
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -54,10 +60,9 @@ __all__ = [
     "MomentsRow",
     "SyntheticReturnSurface",
     "illustrative_problem",
-    "evaluation_sampling_mean",
     "treatment_problem",
-    "treatment_ground_truth",
-    "treatment_sampling_mean",
+    "sampling_mean",
+    "moment_inputs",
     "simulate_estimates",
     "summarize_trials",
     "run_trials",
@@ -115,16 +120,6 @@ def illustrative_problem(f_max: float, theta: float = 0.0) -> EstimationProblem:
     )
     pruning = PruningSet.from_intervals([(0.0, f_max)], sampling)
     return EstimationProblem(target, sampling, evaluation, pruning)
-
-
-def evaluation_sampling_mean(problem: EstimationProblem) -> float:
-    """E_g[h] for a step evaluation, the natural constant control variate."""
-    pieces = problem.evaluation.pieces
-    if pieces is None:
-        raise TypeError("sampling mean needs a piecewise-constant evaluation")
-    return math.fsum(
-        value * problem.sampling.interval_mass([(lo, hi)]) for lo, hi, value in pieces
-    )
 
 
 @dataclass(frozen=True)
@@ -232,55 +227,36 @@ def treatment_problem(
     return EstimationProblem(target, sampling, evaluation, pruning)
 
 
-_QUAD_PANELS = 100_000
+def sampling_mean(problem: EstimationProblem) -> float:
+    """E_g[h], the natural constant control variate: sum p h over the
+    problem's terms (:attr:`EstimationProblem.terms`)."""
+    p, _, h, _ = problem.terms
+    return float((p * h).sum())
 
 
-def _quad_nodes(lo: float, hi: float) -> np.ndarray:
-    return np.linspace(lo, hi, _QUAD_PANELS + 1)
-
-
-def _simpson(y: np.ndarray, lo: float, hi: float) -> float:
-    """Composite Simpson rule for y on the nodes ``_quad_nodes(lo, hi)``.
-
-    The nodes are uniform and the panel count is even, so the weights
-    are h/3 times 1, 4, 2, 4, ..., 2, 4, 1.
-    """
-    h = (hi - lo) / (y.size - 1)
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
-
-
-def treatment_sampling_mean(surface: SyntheticReturnSurface) -> float:
-    """Expected return under the sampling policy (control variate value)."""
-    lo, hi = surface.cr_low, surface.cr_high
-    return _simpson(surface.marginal_return(_quad_nodes(lo, hi)), lo, hi) / (hi - lo)
-
-
-def treatment_ground_truth(
-    problem: EstimationProblem, surface: SyntheticReturnSurface, t: float = 0.0
+def moment_inputs(
+    problem: EstimationProblem,
+    t: float = 0.0,
+    surface: SyntheticReturnSurface | None = None,
 ) -> tuple[float, float]:
-    """(theta, v) for the surrogate by deterministic quadrature.
+    """(theta, v) for the analytic catalog, from the problem's terms.
 
-    theta is the expected return under the target policy and does not
-    depend on t. v is the variance of one centered term f(X)/g(X) (R - t)
-    given X in C, where the observed return R adds the surface's CF tilt
-    and day noise to the marginal return; their mean-zero variance
-    enters as E[w^2 | C] * extra_variance. One pass over the nodes gives
-    both.
+    theta = E_f[h] = sum p w h, whatever t is. v is the variance of one
+    centered term w (h - t) given X in C, summed about its mean
+    m = sum_C p w (h - t) / c, so it is no difference of nearly equal
+    integrals. A return surface adds its CF tilt and day noise as
+    extra_variance * sum_C p w^2 / c.
     """
-    lo = problem.target.lower
-    hi = problem.target.upper
-    xs = _quad_nodes(lo, hi)
-    fv = problem.target.pdf(xs)
-    gv = problem.sampling.pdf(xs)
-    base = surface.marginal_return(xs)
-    theta = _simpson(fv * base, lo, hi)
-    ratio = fv * fv / gv
-    second = _simpson(ratio * (base - t) ** 2, lo, hi)
-    weight_sq = _simpson(ratio, lo, hi)
+    p, w, h, in_c = problem.terms
+    theta = float((p * w * h).sum())
     c = problem.c
-    first = (theta - t) / c
-    v = second / c + (weight_sq / c) * surface.extra_variance - first * first
-    return theta, max(v, 0.0)
+    p_c, w_c = p[in_c], w[in_c]
+    wh = w_c * (h[in_c] - t)
+    m = (p_c * wh).sum() / c
+    v = (p_c * (wh - m) ** 2).sum() / c
+    if surface is not None:
+        v += surface.extra_variance * (p_c * w_c * w_c).sum() / c
+    return theta, float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -513,14 +489,14 @@ class SweepRow:
     analytic: dict[str, MomentReport]
     empirical: dict[str, TrialStats]
 
+    def _head(self) -> dict:
+        return {self.coord_name: self.coord, "theta": self.theta, "n": self.n,
+                "c": self.c, "v": self.v}
+
     def record(self) -> dict:
         a, e = self.analytic, self.empirical
         out = {
-            self.coord_name: self.coord,
-            "theta": self.theta,
-            "n": self.n,
-            "c": self.c,
-            "v": self.v,
+            **self._head(),
             "analytic_is_var_u": a["is_unconditional"].variance,
             "analytic_is_var_c": a["is_positive"].variance,
             "analytic_us_var_u": a["us_unconditional"].variance,
@@ -538,11 +514,7 @@ class SweepRow:
 
     def to_record(self) -> dict:
         return {
-            self.coord_name: self.coord,
-            "theta": self.theta,
-            "n": self.n,
-            "c": self.c,
-            "v": self.v,
+            **self._head(),
             "t": self.t,
             "seed": self.seed,
             "analytic": {
@@ -552,6 +524,40 @@ class SweepRow:
                 key: stats.to_record() for key, stats in self.empirical.items()
             },
         }
+
+
+def _sweep(coord_name, points, n_grid, trials, seed, cv_mode, surface=None) -> list[SweepRow]:
+    """One SweepRow per (point, n), for (coordinate, problem, theta) points.
+
+    Each problem's control variate (``none``, ``value:<real>`` or
+    ``sampling-mean``, E_g[h]) and conditional term variance v come from
+    its terms; grid points take sub-seeds in (point, n) order. Raises
+    ValueError when there is no grid point.
+    """
+    rows = []
+    index = 0
+    for coord, problem, theta in points:
+        cv = ControlVariate.from_spec(cv_mode, lambda: sampling_mean(problem))
+        _, v = moment_inputs(problem, cv.t, surface)
+        # Held across the simulation, a Simpson table's 2.5 MB made the
+        # allocator return and re-fault the chunk temporaries' memory.
+        vars(problem).pop("terms", None)
+        for n in n_grid:
+            point_seed = derive_seed(seed, index)
+            index += 1
+            analytic = analytic_reports(n, problem.c, v, theta, cv.t)
+            empirical = run_trials(
+                problem, n, trials, theta, cv, point_seed, surface=surface
+            )
+            rows.append(
+                SweepRow(
+                    coord_name, coord, theta, n, problem.c, v, cv.t, point_seed,
+                    analytic, empirical,
+                )
+            )
+    if not rows:
+        raise ValueError("grids must be nonempty")
+    return rows
 
 
 def sweep_illustrative(
@@ -565,34 +571,17 @@ def sweep_illustrative(
     """One SweepRow per (f_max, theta, n) grid point.
 
     ``cv_mode`` is ``none``, ``value:<real>``, or ``sampling-mean``
-    (E_g[h], recomputed per point). The constant shift leaves the
-    conditional term variance unchanged here because the weight is
-    constant on C, so the analytic columns reuse v = 4/f_max^2.
+    (E_g[h], recomputed per point). The theta column is the grid value,
+    the problem's true value by construction; c and the conditional
+    variance v of the centered term come from the problem.
     """
-    f_max_grid, theta_grid, n_grid = list(f_max_grid), list(theta_grid), list(n_grid)
-    if not (f_max_grid and theta_grid and n_grid):
-        raise ValueError("grids must be nonempty")
-    rows = []
-    index = 0
-    for f_max in f_max_grid:
-        for theta in theta_grid:
-            problem = illustrative_problem(f_max, theta)
-            c, v = illustrative_params(f_max, theta)
-            cv = ControlVariate.from_spec(
-                cv_mode, lambda: evaluation_sampling_mean(problem)
-            )
-            for n in n_grid:
-                point_seed = derive_seed(seed, index)
-                index += 1
-                analytic = analytic_reports(n, c, v, theta, cv.t)
-                empirical = run_trials(problem, n, trials, theta, cv, point_seed)
-                rows.append(
-                    SweepRow(
-                        "f_max", f_max, theta, n, c, v, cv.t, point_seed,
-                        analytic, empirical,
-                    )
-                )
-    return rows
+    theta_grid, n_grid = list(theta_grid), list(n_grid)
+    points = (
+        (f_max, illustrative_problem(f_max, theta), theta)
+        for f_max in f_max_grid
+        for theta in theta_grid
+    )
+    return _sweep("f_max", points, n_grid, trials, seed, cv_mode)
 
 
 def sweep_treatment_surrogate(
@@ -606,36 +595,36 @@ def sweep_treatment_surrogate(
     """One SweepRow per cr_min under the synthetic return surface.
 
     Ground truth theta and the conditional term variance come from
-    deterministic quadrature, so the analytic columns are exact for the
-    surrogate itself (they describe no external system).
-    ``cv_mode = sampling-mean`` uses the expected return under the
-    sampling policy as the control variate.
+    Simpson quadrature over the problem's terms, so the analytic columns
+    are exact for the surrogate itself (they describe no external
+    system). ``cv_mode = sampling-mean`` uses the expected return under
+    the sampling policy as the control variate.
     """
-    cr_min_grid = list(cr_min_grid)
-    if not cr_min_grid:
-        raise ValueError("cr_min grid must be nonempty")
     surface = surface or SyntheticReturnSurface()
-    cv = ControlVariate.from_spec(cv_mode, lambda: treatment_sampling_mean(surface))
-    rows = []
-    for index, cr_min in enumerate(cr_min_grid):
-        problem = treatment_problem(cr_min, surface)
-        theta, v_centered = treatment_ground_truth(problem, surface, t=cv.t)
-        point_seed = derive_seed(seed, index)
-        analytic = analytic_reports(n, problem.c, v_centered, theta, cv.t)
-        empirical = run_trials(
-            problem, n, trials, theta, cv, point_seed, surface=surface
-        )
-        rows.append(
-            SweepRow(
-                "cr_min", cr_min, theta, n, problem.c, v_centered, cv.t, point_seed,
-                analytic, empirical,
-            )
-        )
-    return rows
+    problems = ((cr_min, treatment_problem(cr_min, surface)) for cr_min in cr_min_grid)
+    points = ((cr_min, problem, moment_inputs(problem)[0]) for cr_min, problem in problems)
+    return _sweep("cr_min", points, [n], trials, seed, cv_mode, surface)
 
 
 # ---------------------------------------------------------------------------
 # Bound sweeps
+
+
+def _bound_trials(f_max: float, n_grid, delta: float, trials: int, seed: int, theta: float):
+    """Per n of the two-uniform example: the fields every bound row shares
+    (n, delta, theta, c, b, seed), the simulation, the IS margin and the
+    per-trial US margins, each margin for one 1 - delta side."""
+    n_grid = list(n_grid)
+    if not n_grid:
+        raise ValueError("n grid must be nonempty")
+    problem = illustrative_problem(f_max, theta)
+    b = weighted_range(problem)
+    c = problem.c
+    for index, n in enumerate(n_grid):
+        point_seed = derive_seed(seed, index)
+        sim = simulate_estimates(problem, n, trials, point_seed)
+        shared = dict(n=n, delta=delta, theta=theta, c=c, b=b, seed=point_seed)
+        yield shared, sim, _margin(b, delta, n), _margin(c * b, delta, np.maximum(sim.k, 1))
 
 
 @dataclass(frozen=True)
@@ -674,37 +663,24 @@ def sweep_bounds(
     theta: float = 1.0,
 ) -> list[BoundsSweepRow]:
     """Mean bound locations per n for the two-uniform example."""
-    n_grid = list(n_grid)
-    if not n_grid:
-        raise ValueError("n grid must be nonempty")
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
-    problem = illustrative_problem(f_max, theta)
-    b = weighted_range(problem)
-    c = problem.c
     rows = []
-    for index, n in enumerate(n_grid):
-        point_seed = derive_seed(seed, index)
-        sim = simulate_estimates(problem, n, trials, point_seed)
-        is_margin = _margin(b, delta, n)
-        us_margin = _margin(c * b, delta, np.maximum(sim.k, 1))
+    for shared, sim, is_margin, us_margin in _bound_trials(
+        f_max, n_grid, delta, trials, seed, theta
+    ):
         defined = sim.us_defined
         us_values = sim.us_values[defined]
         us_margins = us_margin[defined]
         rows.append(
             BoundsSweepRow(
-                n=n,
-                delta=delta,
-                theta=theta,
-                c=c,
-                b=b,
+                **shared,
                 mean_is_lower=float(np.mean(sim.is_values - is_margin)),
                 mean_is_upper=float(np.mean(sim.is_values + is_margin)),
                 mean_us_lower=float(np.mean(us_values - us_margins)),
                 mean_us_upper=float(np.mean(us_values + us_margins)),
                 empirical_rho=float(np.mean(defined)),
-                analytic_rho=rho(n, c),
-                seed=point_seed,
+                analytic_rho=rho(shared["n"], shared["c"]),
             )
         )
     return rows
@@ -746,20 +722,12 @@ def coverage_experiment(
     The pruned estimator's coverage is measured among trials with k > 0,
     the only trials where its bound exists.
     """
-    n_grid = list(n_grid)
-    if not n_grid:
-        raise ValueError("n grid must be nonempty")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    problem = illustrative_problem(f_max, theta)
-    b = weighted_range(problem)
-    c = problem.c
     rows = []
-    for index, n in enumerate(n_grid):
-        point_seed = derive_seed(seed, index)
-        sim = simulate_estimates(problem, n, trials, point_seed)
-        is_margin = _margin(b, delta, n)
-        us_margin = _margin(c * b, delta, np.maximum(sim.k, 1))
+    for shared, sim, is_margin, us_margin in _bound_trials(
+        f_max, n_grid, delta, trials, seed, theta
+    ):
         defined = sim.us_defined
         cover_is = float(np.mean(sim.is_values - is_margin <= theta))
         cover_us = float(
@@ -769,20 +737,15 @@ def coverage_experiment(
         mean_margin_us = float(us_margin[defined].mean())
         rows.append(
             CoverageRow(
-                n=n,
-                delta=delta,
-                theta=theta,
-                c=c,
-                b=b,
+                **shared,
                 coverage_is=cover_is,
                 coverage_us=cover_us,
                 mean_margin_is=is_margin,
                 mean_margin_us=mean_margin_us,
                 margin_ratio=mean_margin_us / is_margin,
-                predicted_ratio=c * math.sqrt(n / mean_k),
+                predicted_ratio=shared["c"] * math.sqrt(shared["n"] / mean_k),
                 mean_k=mean_k,
                 undefined_rate=float(1.0 - np.mean(defined)),
-                seed=point_seed,
             )
         )
     return rows

@@ -1,5 +1,6 @@
 """Monte Carlo harness: problems, simulation, sweeps, and emission."""
 
+import functools
 import json
 import math
 import subprocess
@@ -9,13 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad, simpson
 
 from unequal_support import experiments
 from unequal_support._kernels import batch_estimates
+from unequal_support.cli import DEFAULT_F_MAX_GRID, DEFAULT_THETA_GRID
+from unequal_support.config import load_problem
 from unequal_support.densities import (
     CellTable,
     ControlVariateCoverageError,
+    CustomDensity,
     EstimationProblem,
     EvaluationFunction,
     PiecewiseUniform,
@@ -30,20 +36,19 @@ from unequal_support.experiments import (
     coverage_experiment,
     derive_seed,
     emit,
-    evaluation_sampling_mean,
     illustrative_problem,
+    moment_inputs,
     render,
     run_trials,
+    sampling_mean,
     simulate_estimates,
     summarize_trials,
     sweep_bounds,
     sweep_illustrative,
     sweep_treatment_surrogate,
-    treatment_ground_truth,
     treatment_problem,
-    treatment_sampling_mean,
 )
-from unequal_support.moments import rho
+from unequal_support.moments import illustrative_params, rho
 
 
 class TestIllustrativeProblem:
@@ -65,7 +70,7 @@ class TestIllustrativeProblem:
     def test_sampling_mean_control_variate(self):
         problem = illustrative_problem(1.0, theta=0.0)
         # E_g[h] = 0.25 * (-1) + 0.75 * (+1) = 0.5
-        assert evaluation_sampling_mean(problem) == pytest.approx(0.5, rel=1e-14)
+        assert sampling_mean(problem) == pytest.approx(0.5, rel=1e-14)
 
 
 class TestSimulateEstimates:
@@ -401,6 +406,93 @@ class TestCoverage:
             assert row.mean_margin_us <= row.mean_margin_is
 
 
+def _pieces_mean(problem):
+    """E_g[h] of a step evaluation from the exact interval masses under g."""
+    return math.fsum(
+        value * problem.sampling.interval_mass([(lo, hi)])
+        for lo, hi, value in problem.evaluation.pieces
+    )
+
+
+def _without_pieces(problem):
+    """The same problem with h as a plain function: no cell table, so its
+    terms come from Simpson nodes."""
+    h = problem.evaluation
+    evaluation = EvaluationFunction(h.fn, h.support, h.low, h.high)
+    return EstimationProblem(problem.target, problem.sampling, evaluation, problem.pruning)
+
+
+class TestDerivedInputs:
+    """sampling_mean and moment_inputs, read off a problem's terms."""
+
+    @pytest.mark.parametrize("f_max", DEFAULT_F_MAX_GRID)
+    def test_cli_grid_matches_closed_form(self, f_max):
+        for theta in DEFAULT_THETA_GRID:
+            problem = illustrative_problem(f_max, theta)
+            mean = sampling_mean(problem)
+            assert mean == pytest.approx(_pieces_mean(problem), rel=1e-14, abs=0.0)
+            _, v_closed = illustrative_params(f_max, theta)
+            for t in (0.0, mean):
+                derived_theta, v = moment_inputs(problem, t)
+                assert derived_theta == pytest.approx(theta, rel=1e-14, abs=0.0)
+                assert v == pytest.approx(v_closed, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cuts=st.lists(st.floats(0.05, 0.95), min_size=4, max_size=4, unique=True),
+        weights=st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+        values=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        h_cut=st.floats(0.1, 3.9),
+        c_ends=st.tuples(st.floats(0.0, 0.45), st.floats(0.55, 1.0)),
+        t=st.floats(-3.0, 3.0),
+    )
+    def test_simpson_table_agrees_with_cell_table(
+        self, cuts, weights, values, h_cut, c_ends, t
+    ):
+        a, b, fa, fb = sorted(4.0 * x for x in cuts)
+        g = PiecewiseUniform([(0.0, b), (b, 4.0)], [weights[0], 1.0 - weights[0]])
+        f = PiecewiseUniform([(a, fa), (fb, 4.0)], [weights[1], 1.0 - weights[1]])
+        h = EvaluationFunction.piecewise_constant(
+            [(0.0, h_cut, values[0]), (h_cut, 4.0, values[1])]
+        )
+        c_set = PruningSet.from_intervals([(4.0 * c_ends[0], 4.0 * c_ends[1])], g)
+        cells = EstimationProblem(f, g, h, c_set)
+        nodes = _without_pieces(cells)
+        assert cells.cells is not None and nodes.cells is None
+        close = functools.partial(pytest.approx, rel=1e-10, abs=1e-10)
+        assert sampling_mean(nodes) == close(sampling_mean(cells))
+        assert moment_inputs(nodes, t) == close(moment_inputs(cells, t))
+
+    def test_truncated_normal_config_sampling_mean(self, tmp_path):
+        config = tmp_path / "problem.yaml"
+        config.write_text(
+            "problem:\n"
+            "  target: {kind: uniform, low: 0.0, high: 1.0}\n"
+            "  sampling: {kind: truncated-normal, lower: 0.0, upper: 2.0,"
+            " mean: 0.8, stddev: 0.6}\n"
+            "  evaluation:\n"
+            "    pieces: [[0.0, 0.5, -1.0], [0.5, 2.0, 1.0]]\n"
+            "  pruning:\n"
+            "    intervals: [[0.0, 1.0]]\n"
+        )
+        problem = load_problem(config)
+        assert problem.cells is None
+        assert sampling_mean(problem) == pytest.approx(_pieces_mean(problem), rel=1e-12, abs=0.0)
+
+    def test_needs_interval_supports(self):
+        problem = illustrative_problem(1.0)
+        custom = CustomDensity(
+            problem.target.pdf, problem.target.sample, problem.target.contains
+        )
+        predicate = PruningSet.from_predicate(problem.pruning.indicator, problem.c)
+        for target, pruning in [(custom, problem.pruning), (problem.target, predicate)]:
+            odd = EstimationProblem(target, problem.sampling, problem.evaluation, pruning)
+            with pytest.raises(TypeError):
+                sampling_mean(odd)
+            with pytest.raises(TypeError):
+                moment_inputs(odd)
+
+
 class TestTreatmentSurrogate:
     def test_pruning_mass_matches_formula(self):
         surface = SyntheticReturnSurface()
@@ -423,60 +515,103 @@ class TestTreatmentSurrogate:
     def test_ground_truth_quadrature_consistency(self):
         surface = SyntheticReturnSurface()
         problem = treatment_problem(10.375, surface)
-        theta, v = treatment_ground_truth(problem, surface)
+        theta, v = moment_inputs(problem, surface=surface)
         assert 0.85 <= theta <= 0.91
         assert v > 0.0
         # with the control variate at the sampling mean, v shrinks a lot
-        t = treatment_sampling_mean(surface)
-        _, v_centered = treatment_ground_truth(problem, surface, t=t)
+        t = sampling_mean(problem)
+        theta_t, v_centered = moment_inputs(problem, t, surface)
+        assert theta_t == theta
         assert v_centered < v / 10.0
 
     @pytest.mark.parametrize("cr_min", [8.5, 9.0, 10.375, 10.9])
     def test_simpson_rule_matches_scipy(self, cr_min):
+        """The Simpson table's sums against scipy's Simpson rule on one
+        uniform grid over the target support (the sampling support for
+        E_g[h])."""
         surface = SyntheticReturnSurface()
         problem = treatment_problem(cr_min, surface)
+        p, w, h, in_c = problem.terms
         lo, hi = problem.target.lower, problem.target.upper
-        xs = np.linspace(lo, hi, experiments._QUAD_PANELS + 1)
-        assert np.array_equal(experiments._quad_nodes(lo, hi), xs)
+        xs = np.linspace(lo, hi, 100_001)
         fv, gv = problem.target.pdf(xs), problem.sampling.pdf(xs)
         base = surface.marginal_return(xs)
-        t = treatment_sampling_mean(surface)
-        for y in (fv * base, fv * fv / gv * (base - t) ** 2, fv * fv / gv):
-            assert experiments._simpson(y, lo, hi) == pytest.approx(
-                simpson(y, x=xs), rel=1e-13
-            )
+        t = sampling_mean(problem)
+        for table_sum, y in [
+            ((p * w * h).sum(), fv * base),
+            ((p * (w * (h - t)) ** 2).sum(), fv * fv / gv * (base - t) ** 2),
+            ((p * w * w).sum(), fv * fv / gv),
+        ]:
+            assert table_sum == pytest.approx(simpson(y, x=xs), rel=1e-13, abs=0.0)
+        xg = np.linspace(8.5, 11.0, 100_001)
+        expected_mean = simpson(surface.marginal_return(xg), x=xg) / 2.5
+        assert t == pytest.approx(expected_mean, rel=1e-13, abs=0.0)
 
     def test_one_quadrature_pass_per_point(self, monkeypatch):
-        calls = {"truth": [], "mean": 0}
-        truth, mean = treatment_ground_truth, treatment_sampling_mean
+        """One table build per sweep point, and E_g[h], theta and v of the
+        row all come from that same table."""
+        built = []
+        original = EstimationProblem.__dict__["terms"].func
 
-        def counting_truth(problem, surface, t=0.0):
-            calls["truth"].append(t)
-            return truth(problem, surface, t)
+        def counting(problem):
+            built.append(original(problem))
+            return built[-1]
 
-        def counting_mean(surface):
-            calls["mean"] += 1
-            return mean(surface)
-
-        monkeypatch.setattr(experiments, "treatment_ground_truth", counting_truth)
-        monkeypatch.setattr(experiments, "treatment_sampling_mean", counting_mean)
+        terms = functools.cached_property(counting)
+        terms.__set_name__(EstimationProblem, "terms")
+        monkeypatch.setattr(EstimationProblem, "terms", terms)
         grid = [9.0, 10.0, 10.5]
         rows = sweep_treatment_surrogate(grid, n=5, trials=100, cv_mode="sampling-mean")
+        assert len(built) == len(grid)
         surface = SyntheticReturnSurface()
-        t = mean(surface)
-        assert calls == {"truth": [t] * len(grid), "mean": 1}
-        for row, cr_min in zip(rows, grid):
-            problem = treatment_problem(cr_min, surface)
-            # theta does not depend on t, so the centered pass yields it too
-            theta, v = truth(problem, surface, t)
-            assert theta == truth(problem, surface, 0.0)[0]
-            assert (row.theta, row.v) == (theta, v)
+        for row, table in zip(rows, built):
+            p, w, h, in_c = table
+            assert row.t == float((p * h).sum())
+            assert row.theta == float((p * w * h).sum())
+            problem = treatment_problem(row.coord, surface)
+            assert (row.theta, row.v) == moment_inputs(problem, row.t, surface)
 
     def test_sampling_mean_value(self):
         # mean of base + gain*(1 - rel^2) over the CR range: E[rel^2] = 1/3.
         surface = SyntheticReturnSurface()
         expected = surface.base_level + surface.base_gain * (2.0 / 3.0)
-        assert treatment_sampling_mean(surface) == pytest.approx(expected, rel=1e-10)
+        for cr_min in (8.5, 10.375):
+            problem = treatment_problem(cr_min, surface)
+            assert sampling_mean(problem) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("cr_min", [8.5, 9.5, 10.375])
+    def test_theta_and_v_match_scipy_quad(self, cr_min):
+        surface = SyntheticReturnSurface()
+        problem = treatment_problem(cr_min, surface)
+        f, g, base = problem.target.pdf, problem.sampling.pdf, surface.marginal_return
+        c = problem.c
+
+        def integral(fn):
+            return quad(lambda x: float(fn(np.array(x))), cr_min, 11.0, epsabs=0.0,
+                        epsrel=1e-13, limit=200)[0]
+
+        theta = integral(lambda x: f(x) * base(x))
+        assert moment_inputs(problem)[0] == pytest.approx(theta, rel=1e-10, abs=0.0)
+        for t in (0.0, sampling_mean(problem)):
+            # f vanishes outside C, so the in-C mean of w (h - t) is
+            # (theta - t) / c; v integrates the centred square directly.
+            m = (theta - t) / c
+            spread = integral(lambda x: g(x) * (f(x) / g(x) * (base(x) - t) - m) ** 2)
+            weight_sq = integral(lambda x: f(x) ** 2 / g(x))
+            v = (spread + surface.extra_variance * weight_sq) / c
+            assert moment_inputs(problem, t, surface)[1] == pytest.approx(v, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("cr_min", [8.5, 9.5, 10.375])
+    def test_v_unmoved_by_a_large_common_shift(self, cr_min):
+        """Raising every return and t by 1e3 leaves v; a difference of
+        nearly equal integrals would lose it to cancellation."""
+        surface = SyntheticReturnSurface()
+        shifted = SyntheticReturnSurface(base_level=surface.base_level + 1e3)
+        problem = treatment_problem(cr_min, surface)
+        t = sampling_mean(problem)
+        _, v = moment_inputs(problem, t, surface)
+        _, v_shifted = moment_inputs(treatment_problem(cr_min, shifted), t + 1e3, shifted)
+        assert v_shifted == pytest.approx(v, rel=1e-12, abs=0.0)
 
     def test_surface_observation_brackets(self):
         surface = SyntheticReturnSurface()
