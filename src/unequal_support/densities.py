@@ -42,8 +42,6 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-12
-# Simpson panels of a problem's analytic terms when it has no cell table.
-_QUAD_PANELS = 100_000
 
 
 class UnequalSupportError(ValueError):
@@ -367,9 +365,7 @@ class EvaluationFunction:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        # Mask a fresh copy, never x or an array fn keeps; fn may return a scalar.
-        values = np.array(np.broadcast_to(self.fn(x), x.shape), dtype=float)
-        return zero_outside(values, self.support.contains(x))
+        return np.where(self.support.contains(x), self.fn(x), 0.0)
 
     @classmethod
     def piecewise_constant(cls, pieces: Sequence[Sequence[float]]) -> "EvaluationFunction":
@@ -477,46 +473,6 @@ class EstimationProblem:
     def cells(self) -> "CellTable | None":
         """The problem's :class:`CellTable`, built once, or None."""
         return CellTable.from_problem(self)
-
-    @cached_property
-    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(p, w, h, in_c) arrays, built once: sum p phi(w, h, in_c) is the
-        integral of g phi(f/g, h, [x in C]), exact for a :class:`CellTable`.
-
-        Without one, p is the composite Simpson weight times g(x) on each
-        breakpoint cell of f, g, h and C inside g's support: an even
-        share, at least 2, of ``_QUAD_PANELS`` panels by length, with end
-        nodes one ulp inside so that each cell reads its own one-sided
-        limits. Raises TypeError unless f, g and C are interval-described.
-        """
-        table = self.cells
-        if table is not None:
-            return table.p, table.w, table.h, table.in_c
-        c_set = self.pruning.intervals
-        supports = [getattr(d, "support", None) for d in (self.target, self.sampling)]
-        if c_set is None or not all(isinstance(u, IntervalUnion) for u in supports):
-            raise TypeError("analytic terms need interval supports for f, g and C")
-        lows, highs, mid = _breakpoint_cells(*supports, self.evaluation.support, c_set)
-        keep = self.sampling.contains(mid)
-        lows, highs = lows[keep], highs[keep]
-        share = (highs - lows) / (highs - lows).sum()
-        panels = np.maximum(1, np.round(share * (_QUAD_PANELS // 2)).astype(int)) * 2
-        ends = np.cumsum(panels + 1)
-        x, p = np.empty(ends[-1]), np.empty(ends[-1])
-        for lo, hi, m, b in zip(lows, highs, panels, ends):
-            a = b - m - 1
-            x[a:b] = np.linspace(lo, hi, m + 1)
-            x[a], x[b - 1] = np.nextafter(lo, hi), np.nextafter(hi, lo)
-            # Simpson weights (hi - lo)/(3m) times 1, 4, 2, 4, ..., 2, 4, 1.
-            p[a:b:2], p[a + 1 : b : 2] = 2.0, 4.0
-            p[a] = p[b - 1] = 1.0
-            p[a:b] *= (hi - lo) / (3 * m)
-        h = self.evaluation(x)
-        gv = self.sampling.pdf(x)
-        p *= gv
-        w = self.target.pdf(x)
-        w /= gv
-        return p, w, h, self.pruning.contains(x)
 
     def batch_terms(
         self, values: np.ndarray, observed: np.ndarray | None = None, out=None

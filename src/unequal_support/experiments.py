@@ -41,9 +41,11 @@ from .bounds import _margin, weighted_range
 from .densities import (
     EstimationProblem,
     EvaluationFunction,
+    IntervalUnion,
     PiecewiseUniform,
     PruningSet,
     TruncatedNormal,
+    _breakpoint_cells,
     check_control_variate_coverage,
 )
 from .estimators import ControlVariate
@@ -227,11 +229,71 @@ def treatment_problem(
     return EstimationProblem(target, sampling, evaluation, pruning)
 
 
+# Simpson panels of a problem's terms when it has no cell table.
+_QUAD_PANELS = 100_000
+
+
+def _terms(problem: EstimationProblem):
+    """(p, w, h, in_c) arrays: sum p phi(w, h, in_c) is the integral of
+    g phi(f/g, h, [x in C]), exact when the problem has a cell table.
+
+    Without one, p is the composite Simpson weight times g(x) on each
+    breakpoint cell of f, g, h and C inside g's support: an even share,
+    at least 2, of ``_QUAD_PANELS`` panels by length, with end nodes one
+    ulp inside so that each cell reads its own one-sided limits. Raises
+    TypeError unless f, g and C are interval-described.
+    """
+    table = problem.cells
+    if table is not None:
+        return table.p, table.w, table.h, table.in_c
+    c_set = problem.pruning.intervals
+    supports = [getattr(d, "support", None) for d in (problem.target, problem.sampling)]
+    if c_set is None or not all(isinstance(u, IntervalUnion) for u in supports):
+        raise TypeError("analytic terms need interval supports for f, g and C")
+    lows, highs, mid = _breakpoint_cells(*supports, problem.evaluation.support, c_set)
+    keep = problem.sampling.contains(mid)
+    lows, highs = lows[keep], highs[keep]
+    share = (highs - lows) / (highs - lows).sum()
+    panels = np.maximum(1, np.round(share * (_QUAD_PANELS // 2)).astype(int)) * 2
+    ends = np.cumsum(panels + 1)
+    x, p = np.empty(ends[-1]), np.empty(ends[-1])
+    for lo, hi, m, b in zip(lows, highs, panels, ends):
+        a = b - m - 1
+        x[a:b] = np.linspace(lo, hi, m + 1)
+        x[a], x[b - 1] = np.nextafter(lo, hi), np.nextafter(hi, lo)
+        # Simpson weights (hi - lo)/(3m) times 1, 4, 2, 4, ..., 2, 4, 1.
+        p[a:b:2], p[a + 1 : b : 2] = 2.0, 4.0
+        p[a] = p[b - 1] = 1.0
+        p[a:b] *= (hi - lo) / (3 * m)
+    h = problem.evaluation(x)
+    gv = problem.sampling.pdf(x)
+    p *= gv
+    w = problem.target.pdf(x)
+    w /= gv
+    return p, w, h, problem.pruning.contains(x)
+
+
+def _mean_h(terms) -> float:
+    p, _, h, _ = terms
+    return float((p * h).sum())
+
+
+def _theta_v(terms, c: float, t: float, surface) -> tuple[float, float]:
+    p, w, h, in_c = terms
+    theta = float((p * w * h).sum())
+    p_c, w_c = p[in_c], w[in_c]
+    wh = w_c * (h[in_c] - t)
+    m = (p_c * wh).sum() / c
+    v = (p_c * (wh - m) ** 2).sum() / c
+    if surface is not None:
+        v += surface.extra_variance * (p_c * w_c * w_c).sum() / c
+    return theta, float(v)
+
+
 def sampling_mean(problem: EstimationProblem) -> float:
     """E_g[h], the natural constant control variate: sum p h over the
-    problem's terms (:attr:`EstimationProblem.terms`)."""
-    p, _, h, _ = problem.terms
-    return float((p * h).sum())
+    problem's terms, its cell table or Simpson nodes."""
+    return _mean_h(_terms(problem))
 
 
 def moment_inputs(
@@ -247,16 +309,7 @@ def moment_inputs(
     integrals. A return surface adds its CF tilt and day noise as
     extra_variance * sum_C p w^2 / c.
     """
-    p, w, h, in_c = problem.terms
-    theta = float((p * w * h).sum())
-    c = problem.c
-    p_c, w_c = p[in_c], w[in_c]
-    wh = w_c * (h[in_c] - t)
-    m = (p_c * wh).sum() / c
-    v = (p_c * (wh - m) ** 2).sum() / c
-    if surface is not None:
-        v += surface.extra_variance * (p_c * w_c * w_c).sum() / c
-    return theta, float(v)
+    return _theta_v(_terms(problem), problem.c, t, surface)
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +542,14 @@ class SweepRow:
     analytic: dict[str, MomentReport]
     empirical: dict[str, TrialStats]
 
-    def _head(self) -> dict:
-        return {self.coord_name: self.coord, "theta": self.theta, "n": self.n,
-                "c": self.c, "v": self.v}
-
     def record(self) -> dict:
         a, e = self.analytic, self.empirical
         out = {
-            **self._head(),
+            self.coord_name: self.coord,
+            "theta": self.theta,
+            "n": self.n,
+            "c": self.c,
+            "v": self.v,
             "analytic_is_var_u": a["is_unconditional"].variance,
             "analytic_is_var_c": a["is_positive"].variance,
             "analytic_us_var_u": a["us_unconditional"].variance,
@@ -514,7 +567,11 @@ class SweepRow:
 
     def to_record(self) -> dict:
         return {
-            **self._head(),
+            self.coord_name: self.coord,
+            "theta": self.theta,
+            "n": self.n,
+            "c": self.c,
+            "v": self.v,
             "t": self.t,
             "seed": self.seed,
             "analytic": {
@@ -526,22 +583,27 @@ class SweepRow:
         }
 
 
-def _sweep(coord_name, points, n_grid, trials, seed, cv_mode, surface=None) -> list[SweepRow]:
+def _sweep(
+    coord_name, points, n_grid, trials, seed, cv_mode, surface=None
+) -> list[SweepRow]:
     """One SweepRow per (point, n), for (coordinate, problem, theta) points.
 
-    Each problem's control variate (``none``, ``value:<real>`` or
-    ``sampling-mean``, E_g[h]) and conditional term variance v come from
-    its terms; grid points take sub-seeds in (point, n) order. Raises
-    ValueError when there is no grid point.
+    Each point's control variate (``none``, ``value:<real>`` or
+    ``sampling-mean``, E_g[h]), conditional term variance v and, when the
+    point gives None, theta come from one build of its problem's terms;
+    grid points take sub-seeds in (point, n) order. Raises ValueError
+    when there is no grid point.
     """
     rows = []
     index = 0
     for coord, problem, theta in points:
-        cv = ControlVariate.from_spec(cv_mode, lambda: sampling_mean(problem))
-        _, v = moment_inputs(problem, cv.t, surface)
+        terms = _terms(problem)
+        cv = ControlVariate.from_spec(cv_mode, lambda: _mean_h(terms))
+        derived, v = _theta_v(terms, problem.c, cv.t, surface)
+        theta = derived if theta is None else theta
         # Held across the simulation, a Simpson table's 2.5 MB made the
         # allocator return and re-fault the chunk temporaries' memory.
-        vars(problem).pop("terms", None)
+        del terms
         for n in n_grid:
             point_seed = derive_seed(seed, index)
             index += 1
@@ -601,8 +663,7 @@ def sweep_treatment_surrogate(
     the sampling policy as the control variate.
     """
     surface = surface or SyntheticReturnSurface()
-    problems = ((cr_min, treatment_problem(cr_min, surface)) for cr_min in cr_min_grid)
-    points = ((cr_min, problem, moment_inputs(problem)[0]) for cr_min, problem in problems)
+    points = ((cr, treatment_problem(cr, surface), None) for cr in cr_min_grid)
     return _sweep("cr_min", points, [n], trials, seed, cv_mode, surface)
 
 
@@ -610,7 +671,9 @@ def sweep_treatment_surrogate(
 # Bound sweeps
 
 
-def _bound_trials(f_max: float, n_grid, delta: float, trials: int, seed: int, theta: float):
+def _bound_trials(
+    f_max: float, n_grid, delta: float, trials: int, seed: int, theta: float
+):
     """Per n of the two-uniform example: the fields every bound row shares
     (n, delta, theta, c, b, seed), the simulation, the IS margin and the
     per-trial US margins, each margin for one 1 - delta side."""
@@ -624,7 +687,8 @@ def _bound_trials(f_max: float, n_grid, delta: float, trials: int, seed: int, th
         point_seed = derive_seed(seed, index)
         sim = simulate_estimates(problem, n, trials, point_seed)
         shared = dict(n=n, delta=delta, theta=theta, c=c, b=b, seed=point_seed)
-        yield shared, sim, _margin(b, delta, n), _margin(c * b, delta, np.maximum(sim.k, 1))
+        us_margin = _margin(c * b, delta, np.maximum(sim.k, 1))
+        yield shared, sim, _margin(b, delta, n), us_margin
 
 
 @dataclass(frozen=True)

@@ -531,7 +531,7 @@ class TestTreatmentSurrogate:
         E_g[h])."""
         surface = SyntheticReturnSurface()
         problem = treatment_problem(cr_min, surface)
-        p, w, h, in_c = problem.terms
+        p, w, h, in_c = experiments._terms(problem)
         lo, hi = problem.target.lower, problem.target.upper
         xs = np.linspace(lo, hi, 100_001)
         fv, gv = problem.target.pdf(xs), problem.sampling.pdf(xs)
@@ -551,15 +551,13 @@ class TestTreatmentSurrogate:
         """One table build per sweep point, and E_g[h], theta and v of the
         row all come from that same table."""
         built = []
-        original = EstimationProblem.__dict__["terms"].func
+        original = experiments._terms
 
         def counting(problem):
             built.append(original(problem))
             return built[-1]
 
-        terms = functools.cached_property(counting)
-        terms.__set_name__(EstimationProblem, "terms")
-        monkeypatch.setattr(EstimationProblem, "terms", terms)
+        monkeypatch.setattr(experiments, "_terms", counting)
         grid = [9.0, 10.0, 10.5]
         rows = sweep_treatment_surrogate(grid, n=5, trials=100, cv_mode="sampling-mean")
         assert len(built) == len(grid)
