@@ -47,9 +47,14 @@ Density blocks accept ``kind: uniform`` (``low``, ``high``),
 The evaluation is a step function given as ``[lo, hi, value]`` pieces;
 the pruning block takes ``intervals`` and an optional explicit ``c``
 overriding the analytic mass under the sampling density.
+
+The argument parser is built once per process, on the first :func:`main`
+call, and reused by every later call: parsing leaves the parser
+unchanged and returns a fresh namespace each time.
 """
 
 import argparse
+import functools
 import sys
 
 import yaml
@@ -109,6 +114,7 @@ def _write(rows, args) -> None:
         sys.stdout.write(render(rows, args.format))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unequal-support",

@@ -37,6 +37,10 @@ from .densities import (
 
 __all__ = ["build_density", "build_problem", "load_problem"]
 
+# libyaml's parser when pyyaml was built with it. Both loaders share the
+# Python constructor and resolver, so they build the same document.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
@@ -91,7 +95,11 @@ def build_problem(doc: dict) -> EstimationProblem:
 
 
 def load_problem(path) -> EstimationProblem:
-    """Parse a YAML file and build the estimation problem it describes."""
+    """Parse a YAML file and build the estimation problem it describes.
+
+    The file is parsed with libyaml when pyyaml has it (``CSafeLoader``),
+    else with the pure-Python ``SafeLoader``; both give the same document.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        doc = yaml.load(fh, Loader=_YAML_LOADER)
     return build_problem(doc)

@@ -176,6 +176,9 @@ def moment_report(estimator: str, regime: str, inputs: MomentInputs) -> MomentRe
     US k>0      theta                    c^2 v e
     US k=kappa  theta                    (none)
     ==========  =======================  =============================================
+
+    e has no closed form (see :func:`binom_inv_moment`), so it is computed
+    only for the two averaged US cells, the only formulas that use it.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
@@ -193,14 +196,15 @@ def moment_report(estimator: str, regime: str, inputs: MomentInputs) -> MomentRe
         raise ValueError("kappa is only meaningful in the conditioned-exact regime")
 
     r = rho(n, c)
-    e_inv = binom_inv_moment(n, c)
     if regime == "unconditional":
         if estimator == "IS":
             mean = theta
             variance = (c * v + theta * theta * (1.0 / c - 1.0)) / n
         else:
             mean = r * theta
-            variance = r * c * c * v * e_inv + theta * theta * r * (1.0 - r)
+            variance = (
+                r * c * c * v * binom_inv_moment(n, c) + theta * theta * r * (1.0 - r)
+            )
     else:
         if estimator == "IS":
             mean = theta / r
@@ -209,7 +213,7 @@ def moment_report(estimator: str, regime: str, inputs: MomentInputs) -> MomentRe
             ) / (c * n * r * r)
         else:
             mean = theta
-            variance = c * c * v * e_inv
+            variance = c * c * v * binom_inv_moment(n, c)
     bias = mean - theta
     return MomentReport(estimator, regime, mean, bias, variance, variance + bias * bias)
 

@@ -1,11 +1,13 @@
 """Command-line interface."""
 
+import argparse
 import csv
 import io
 import json
 
 import pytest
 
+from unequal_support import cli
 from unequal_support.cli import main
 
 SWEEP_HEADER = (
@@ -202,3 +204,57 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestParserReuse:
+    """One parser per process: later ``main`` calls reuse the first one."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Top-level parsers built from here on, starting from none cached."""
+        count = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counting(self, **kwargs):
+            count.append(self.prog)
+            return add_subparsers(self, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        cli._build_parser.cache_clear()
+        return count
+
+    def test_built_once_over_many_calls(self, builds, capsys):
+        run(["moments", "--n", "10", "--c", "0.5", "--v", "1", "--theta", "0"], capsys)
+        run(["estimate", "--seed", "1"], capsys)
+        run(["moments", "--n", "20", "--c", "0.5", "--v", "1", "--theta", "0"], capsys)
+        assert builds == ["unequal-support"]
+
+    def test_control_variate_does_not_leak(self, capsys):
+        first = run(["estimate", "--seed", "5"], capsys)
+        run(["estimate", "--cv", "sampling-mean", "--seed", "5"], capsys)
+        again = run(["estimate", "--seed", "5"], capsys)
+        assert "t = 0\n" in first
+        assert again == first
+
+    def test_kappa_does_not_leak(self, capsys):
+        args = ["moments", "--n", "50", "--c", "0.25", "--v", "16", "--theta", "10"]
+        assert len(run(args + ["--kappa", "3"], capsys).splitlines()) == 7
+        assert len(run(args, capsys).splitlines()) == 5
+
+    def test_bad_argv_leaves_next_call_unchanged(self, capsys):
+        args = ["moments", "--n", "50", "--c", "0.25", "--v", "16", "--theta", "10"]
+        before = run(args, capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--n", "50", "--c", "not-a-number"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(args, capsys) == before
+
+
+def test_malformed_yaml_is_a_user_error(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("problem:\n  target: {kind: uniform\n  low: [1\n")
+    assert main(["estimate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

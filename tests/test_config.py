@@ -1,8 +1,12 @@
 """YAML problem-description loading."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
+from unequal_support import config
 from unequal_support.config import build_density, build_problem, load_problem
 from unequal_support.densities import (
     PiecewiseUniform,
@@ -35,6 +39,8 @@ problem:
   pruning:
     intervals: [[0.0, 0.5]]
 """
+
+ILLUSTRATIVE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "illustrative.yaml"
 
 
 class TestBuildDensity:
@@ -132,3 +138,40 @@ problem:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_problem(tmp_path / "nope.yaml")
+
+
+class TestYamlLoader:
+    @staticmethod
+    def _document(path, monkeypatch, loader):
+        """The document ``load_problem`` hands to ``build_problem``."""
+        docs = []
+        monkeypatch.setattr(config, "_YAML_LOADER", loader)
+        monkeypatch.setattr(config, "build_problem", docs.append)
+        load_problem(path)
+        return docs[0]
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml built without libyaml")
+    def test_libyaml_is_the_default(self):
+        assert config._YAML_LOADER is yaml.CSafeLoader
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml built without libyaml")
+    @pytest.mark.parametrize("source", ["illustrative", "good"])
+    def test_c_and_python_loaders_give_equal_documents(self, source, monkeypatch, tmp_path):
+        if source == "illustrative":
+            path = ILLUSTRATIVE_CONFIG
+        else:
+            path = tmp_path / "good.yaml"
+            path.write_text(GOOD_YAML)
+        fast = self._document(path, monkeypatch, yaml.CSafeLoader)
+        slow = self._document(path, monkeypatch, yaml.SafeLoader)
+        assert fast == slow == yaml.safe_load(path.read_text())
+
+    def test_python_loader_fallback_builds_the_problem(self, monkeypatch, tmp_path):
+        path = tmp_path / "good.yaml"
+        path.write_text(GOOD_YAML)
+        default = load_problem(path)
+        monkeypatch.setattr(config, "_YAML_LOADER", yaml.SafeLoader)
+        fallback = load_problem(path)
+        assert fallback.c == default.c == pytest.approx(0.25)
+        for field in ("p", "w", "h", "in_c"):
+            assert np.array_equal(getattr(fallback.cells, field), getattr(default.cells, field))

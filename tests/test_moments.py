@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from unequal_support import moments
 from unequal_support.moments import (
     _INV_MOMENT_EPS,
     MomentInputs,
@@ -217,6 +218,39 @@ class TestMomentReport:
         us_pos = moment_report("US", "conditioned-positive", inputs)
         us_unc = moment_report("US", "unconditional", inputs)
         assert rho(25, 0.35) * us_pos.mean == us_unc.mean
+
+    @pytest.mark.parametrize(
+        "estimator, regime, calls",
+        [
+            ("IS", "unconditional", 0),
+            ("IS", "conditioned-positive", 0),
+            ("US", "unconditional", 1),
+            ("US", "conditioned-positive", 1),
+        ],
+    )
+    def test_inverse_moment_computed_only_for_us_cells(
+        self, monkeypatch, estimator, regime, calls
+    ):
+        seen = []
+
+        def counting(n, c):
+            seen.append((n, c))
+            return binom_inv_moment(n, c)
+
+        monkeypatch.setattr(moments, "binom_inv_moment", counting)
+        moment_report(estimator, regime, MomentInputs(50, 0.25, 16.0, 10.0))
+        assert seen == [(50, 0.25)] * calls
+
+    def test_us_variances_match_formulas_bit_for_bit(self):
+        n, c, v, theta = 50, 0.25, 16.0, 10.0
+        r, e_inv = rho(n, c), binom_inv_moment(n, c)
+        inputs = MomentInputs(n, c, v, theta)
+        assert moment_report("US", "unconditional", inputs).variance == (
+            r * c * c * v * e_inv + theta * theta * r * (1.0 - r)
+        )
+        assert moment_report("US", "conditioned-positive", inputs).variance == (
+            c * c * v * e_inv
+        )
 
 
 class TestUsBeatsIs:
