@@ -27,7 +27,6 @@ from .bounds import (
 from .densities import (
     CellTable,
     ControlVariateCoverageError,
-    CustomDensity,
     Density,
     EstimationProblem,
     EvaluationFunction,
@@ -40,11 +39,11 @@ from .densities import (
     TruncatedNormal,
     UnequalSupportError,
     draw,
-    pdf_eval,
 )
 from .estimators import (
     ControlVariate,
     EstimateResult,
+    estimate_all,
     importance_weight,
     is_estimate,
     us_estimate,

@@ -163,17 +163,16 @@ def weighted_range(problem: EstimationProblem, t: float = 0.0) -> float:
     """Exact range of f(x)(h(x) - t)/g(x) over the sampling support.
 
     Only piecewise-uniform target and sampling densities with a step
-    evaluation function and an interval pruning set are supported; the
-    integrand is then constant on each cell of the problem's
-    :class:`CellTable`. Cells where f vanishes contribute the value 0,
+    evaluation function are supported; the integrand is then constant on
+    each cell of the problem's :class:`CellTable`. Cells where f vanishes contribute the value 0,
     which widens the range of sign-changing integrands past any closed
     form based on max |h| alone.
     """
     table = problem.cells
     if table is None:
         raise TypeError(
-            "weighted_range needs piecewise-uniform target and sampling, "
-            "a piecewise-constant evaluation and an interval pruning set"
+            "weighted_range needs piecewise-uniform target and sampling "
+            "and a piecewise-constant evaluation"
         )
     values = table.w * (table.h - t)
     return float(values.max() - values.min())

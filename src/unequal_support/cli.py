@@ -61,7 +61,7 @@ import yaml
 
 from .config import load_problem
 from .densities import draw
-from .estimators import ControlVariate, is_estimate, us_estimate, wis_estimate
+from .estimators import ControlVariate, estimate_all
 from .experiments import (
     MomentsRow,
     coverage_experiment,
@@ -201,11 +201,7 @@ def _cmd_estimate(args) -> int:
         problem = treatment_problem(args.cr_min)
     cv = ControlVariate.from_spec(args.cv, lambda: sampling_mean(problem))
     batch = draw(problem.sampling, args.seed, args.n)
-    results = {
-        "IS": is_estimate(problem, batch, cv),
-        "US": us_estimate(problem, batch, cv),
-        "WIS": wis_estimate(problem, batch, cv),
-    }
+    results = estimate_all(problem, batch, cv)
     k = results["US"].k
     for label, res in results.items():
         status = "defined" if res.defined else "undefined (value by convention)"

@@ -24,6 +24,7 @@ The schema (documented in full in the CLI module and README):
 Truncated-normal blocks take ``lower``, ``upper``, ``mean``, ``stddev``.
 """
 
+import numpy as np
 import yaml
 
 from .densities import (
@@ -42,32 +43,43 @@ __all__ = ["build_density", "build_problem", "load_problem"]
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def _require(mapping: dict, key: str, context: str):
+def _require(mapping, key: str, context: str):
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{context} block must be a mapping")
     if key not in mapping:
         raise ValueError(f"{context} block is missing required key '{key}'")
     return mapping[key]
 
 
+_SHAPES = ("a real number", "a list of reals", "a list of lists of reals")
+
+
+def _reals(block, key: str, context: str, ndim: int = 0):
+    """``block[key]`` as a float, or as a float array of ``ndim`` 1
+    (weights) or 2 (intervals, pieces); ValueError for anything else."""
+    value = _require(block, key, context)
+    try:
+        out = np.array(value, dtype=float)  # null reads as NaN
+    except (TypeError, ValueError):
+        out = np.array(np.nan)
+    if out.ndim != ndim or np.isnan(out).any():
+        raise ValueError(f"{context}: '{key}' must be {_SHAPES[ndim]}, got {value!r}")
+    return float(out) if ndim == 0 else out
+
+
 def build_density(block: dict, context: str = "density"):
     """Density object from one configuration block."""
-    if not isinstance(block, dict):
-        raise ValueError(f"{context} block must be a mapping")
     kind = _require(block, "kind", context)
     if kind == "uniform":
         return PiecewiseUniform.uniform(
-            float(_require(block, "low", context)),
-            float(_require(block, "high", context)),
+            _reals(block, "low", context), _reals(block, "high", context)
         )
     if kind == "piecewise-uniform":
-        return PiecewiseUniform(
-            _require(block, "intervals", context), block.get("weights")
-        )
+        weights = _reals(block, "weights", context, 1) if "weights" in block else None
+        return PiecewiseUniform(_reals(block, "intervals", context, 2), weights)
     if kind == "truncated-normal":
         return TruncatedNormal(
-            float(_require(block, "lower", context)),
-            float(_require(block, "upper", context)),
-            float(_require(block, "mean", context)),
-            float(_require(block, "stddev", context)),
+            *(_reals(block, key, context) for key in ("lower", "upper", "mean", "stddev"))
         )
     raise ValueError(
         f"{context}: unknown density kind '{kind}' "
@@ -83,12 +95,12 @@ def build_problem(doc: dict) -> EstimationProblem:
     target = build_density(_require(spec, "target", "problem"), "target")
     sampling = build_density(_require(spec, "sampling", "problem"), "sampling")
     eval_block = _require(spec, "evaluation", "problem")
-    pieces = _require(eval_block, "pieces", "evaluation")
+    pieces = _reals(eval_block, "pieces", "evaluation", 2)
     evaluation = EvaluationFunction.piecewise_constant(pieces)
     prune_block = _require(spec, "pruning", "problem")
-    intervals = IntervalUnion(_require(prune_block, "intervals", "pruning"))
+    intervals = IntervalUnion(_reals(prune_block, "intervals", "pruning", 2))
     if "c" in prune_block:
-        pruning = PruningSet(intervals.contains, float(prune_block["c"]), intervals)
+        pruning = PruningSet(intervals, _reals(prune_block, "c", "pruning"))
     else:
         pruning = PruningSet.from_intervals(intervals, sampling)
     return EstimationProblem(target, sampling, evaluation, pruning)

@@ -1,18 +1,18 @@
 """One-dimensional densities, evaluation functions, and pruning sets.
 
 Two density families are built in: piecewise-uniform (disjoint intervals
-with probability weights) and truncated-normal. Both expose analytic
-interval masses and inverse-CDF sampling, so draws are deterministic per
-seed and masses are exact. Arbitrary densities can be plugged in through
-:class:`CustomDensity`, in which case the pruning-set mass must be
-supplied by the caller.
+with probability weights) and truncated-normal. Both have an interval
+support, analytic interval masses and inverse-CDF sampling, so draws are
+deterministic per seed and masses are exact. Evaluation functions and
+pruning sets are interval-described too, so every problem's supports can
+be checked on construction.
 
-A problem built only from piecewise-uniform densities, a step evaluation
-and an interval pruning set is constant between finitely many
-breakpoints; :class:`CellTable` lists those cells.
+A problem built only from piecewise-uniform densities and a step
+evaluation is constant between finitely many breakpoints;
+:class:`CellTable` lists those cells.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
@@ -29,7 +29,6 @@ __all__ = [
     "Density",
     "PiecewiseUniform",
     "TruncatedNormal",
-    "CustomDensity",
     "EvaluationFunction",
     "PruningSet",
     "EstimationProblem",
@@ -37,7 +36,6 @@ __all__ = [
     "check_pruning_coverage",
     "check_control_variate_coverage",
     "SampleBatch",
-    "pdf_eval",
     "draw",
 ]
 
@@ -143,13 +141,16 @@ class IntervalUnion:
 class Density(Protocol):
     """Structural interface every density family implements.
 
-    ``pdf`` must be nonnegative and integrate to 1 over the support;
+    ``support`` is the interval union outside which the density is zero;
+    ``pdf`` must be nonnegative and integrate to 1 over it;
     ``contains`` must agree with pdf > 0 pointwise; ``interval_mass``
     returns the analytic probability of an interval union; ``sample``
     draws i.i.d. points inside the support from a caller-owned
     generator. ``pdf`` and ``sample`` write into ``out``, a float64
     array of the result's shape, when one is given, and return it.
     """
+
+    support: IntervalUnion
 
     def pdf(self, x, out=None) -> np.ndarray: ...
 
@@ -177,8 +178,6 @@ class PiecewiseUniform:
     which is 0 for piece 0, so the draws are bit-equal to the general
     path's.
     """
-
-    kind = "piecewise-uniform"
 
     def __init__(self, intervals, weights: Sequence[float] | None = None):
         self.support = _as_interval_union(intervals)
@@ -243,8 +242,6 @@ class TruncatedNormal:
     never builds a truncated normal never loads scipy.
     """
 
-    kind = "truncated-normal"
-
     def __init__(self, lower: float, upper: float, mean: float, stddev: float):
         if not lower < upper:
             raise ValueError("lower must be < upper")
@@ -306,61 +303,15 @@ class TruncatedNormal:
         return total / self._z
 
 
-class CustomDensity:
-    """User-supplied (pdf, sampler, membership) triple.
-
-    No analytic interval masses are available, so pruning-set masses must
-    be provided by the caller. With ``out`` given, ``pdf`` and ``sample``
-    copy the user function's result into it.
-    """
-
-    kind = "custom"
-
-    def __init__(self, pdf: Callable, sampler: Callable, contains: Callable):
-        self._pdf = pdf
-        self._sampler = sampler
-        self._contains = contains
-
-    def pdf(self, x, out=None) -> np.ndarray:
-        return _copy_into(self._pdf(np.asarray(x, dtype=float)), out)
-
-    def contains(self, x) -> np.ndarray:
-        return np.asarray(self._contains(np.asarray(x, dtype=float)), dtype=bool)
-
-    def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
-        return _copy_into(self._sampler(rng, size), out)
-
-    def interval_mass(self, intervals) -> float:
-        raise NotImplementedError("custom densities have no analytic interval mass")
-
-
-def _copy_into(values, out) -> np.ndarray:
-    """A float64 copy of values, written into ``out`` when one is given.
-
-    A copy, so that callers may overwrite the result in place without
-    touching an array a user function keeps.
-    """
-    values = np.asarray(values, dtype=float)
-    out = out_array(values.shape, out)
-    out[...] = values
-    return out
-
-
 class EvaluationFunction:
-    """Real-valued evaluation map with a declared support and value range.
+    """Real-valued evaluation map with a declared interval support.
 
-    Evaluations outside the declared support are exactly zero. ``low`` and
-    ``high`` bound every value the function can produce on the sampling
-    support, including that zero.
+    Evaluations outside the declared support are exactly zero.
     """
 
-    def __init__(self, fn: Callable, support, low: float, high: float):
+    def __init__(self, fn: Callable, support):
         self.fn = fn
         self.support = _as_interval_union(support)
-        if low > high:
-            raise ValueError("low must be <= high")
-        self.low = float(low)
-        self.high = float(high)
         self.pieces: tuple | None = None  # set for piecewise-constant maps
 
     def __call__(self, x) -> np.ndarray:
@@ -380,22 +331,20 @@ class EvaluationFunction:
             j = np.clip(np.searchsorted(lows, x, side="right") - 1, 0, len(lows) - 1)
             return values[j]
 
-        vals = [v for _, _, v in pieces]
-        obj = cls(fn, support, min(0.0, *vals), max(0.0, *vals))
+        obj = cls(fn, support)
         obj.pieces = pieces
         return obj
 
 
 @dataclass(frozen=True)
 class PruningSet:
-    """Indicator of the set C kept by the unequal-support estimator.
+    """The interval union C kept by the unequal-support estimator.
 
     ``c`` is the probability mass of C under the sampling density.
     """
 
-    indicator: Callable
+    intervals: IntervalUnion
     c: float
-    intervals: IntervalUnion | None = None
 
     def __post_init__(self):
         if not 0.0 < self.c <= 1.0:
@@ -403,17 +352,13 @@ class PruningSet:
 
     @classmethod
     def from_intervals(cls, intervals, sampling) -> "PruningSet":
-        """Interval-described set; c computed analytically under g."""
+        """The union of these intervals, with c its analytic mass under g."""
         union = _as_interval_union(intervals)
         c = sampling.interval_mass(union)
-        return cls(union.contains, c, union)
-
-    @classmethod
-    def from_predicate(cls, indicator: Callable, c: float) -> "PruningSet":
-        return cls(indicator, float(c), None)
+        return cls(union, c)
 
     def contains(self, x) -> np.ndarray:
-        return np.asarray(self.indicator(np.asarray(x, dtype=float)), dtype=bool)
+        return self.intervals.contains(x)
 
 
 @dataclass(frozen=True)
@@ -434,26 +379,21 @@ class SampleBatch:
 class EstimationProblem:
     """Target f, sampling g, evaluation h, and pruning set C with mass c.
 
-    The standing assumption is F ∩ H ⊆ C ⊆ G. When f and g both expose
-    an interval ``support``, F ∩ H ⊆ G is checked on construction, at
-    the midpoint of every cell between the breakpoints of f, g and h,
-    and a violation raises :class:`SamplingSupportError`. C cannot be
-    verified for arbitrary predicates, so it is spot-checked on every
-    batch that flows through the estimators: any sample with
-    f(x)h(x) != 0 outside C raises :class:`PruningCoverageError`.
+    The standing assumption is F ∩ H ⊆ C ⊆ G. F ∩ H ⊆ G is checked on
+    construction, at the midpoint of every cell between the breakpoints
+    of f, g and h, and a violation raises :class:`SamplingSupportError`.
+    C ⊇ F ∩ H is checked on every batch that flows through the
+    estimators, on the samples it holds: any sample with f(x)h(x) != 0
+    outside C raises :class:`PruningCoverageError`.
     """
 
-    target: object
-    sampling: object
+    target: Density
+    sampling: Density
     evaluation: EvaluationFunction
     pruning: PruningSet
 
     def __post_init__(self):
-        f_set = getattr(self.target, "support", None)
-        g_set = getattr(self.sampling, "support", None)
-        if not (isinstance(f_set, IntervalUnion) and isinstance(g_set, IntervalUnion)):
-            return
-        h = self.evaluation
+        f_set, g_set, h = self.target.support, self.sampling.support, self.evaluation
         lows, highs, mid = _breakpoint_cells(f_set, g_set, h.support)
         # Membership in each support is constant on a cell, and
         # Density.contains agrees with pdf > 0.
@@ -557,15 +497,14 @@ class CellTable:
 
     @classmethod
     def from_problem(cls, problem: EstimationProblem) -> "CellTable | None":
-        """The problem's cells, or None unless f and g are piecewise-uniform,
-        h is a step function and C is an interval union."""
+        """The problem's cells, or None unless f and g are piecewise-uniform
+        and h is a step function."""
         f, g, h = problem.target, problem.sampling, problem.evaluation
-        c_set = problem.pruning.intervals
-        if not (isinstance(f, PiecewiseUniform) and isinstance(g, PiecewiseUniform)):
+        if h.pieces is None or not all(isinstance(d, PiecewiseUniform) for d in (f, g)):
             return None
-        if h.pieces is None or c_set is None:
-            return None
-        lows, highs, mid = _breakpoint_cells(f.support, g.support, h.support, c_set)
+        lows, highs, mid = _breakpoint_cells(
+            f.support, g.support, h.support, problem.pruning.intervals
+        )
         gv = g.pdf(mid)
         keep = gv > 0.0
         lows, highs, mid, gv = lows[keep], highs[keep], mid[keep], gv[keep]
@@ -584,12 +523,6 @@ class CellTable:
         w, in_c = self.w[hit], self.in_c[hit]
         check_pruning_coverage(w * self.h[hit], in_c)
         check_control_variate_coverage(w, in_c, t)
-
-
-def pdf_eval(density, x):
-    """Density value at x; zero outside the support."""
-    out = density.pdf(x)
-    return float(out) if np.isscalar(x) else out
 
 
 def draw(density, seed: int, count: int) -> SampleBatch:

@@ -13,7 +13,8 @@ Three estimators are provided:
 Each is a view of :func:`unequal_support._kernels.batch_estimates` on
 the batch as a single row, so the formulas and their zero conventions
 (US is 0 when k = 0, WIS is 0 when every weight vanishes) exist once and
-the scalar and batched paths agree by construction.
+the scalar and batched paths agree by construction. ``estimate_all``
+returns all three from one evaluation of the batch.
 """
 
 import math
@@ -33,6 +34,7 @@ from .densities import (
 __all__ = [
     "ControlVariate",
     "EstimateResult",
+    "estimate_all",
     "importance_weight",
     "is_estimate",
     "us_estimate",
@@ -102,8 +104,8 @@ def _row(
     c: float,
     t: float,
     cv_coverage: bool = False,
-) -> tuple:
-    """(IS, US, WIS, k, WIS-defined) of the batch as one (1, n) kernel row.
+) -> dict[str, EstimateResult]:
+    """``{"IS", "US", "WIS"}`` of the batch as one (1, n) kernel row.
 
     With ``cv_coverage`` the batch must also pass the control-variate
     coverage check.
@@ -111,7 +113,27 @@ def _row(
     w, hv, in_c = problem.batch_terms(batch.values[None, :])
     if cv_coverage:
         check_control_variate_coverage(w, in_c, t)
-    return tuple(x[0].item() for x in batch_estimates(w, hv, in_c, c, t))
+    is_value, us_value, wis_value, k, wis_defined = (
+        x[0].item() for x in batch_estimates(w, hv, in_c, c, t)
+    )
+    return {
+        "IS": EstimateResult(value=is_value, k=k, defined=True),
+        "US": EstimateResult(value=us_value, k=k, defined=k > 0),
+        "WIS": EstimateResult(value=wis_value, k=k, defined=wis_defined),
+    }
+
+
+def estimate_all(
+    problem: EstimationProblem,
+    batch: SampleBatch,
+    cv: ControlVariate = NO_CONTROL_VARIATE,
+) -> dict[str, EstimateResult]:
+    """``{"IS", "US", "WIS"}`` estimates from one evaluation of the batch.
+
+    The batch must pass the control-variate coverage check of
+    :func:`us_estimate`, which IS and WIS alone do not need.
+    """
+    return _row(problem, batch, problem.c, cv.t, cv_coverage=True)
 
 
 def is_estimate(
@@ -120,8 +142,7 @@ def is_estimate(
     cv: ControlVariate = NO_CONTROL_VARIATE,
 ) -> EstimateResult:
     """Ordinary importance sampling with an optional constant control variate."""
-    value, _, _, k, _ = _row(problem, batch, problem.c, cv.t)
-    return EstimateResult(value=value, k=k, defined=True)
+    return _row(problem, batch, problem.c, cv.t)["IS"]
 
 
 def us_estimate(
@@ -136,8 +157,7 @@ def us_estimate(
     a sample outside C with f(x) != 0 raises
     :class:`ControlVariateCoverageError`.
     """
-    _, value, _, k, _ = _row(problem, batch, problem.c, cv.t, cv_coverage=True)
-    return EstimateResult(value=value, k=k, defined=k > 0)
+    return estimate_all(problem, batch, cv)["US"]
 
 
 def us_estimate_empirical_c(
@@ -149,8 +169,8 @@ def us_estimate_empirical_c(
     control variate (the two rescalings cancel): the US row with c = 1
     and t = 0, scaled by k/n.
     """
-    _, mean_in_c, _, k, _ = _row(problem, batch, 1.0, 0.0)
-    return EstimateResult(value=k / batch.n * mean_in_c, k=k, defined=k > 0)
+    us = _row(problem, batch, 1.0, 0.0)["US"]
+    return EstimateResult(value=us.k / batch.n * us.value, k=us.k, defined=us.defined)
 
 
 def wis_estimate(
@@ -165,5 +185,4 @@ def wis_estimate(
     for uniformity with the other estimators. Returns the zero
     convention when every weight vanishes.
     """
-    _, _, value, k, defined = _row(problem, batch, problem.c, cv.t)
-    return EstimateResult(value=value, k=k, defined=defined)
+    return _row(problem, batch, problem.c, cv.t)["WIS"]

@@ -41,7 +41,6 @@ from .bounds import _margin, weighted_range
 from .densities import (
     EstimationProblem,
     EvaluationFunction,
-    IntervalUnion,
     PiecewiseUniform,
     PruningSet,
     TruncatedNormal,
@@ -219,12 +218,7 @@ def treatment_problem(
         raise ValueError(f"cr_min must lie in [{lo}, {hi})")
     sampling = PiecewiseUniform.uniform(lo, hi)
     target = TruncatedNormal(cr_min, hi, mean=hi, stddev=hi - cr_min)
-    evaluation = EvaluationFunction(
-        surface.marginal_return,
-        [(lo, hi)],
-        surface.base_level,
-        surface.base_level + surface.base_gain,
-    )
+    evaluation = EvaluationFunction(surface.marginal_return, [(lo, hi)])
     pruning = PruningSet.from_intervals([(cr_min, hi)], sampling)
     return EstimationProblem(target, sampling, evaluation, pruning)
 
@@ -240,17 +234,17 @@ def _terms(problem: EstimationProblem):
     Without one, p is the composite Simpson weight times g(x) on each
     breakpoint cell of f, g, h and C inside g's support: an even share,
     at least 2, of ``_QUAD_PANELS`` panels by length, with end nodes one
-    ulp inside so that each cell reads its own one-sided limits. Raises
-    TypeError unless f, g and C are interval-described.
+    ulp inside so that each cell reads its own one-sided limits.
     """
     table = problem.cells
     if table is not None:
         return table.p, table.w, table.h, table.in_c
-    c_set = problem.pruning.intervals
-    supports = [getattr(d, "support", None) for d in (problem.target, problem.sampling)]
-    if c_set is None or not all(isinstance(u, IntervalUnion) for u in supports):
-        raise TypeError("analytic terms need interval supports for f, g and C")
-    lows, highs, mid = _breakpoint_cells(*supports, problem.evaluation.support, c_set)
+    lows, highs, mid = _breakpoint_cells(
+        problem.target.support,
+        problem.sampling.support,
+        problem.evaluation.support,
+        problem.pruning.intervals,
+    )
     keep = problem.sampling.contains(mid)
     lows, highs = lows[keep], highs[keep]
     share = (highs - lows) / (highs - lows).sum()

@@ -1,10 +1,10 @@
 """Cell tables and the cell-count simulation path.
 
-Problems built from piecewise-uniform densities, a step evaluation and
-an interval pruning set are simulated from per-cell sample counts; all
-other problems from samples. A pruning set given only as a predicate
-forces the sample path on an otherwise identical problem, which is how
-these tests compare the two paths.
+Problems built from piecewise-uniform densities and a step evaluation
+are simulated from per-cell sample counts; all other problems from
+samples. The same h given as a plain function forces the sample path on
+an otherwise identical problem, which is how these tests compare the two
+paths.
 """
 
 import math
@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unequal_support._kernels import batch_estimates, cell_estimates
-from unequal_support.bounds import weighted_range
 from unequal_support.config import build_problem
 from unequal_support.densities import (
     CellTable,
@@ -38,12 +37,11 @@ from unequal_support.experiments import (
 from unequal_support.moments import rho
 
 
-def with_predicate_c(problem: EstimationProblem) -> EstimationProblem:
-    """The same problem with C given as a bare predicate (sample path)."""
-    pruning = PruningSet.from_predicate(problem.pruning.indicator, problem.c)
-    return EstimationProblem(
-        problem.target, problem.sampling, problem.evaluation, pruning
-    )
+def with_plain_h(problem: EstimationProblem) -> EstimationProblem:
+    """The same problem with h as a plain function (sample path)."""
+    h = problem.evaluation
+    evaluation = EvaluationFunction(h.fn, h.support)
+    return EstimationProblem(problem.target, problem.sampling, evaluation, problem.pruning)
 
 
 def forbid_sampling(monkeypatch, density):
@@ -64,7 +62,7 @@ def mixed_problem() -> EstimationProblem:
     return EstimationProblem(f, g, h, PruningSet.from_intervals([(0.1, 2.2)], g))
 
 
-def uncovered_cv_problem(predicate: bool) -> EstimationProblem:
+def uncovered_cv_problem(plain_h: bool) -> EstimationProblem:
     """f = U[0, 1], g = U[0, 2], h = 1 on [0, 0.5], C = [0, 0.5].
 
     C covers F ∩ H but not F, so any nonzero control variate is refused.
@@ -73,7 +71,7 @@ def uncovered_cv_problem(predicate: bool) -> EstimationProblem:
     g = PiecewiseUniform.uniform(0.0, 2.0)
     h = EvaluationFunction.piecewise_constant([(0.0, 0.5, 1.0)])
     problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 0.5)], g))
-    return with_predicate_c(problem) if predicate else problem
+    return with_plain_h(problem) if plain_h else problem
 
 
 class TestCellTable:
@@ -97,15 +95,11 @@ class TestCellTable:
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0)])
         normal = TruncatedNormal(0.0, 1.0, 1.0, 1.0)
         c_set = PruningSet.from_intervals([(0.0, 1.0)], g)
-        smooth_h = EvaluationFunction(lambda x: x, [(0.0, 2.0)], 0.0, 2.0)
+        smooth_h = EvaluationFunction(lambda x: x, [(0.0, 2.0)])
         assert CellTable.from_problem(EstimationProblem(normal, g, h, c_set)) is None
         assert CellTable.from_problem(EstimationProblem(g, normal, h, c_set)) is None
         assert CellTable.from_problem(EstimationProblem(g, g, smooth_h, c_set)) is None
-        assert CellTable.from_problem(with_predicate_c(illustrative_problem(1.0))) is None
-
-    def test_weighted_range_refuses_predicate_c(self):
-        with pytest.raises(TypeError):
-            weighted_range(with_predicate_c(illustrative_problem(1.0)))
+        assert CellTable.from_problem(with_plain_h(illustrative_problem(1.0))) is None
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -185,7 +179,7 @@ class TestCellPathMatchesSamplePath:
     def test_distributions_agree(self, monkeypatch):
         problem = mixed_problem()
         n, trials, c = self.N, self.TRIALS, problem.c
-        sample_sim = simulate_estimates(with_predicate_c(problem), n, trials, seed=5)
+        sample_sim = simulate_estimates(with_plain_h(problem), n, trials, seed=5)
         forbid_sampling(monkeypatch, problem.sampling)
         cell_sim = simulate_estimates(problem, n, trials, seed=6)
 
@@ -225,9 +219,9 @@ class TestCellPathMatchesSamplePath:
 
 
 class TestCoverageErrorsOnBothPaths:
-    @pytest.mark.parametrize("predicate", [False, True], ids=["cells", "samples"])
-    def test_control_variate_needs_c_to_cover_f(self, predicate):
-        problem = uncovered_cv_problem(predicate)
+    @pytest.mark.parametrize("plain_h", [False, True], ids=["cells", "plain-h"])
+    def test_control_variate_needs_c_to_cover_f(self, plain_h):
+        problem = uncovered_cv_problem(plain_h)
         batch = SampleBatch(np.array([0.1, 0.7]), seed=None, n=2)
         with pytest.raises(ControlVariateCoverageError):
             us_estimate(problem, batch, ControlVariate(1.0))
@@ -236,32 +230,32 @@ class TestCoverageErrorsOnBothPaths:
         with pytest.raises(ControlVariateCoverageError):
             run_trials(problem, 10, 100, 0.5, ControlVariate(1.0), seed=1)
 
-    @pytest.mark.parametrize("predicate", [False, True], ids=["cells", "samples"])
-    def test_without_control_variate_the_same_problem_runs(self, predicate):
-        stats = run_trials(uncovered_cv_problem(predicate), 10, 4000, 0.5, seed=1)
+    @pytest.mark.parametrize("plain_h", [False, True], ids=["cells", "plain-h"])
+    def test_without_control_variate_the_same_problem_runs(self, plain_h):
+        stats = run_trials(uncovered_cv_problem(plain_h), 10, 4000, 0.5, seed=1)
         assert abs(stats["US"].cond_mean - 0.5) <= 4.0 * stats["US"].cond_se_mean
 
-    @pytest.mark.parametrize("predicate", [False, True], ids=["cells", "samples"])
-    def test_c_missing_part_of_f_and_h_raises(self, predicate):
+    @pytest.mark.parametrize("plain_h", [False, True], ids=["cells", "plain-h"])
+    def test_c_missing_part_of_f_and_h_raises(self, plain_h):
         g = PiecewiseUniform.uniform(0.0, 2.0)
         f = PiecewiseUniform.uniform(0.0, 1.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0)])
         problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 0.6)], g))
-        if predicate:
-            problem = with_predicate_c(problem)
+        if plain_h:
+            problem = with_plain_h(problem)
         with pytest.raises(PruningCoverageError):
             simulate_estimates(problem, 10, 100, seed=1)
 
-    @pytest.mark.parametrize("predicate", [False, True], ids=["cells", "samples"])
-    def test_cells_no_trial_hits_never_raise(self, predicate):
+    @pytest.mark.parametrize("plain_h", [False, True], ids=["cells", "plain-h"])
+    def test_cells_no_trial_hits_never_raise(self, plain_h):
         # The second sampling interval violates both coverage conditions
         # but carries mass 1e-12, so no sample of these trials reaches it.
         g = PiecewiseUniform([(0.0, 1.0), (2.0, 3.0)], [1.0 - 1e-12, 1e-12])
         f = PiecewiseUniform([(0.0, 1.0), (2.0, 3.0)], [0.5, 0.5])
         h = EvaluationFunction.piecewise_constant([(0.0, 3.0, 1.0)])
         problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 1.0)], g))
-        if predicate:
-            problem = with_predicate_c(problem)
+        if plain_h:
+            problem = with_plain_h(problem)
         sim = simulate_estimates(problem, 20, 1000, seed=2, t=0.5)
         assert np.all(sim.k == 20)
 

@@ -9,6 +9,7 @@ import pytest
 
 from unequal_support import cli
 from unequal_support.cli import main
+from unequal_support.densities import EstimationProblem
 
 SWEEP_HEADER = (
     "f_max,theta,n,c,v,analytic_is_var_u,analytic_is_var_c,"
@@ -258,3 +259,68 @@ def test_malformed_yaml_is_a_user_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+CONFIG = (
+    "problem:\n"
+    "  target: {kind: uniform, low: 0.0, high: 1.0}\n"
+    "  sampling: {kind: uniform, low: 0.0, high: 2.0}\n"
+    "  evaluation: {pieces: [[0.0, 0.5, 1.0]]}\n"
+    "  pruning: {intervals: [[0.0, 0.5]]}\n"
+)
+
+MALFORMED = {
+    "problem-scalar": "problem: 5\n",
+    "pieces-scalar": CONFIG.replace("[[0.0, 0.5, 1.0]]", "5"),
+    "piece-null": CONFIG.replace("0.5, 1.0]", "0.5, null]"),
+    "pruning-null": CONFIG.replace("{intervals: [[0.0, 0.5]]}", "null"),
+    "low-list": CONFIG.replace("low: 0.0, high: 1.0", "low: [0], high: 1.0"),
+    "c-list": CONFIG.replace("[[0.0, 0.5]]}", "[[0.0, 0.5]], c: [0.3]}"),
+    "weights-mapping": CONFIG.replace(
+        "{kind: uniform, low: 0.0, high: 2.0}",
+        "{kind: piecewise-uniform, intervals: [[0.0, 2.0]], weights: {a: 1}}",
+    ),
+    "stddev-null": CONFIG.replace(
+        "{kind: uniform, low: 0.0, high: 1.0}",
+        "{kind: truncated-normal, lower: 0.0, upper: 1.0, mean: 0.5, stddev: null}",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_types_are_user_errors(text, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert main(["estimate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["illustrative", "treatment", "config"])
+def test_estimate_evaluates_its_batch_once(source, monkeypatch, tmp_path, capsys):
+    path = tmp_path / "p.yaml"
+    path.write_text(CONFIG)
+    argv = ["--config", str(path)] if source == "config" else ["--example", source]
+    calls = []
+    batch_terms = EstimationProblem.batch_terms
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0].size)
+        return batch_terms(self, *args, **kwargs)
+
+    monkeypatch.setattr(EstimationProblem, "batch_terms", counting)
+    run(["estimate", "--n", "40", *argv], capsys)
+    assert calls == [40]
+
+
+def test_control_variate_on_c_missing_part_of_f_is_a_user_error(tmp_path, capsys):
+    # C = [0, 0.5] covers F ∩ H but not F = [0, 1].
+    path = tmp_path / "short_c.yaml"
+    path.write_text(CONFIG)
+    run(["estimate", "--config", str(path), "--cv", "none"], capsys)
+    assert main(["estimate", "--config", str(path), "--cv", "value:0.3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: control variate requires")

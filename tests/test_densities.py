@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from unequal_support.densities import (
-    CustomDensity,
     Density,
     EstimationProblem,
     EvaluationFunction,
@@ -19,7 +18,6 @@ from unequal_support.densities import (
     SamplingSupportError,
     TruncatedNormal,
     draw,
-    pdf_eval,
 )
 from unequal_support.experiments import run_trials
 
@@ -28,11 +26,9 @@ class TestDensityProtocol:
     def test_all_families_conform(self):
         uniform = PiecewiseUniform.uniform(0.0, 1.0)
         truncated = TruncatedNormal(0.0, 1.0, 1.0, 0.5)
-        custom = CustomDensity(
-            uniform.pdf, uniform.sample, uniform.contains
-        )
-        for density in (uniform, truncated, custom):
+        for density in (uniform, truncated):
             assert isinstance(density, Density)
+            assert isinstance(density.support, IntervalUnion)
 
     def test_plain_objects_do_not_conform(self):
         assert not isinstance(object(), Density)
@@ -85,12 +81,12 @@ class TestIntervalUnion:
 class TestPiecewiseUniform:
     def test_uniform_pdf_values(self):
         g = PiecewiseUniform.uniform(0.0, 2.0)
-        assert pdf_eval(g, 1.0) == 0.5
-        assert pdf_eval(g, 2.5) == 0.0
+        assert float(g.pdf(1.0)) == 0.5
+        assert float(g.pdf(2.5)) == 0.0
 
     def test_outside_support_is_zero(self):
         f = PiecewiseUniform.uniform(0.0, 1.0)
-        assert pdf_eval(f, 1.5) == 0.0
+        assert float(f.pdf(1.5)) == 0.0
 
     def test_full_support_mass_is_one(self):
         d = PiecewiseUniform([(0.0, 1.0), (3.0, 4.0)], weights=[0.7, 0.3])
@@ -142,7 +138,7 @@ class TestPiecewiseUniform:
         x = np.array([-np.inf, -1.5, -1.0, 0.0, 3.0, 3.5, np.inf, np.nan])
         inside = (x >= -1.0) & (x <= 3.0)
         assert np.array_equal(d.pdf(x), np.where(inside, 0.25, 0.0))
-        assert pdf_eval(d, 3.0) == 0.25
+        assert float(d.pdf(3.0)) == 0.25
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -174,8 +170,8 @@ class TestTruncatedNormal:
 
         z, _ = quad(unnorm, lo, hi)
         expected = unnorm(11.0) / z
-        assert abs(pdf_eval(d, 11.0) - expected) <= 1e-9 * expected
-        assert pdf_eval(d, 11.0) == pytest.approx(1.8699794152218137, rel=1e-12)
+        assert abs(float(d.pdf(11.0)) - expected) <= 1e-9 * expected
+        assert float(d.pdf(11.0)) == pytest.approx(1.8699794152218137, rel=1e-12)
 
     def test_full_mass_is_one(self):
         d = TruncatedNormal(-1.0, 3.0, 0.5, 1.2)
@@ -183,8 +179,8 @@ class TestTruncatedNormal:
 
     def test_zero_outside(self):
         d = TruncatedNormal(0.0, 1.0, 0.0, 1.0)
-        assert pdf_eval(d, -0.5) == 0.0
-        assert pdf_eval(d, 1.5) == 0.0
+        assert float(d.pdf(-0.5)) == 0.0
+        assert float(d.pdf(1.5)) == 0.0
 
     def test_samples_in_support(self):
         d = TruncatedNormal(10.375, 11.0, 11.0, 0.625)
@@ -231,7 +227,7 @@ class TestDraw:
 
 class TestEvaluationFunction:
     def test_zero_outside_declared_support(self):
-        h = EvaluationFunction(lambda x: np.ones_like(x), [(0.0, 1.0)], 0.0, 1.0)
+        h = EvaluationFunction(lambda x: np.ones_like(x), [(0.0, 1.0)])
         out = h(np.array([-0.5, 0.5, 1.5]))
         assert out.tolist() == [0.0, 1.0, 0.0]
 
@@ -239,40 +235,31 @@ class TestEvaluationFunction:
         h = EvaluationFunction.piecewise_constant([(0.0, 0.5, -1.0), (0.5, 2.0, 1.0)])
         out = h(np.array([0.25, 0.5, 1.0, 2.0, 2.5]))
         assert out.tolist() == [-1.0, 1.0, 1.0, 1.0, 0.0]
-        assert h.low == -1.0 and h.high == 1.0
-
-    def test_declared_range_includes_zero(self):
-        h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)])
-        assert h.low == 0.0 and h.high == 3.0
-
-    def test_bad_range_rejected(self):
-        with pytest.raises(ValueError):
-            EvaluationFunction(lambda x: x, [(0.0, 1.0)], 1.0, 0.0)
 
     def test_nan_and_inf_outside_support_become_zero(self):
         def fn(x):
             return np.where(x < 0.0, np.nan, np.where(x > 1.0, np.inf, -x))
 
-        h = EvaluationFunction(fn, [(0.0, 1.0)], -1.0, 0.0)
+        h = EvaluationFunction(fn, [(0.0, 1.0)])
         out = h(np.array([[-0.5, 0.0, 0.25], [1.0, 1.5, np.nan]]))
         assert out.dtype == np.float64
         assert out.tolist() == [[0.0, -0.0, -0.25], [-1.0, 0.0, 0.0]]
 
     def test_scalar_result_broadcasts(self):
-        h = EvaluationFunction(lambda x: 3.0, [(0.0, 1.0)], 0.0, 3.0)
+        h = EvaluationFunction(lambda x: 3.0, [(0.0, 1.0)])
         out = h(np.array([-1.0, 0.5, 1.0, 2.0]))
         assert out.dtype == np.float64
         assert out.tolist() == [0.0, 3.0, 3.0, 0.0]
 
     def test_fn_returning_its_input_leaves_x_unchanged(self):
-        h = EvaluationFunction(lambda x: x, [(0.0, 1.0)], 0.0, 1.0)
+        h = EvaluationFunction(lambda x: x, [(0.0, 1.0)])
         x = np.array([-1.0, 0.5, 2.0])
         out = h(x)
         assert x.tolist() == [-1.0, 0.5, 2.0]
         assert out.tolist() == [0.0, 0.5, 0.0]
 
     def test_zero_dimensional_input(self):
-        h = EvaluationFunction(lambda x: x + 1.0, [(0.0, 1.0)], 0.0, 2.0)
+        h = EvaluationFunction(lambda x: x + 1.0, [(0.0, 1.0)])
         for x, expected in [(np.float64(0.5), 1.5), (np.array(2.0), 0.0), (0.25, 1.25)]:
             out = h(x)
             assert out.shape == () and float(out) == expected
@@ -287,10 +274,11 @@ class TestPruningSet:
         assert not prune.contains(np.array([9.0]))[0]
 
     def test_mass_bounds_enforced(self):
+        union = IntervalUnion([(0.0, 1.0)])
         with pytest.raises(ValueError):
-            PruningSet.from_predicate(lambda x: x > 0, 0.0)
+            PruningSet(union, 0.0)
         with pytest.raises(ValueError):
-            PruningSet.from_predicate(lambda x: x > 0, 1.5)
+            PruningSet(union, 1.5)
 
 
 class TestEstimationProblem:
@@ -321,7 +309,7 @@ class TestEstimationProblem:
     def test_truncated_normal_target_outside_sampling_rejected(self):
         g = PiecewiseUniform.uniform(0.5, 2.0)
         f = TruncatedNormal(0.0, 1.0, mean=1.0, stddev=1.0)
-        h = EvaluationFunction(lambda x: x + 1.0, [(0.0, 2.0)], 0.0, 3.0)
+        h = EvaluationFunction(lambda x: x + 1.0, [(0.0, 2.0)])
         with pytest.raises(SamplingSupportError):
             EstimationProblem(f, g, h, PruningSet.from_intervals([(0.5, 2.0)], g))
 
@@ -348,16 +336,6 @@ class TestEstimationProblem:
         bad = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 0.5)], g))
         with pytest.raises(PruningCoverageError):
             bad.batch_terms(np.array([0.75]))
-
-    def test_custom_density_extension_point(self):
-        f = CustomDensity(
-            pdf=lambda x: np.where((x >= 0) & (x <= 1), 1.0, 0.0),
-            sampler=lambda rng, size: rng.uniform(0.0, 1.0, size),
-            contains=lambda x: (x >= 0) & (x <= 1),
-        )
-        assert pdf_eval(f, 0.5) == 1.0
-        with pytest.raises(NotImplementedError):
-            f.interval_mass([(0.0, 1.0)])
 
 
 class TestSampleBatch:

@@ -17,6 +17,7 @@ from unequal_support.densities import (
 )
 from unequal_support.estimators import (
     ControlVariate,
+    estimate_all,
     importance_weight,
     is_estimate,
     us_estimate,
@@ -128,6 +129,8 @@ class TestUsEstimate:
         assert us_estimate(problem, batch).defined
         with pytest.raises(ControlVariateCoverageError):
             us_estimate(problem, batch, ControlVariate(0.5))
+        with pytest.raises(ControlVariateCoverageError):
+            estimate_all(problem, batch, ControlVariate(0.5))
         # IS and WIS do not restrict the centered sum to C, so they accept it.
         assert is_estimate(problem, batch, ControlVariate(0.5)).value == 0.5
         assert wis_estimate(problem, batch, ControlVariate(0.5)).value == 0.5
@@ -234,6 +237,26 @@ class TestWisEstimate:
         plain = wis_estimate(problem, batch)
         shifted = wis_estimate(problem, batch, ControlVariate(2.5))
         assert shifted.value == pytest.approx(plain.value, rel=1e-12)
+
+
+class TestEstimateAll:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 64),
+        f_max=st.floats(0.1, 2.0),
+        t=st.sampled_from([0.0, 0.3, -2.5]),
+    )
+    def test_equals_the_three_estimators(self, seed, n, f_max, t):
+        # C = F, so a control variate is accepted.
+        problem = signed_problem(f_max, theta=1.5)
+        batch = draw(problem.sampling, seed, n)
+        cv = ControlVariate(t)
+        assert estimate_all(problem, batch, cv) == {
+            "IS": is_estimate(problem, batch, cv),
+            "US": us_estimate(problem, batch, cv),
+            "WIS": wis_estimate(problem, batch, cv),
+        }
 
 
 class TestPermutationInvariance:

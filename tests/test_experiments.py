@@ -21,9 +21,9 @@ from unequal_support.config import load_problem
 from unequal_support.densities import (
     CellTable,
     ControlVariateCoverageError,
-    CustomDensity,
     EstimationProblem,
     EvaluationFunction,
+    IntervalUnion,
     PiecewiseUniform,
     PruningCoverageError,
     PruningSet,
@@ -130,7 +130,7 @@ class TestSurfacePath:
             return surface.marginal_return(x)
 
         base = treatment_problem(9.5, surface).evaluation
-        evaluation = EvaluationFunction(fn, base.support, base.low, base.high)
+        evaluation = EvaluationFunction(fn, base.support)
         problem = _surrogate_with(surface, evaluation=evaluation)
         armed.append(True)  # construction checks h once; batches must not
         sim = simulate_estimates(problem, 6, 300, seed=3, surface=surface)
@@ -196,14 +196,13 @@ def assert_matches_rebuilt(problem, seed, t, surface=None):
 
 class TestSamplePathWithoutSurface:
     def test_matches_terms_rebuilt_in_draw_order(self):
-        """Truncated-normal f, two-piece g, a smooth h and a predicate C:
-        no surface and no cell table, so the sample path runs."""
+        """Truncated-normal f, two-piece g, a smooth h and a C whose c is
+        not its mass: no surface and no cell table, so the sample path
+        runs."""
         target = TruncatedNormal(0.25, 1.75, mean=1.0, stddev=0.4)
         sampling = PiecewiseUniform([(0.0, 1.0), (1.0, 2.0)], weights=[0.4, 0.6])
-        evaluation = EvaluationFunction(
-            lambda x: 1.0 + np.sin(3.0 * x), [(0.0, 2.0)], 0.0, 2.0
-        )
-        pruning = PruningSet.from_predicate(lambda x: (x >= 0.25) & (x <= 1.75), 0.6)
+        evaluation = EvaluationFunction(lambda x: 1.0 + np.sin(3.0 * x), [(0.0, 2.0)])
+        pruning = PruningSet(IntervalUnion([(0.25, 1.75)]), 0.6)
         problem = EstimationProblem(target, sampling, evaluation, pruning)
         assert problem.cells is None
         assert_matches_rebuilt(problem, 321, 0.5)
@@ -418,7 +417,7 @@ def _without_pieces(problem):
     """The same problem with h as a plain function: no cell table, so its
     terms come from Simpson nodes."""
     h = problem.evaluation
-    evaluation = EvaluationFunction(h.fn, h.support, h.low, h.high)
+    evaluation = EvaluationFunction(h.fn, h.support)
     return EstimationProblem(problem.target, problem.sampling, evaluation, problem.pruning)
 
 
@@ -478,19 +477,6 @@ class TestDerivedInputs:
         problem = load_problem(config)
         assert problem.cells is None
         assert sampling_mean(problem) == pytest.approx(_pieces_mean(problem), rel=1e-12, abs=0.0)
-
-    def test_needs_interval_supports(self):
-        problem = illustrative_problem(1.0)
-        custom = CustomDensity(
-            problem.target.pdf, problem.target.sample, problem.target.contains
-        )
-        predicate = PruningSet.from_predicate(problem.pruning.indicator, problem.c)
-        for target, pruning in [(custom, problem.pruning), (problem.target, predicate)]:
-            odd = EstimationProblem(target, problem.sampling, problem.evaluation, pruning)
-            with pytest.raises(TypeError):
-                sampling_mean(odd)
-            with pytest.raises(TypeError):
-                moment_inputs(odd)
 
 
 class TestTreatmentSurrogate:

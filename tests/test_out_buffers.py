@@ -19,7 +19,6 @@ from unequal_support.densities import (
     PruningSet,
     SamplingSupportError,
     TruncatedNormal,
-    pdf_eval,
 )
 from unequal_support.experiments import SyntheticReturnSurface, treatment_problem
 
@@ -142,12 +141,12 @@ def test_wrong_shape_out_raises(case, shape):
 
 
 @pytest.mark.parametrize("name", DENSITIES)
-def test_scalars_through_pdf_eval(name):
+def test_scalar_pdf_matches_array_pdf(name):
     d = DENSITIES[name]
     for x in (8.0, 8.75, 9.25, 10.0, 11.0):
-        value = pdf_eval(d, x)
-        assert isinstance(value, float)
-        assert value == d.pdf(np.array([x]))[0]
+        value = d.pdf(x)
+        assert value.shape == ()
+        assert float(value) == d.pdf(np.array([x]))[0]
 
 
 def test_checks_still_raise_with_out():
