@@ -188,9 +188,10 @@ class PiecewiseUniform:
             w = np.asarray(weights, dtype=float)
             if w.shape != lengths.shape:
                 raise ValueError("one weight per interval required")
-            if np.any(w <= 0):
+            # Written as not (... > 0) and not (... <= tol) so that NaN fails.
+            if not np.all(w > 0):
                 raise ValueError("weights must be positive")
-            if abs(w.sum() - 1.0) > _MASS_TOL:
+            if not abs(w.sum() - 1.0) <= _MASS_TOL:
                 raise ValueError("weights must sum to 1")
         self.weights = w
         self.heights = w / lengths
@@ -245,7 +246,7 @@ class TruncatedNormal:
     def __init__(self, lower: float, upper: float, mean: float, stddev: float):
         if not lower < upper:
             raise ValueError("lower must be < upper")
-        if stddev <= 0:
+        if not stddev > 0:
             raise ValueError("stddev must be positive")
         from scipy.special import ndtr
 
@@ -257,7 +258,8 @@ class TruncatedNormal:
         self._cdf_lo = float(ndtr((lower - mean) / stddev))
         self._cdf_hi = float(ndtr((upper - mean) / stddev))
         self._z = self._cdf_hi - self._cdf_lo
-        if self._z <= 0:
+        # Not _z <= 0: a NaN mean gives a NaN _z, which must fail too.
+        if not self._z > 0:
             raise ValueError("truncation interval has no normal mass")
 
     def pdf(self, x, out=None) -> np.ndarray:

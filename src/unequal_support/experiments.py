@@ -14,20 +14,36 @@ bound and coverage sweeps one bound-trial loop.
 
 Reproducibility contract: every sweep derives one sub-seed per grid
 point from the master seed, and each point's trials are generated in
-fixed-size chunks whose counter-based streams are keyed by (point seed,
-chunk index). Statistics are reduced in trial order, so a rerun with the
-same flags yields byte-identical output, and a future parallel runner
-could own one chunk per worker without changing any number.
+fixed-size chunks, each drawing from its own PCG64DXSM stream seeded by
+the SeedSequence of (point seed, chunk index). Statistics are reduced
+in trial order, so a rerun with the same flags yields byte-identical
+output, and a future parallel runner could own one chunk per worker
+without changing any number.
 
-What a chunk's stream draws depends on the problem. For a
-piecewise-constant problem (one with a :class:`CellTable`, simulated
-without a return surface) it draws each of its 4096 trials' per-cell
-sample counts, Multinomial(n, p), and never the samples themselves, so a
-chunk costs O(trials x cells) time and memory whatever n is. Every other
-problem draws the samples of min(4096, CHUNK_ELEMENTS // n) trials per
-chunk, at least one, into a workspace allocated once per call, so its
-memory is bounded by a few arrays of CHUNK_ELEMENTS = 2**17 float64
-values whatever n is; only n > 2**17 holds more, one row of n samples.
+A point takes one of three paths, chosen from its problem, n and trial
+count alone:
+
+- **Outcome table.** A piecewise-constant problem (one with a
+  :class:`CellTable`, simulated without a return surface) whose m cells
+  admit at most ``trials`` count vectors, math.comb(n + m - 1, m - 1),
+  enumerates them once with their Multinomial(n, p) probabilities and
+  estimates (:func:`outcome_table`). Each chunk of 4096 trials then
+  draws one uniform per trial and maps it through the outcome CDF. The
+  rule compares the table's O(outcomes) cost with the O(trials) cost of
+  the per-trial draws it replaces, so it needs no setting.
+- **Per-trial counts.** Any other piecewise-constant problem draws each
+  of a chunk's 4096 trials' per-cell sample counts, Multinomial(n, p),
+  and never the samples themselves, so a chunk costs O(trials x cells)
+  time and memory whatever n is.
+- **Samples.** Every other problem draws the samples of min(4096,
+  CHUNK_ELEMENTS // n) trials per chunk, at least one, into a workspace
+  allocated once per call, so its memory is bounded by a few arrays of
+  CHUNK_ELEMENTS = 2**17 float64 values whatever n is; only n > 2**17
+  holds more, one row of n samples.
+
+Both cell paths give each count vector the same estimates, through
+:func:`cell_estimates`, and run the same coverage checks on the cells
+their trials hit.
 """
 
 import json
@@ -54,6 +70,7 @@ __all__ = [
     "CHUNK_TRIALS",
     "CHUNK_ELEMENTS",
     "SimulationResult",
+    "OutcomeTable",
     "TrialStats",
     "SweepRow",
     "BoundsSweepRow",
@@ -64,6 +81,7 @@ __all__ = [
     "treatment_problem",
     "sampling_mean",
     "moment_inputs",
+    "outcome_table",
     "simulate_estimates",
     "summarize_trials",
     "run_trials",
@@ -88,8 +106,9 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The stream of one chunk: PCG64DXSM seeded by (seed, chunk index)."""
+    ss = np.random.SeedSequence([int(seed), int(chunk_index)])
+    return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
 def _uniform_into(rng: np.random.Generator, low: float, high: float, out) -> np.ndarray:
@@ -325,6 +344,82 @@ class SimulationResult:
         return self.k > 0
 
 
+def _compositions(n: int, m: int) -> np.ndarray:
+    """Every count vector of n samples over m cells, one row each, in
+    lexicographic order: math.comb(n + m - 1, m - 1) rows of int64."""
+    counts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([n], dtype=np.int64)
+    for _ in range(m - 1):
+        # Row r branches into one row per next count 0, ..., left[r].
+        parent = np.repeat(np.arange(left.size), left + 1)
+        start = np.cumsum(left + 1) - (left + 1)
+        nxt = np.arange(parent.size) - start[parent]
+        counts = np.column_stack([counts[parent], nxt])
+        left = left[parent] - nxt
+    return np.column_stack([counts, left])
+
+
+@dataclass(frozen=True)
+class OutcomeTable:
+    """Every outcome of one batch of n samples on a cell problem.
+
+    ``counts`` holds the per-cell count vectors in lexicographic order,
+    ``pmf`` the Multinomial(n, p) probability of each, and ``values``
+    each one's (IS, US, WIS, k, WIS-defined), computed by
+    :func:`cell_estimates` exactly as for a drawn count vector.
+    """
+
+    counts: np.ndarray
+    pmf: np.ndarray
+    values: SimulationResult
+
+
+def outcome_table(problem: EstimationProblem, n: int, t: float = 0.0) -> OutcomeTable:
+    """The problem's :class:`OutcomeTable` at batch size n and control
+    variate t. Raises ValueError unless the problem has a cell table."""
+    table = problem.cells
+    if table is None:
+        raise ValueError("an outcome table needs a piecewise-constant problem")
+    m = table.p.size
+    counts = _compositions(n, m)
+    log_pmf = counts @ np.log(table.p)
+    if m > 1:
+        # log n! - sum_j log c_j!, read off one table of log k! for k <= n
+        # (one cell has one outcome, whose coefficient is 1).
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+        log_pmf += log_fact[n] - log_fact[counts].sum(axis=1)
+    values = cell_estimates(counts, n, table.w, table.h, table.in_c, problem.c, t)
+    return OutcomeTable(counts, np.exp(log_pmf), SimulationResult(*values))
+
+
+def _draw_outcomes(
+    problem: EstimationProblem, n: int, trials: int, seed: int, t: float
+) -> SimulationResult:
+    """``trials`` outcomes of the problem's table, one uniform per trial.
+
+    Each chunk of CHUNK_TRIALS trials maps its uniforms through the
+    outcome CDF; an outcome of pmf 0 has an empty CDF step and is never
+    drawn, and a uniform that rounds onto the top of the CDF takes the
+    last outcome of positive pmf.
+    """
+    table = outcome_table(problem, n, t)
+    cdf = np.cumsum(table.pmf)
+    picks = []
+    for chunk in range(-(-trials // CHUNK_TRIALS)):
+        rows = min(CHUNK_TRIALS, trials - chunk * CHUNK_TRIALS)
+        u = _chunk_rng(seed, chunk).random(rows)
+        picks.append(np.searchsorted(cdf, u * cdf[-1], side="right"))
+    index = np.minimum(np.concatenate(picks), np.flatnonzero(table.pmf)[-1])
+    drawn = np.zeros(table.pmf.size, dtype=bool)
+    drawn[index] = True
+    problem.cells.check_coverage(table.counts[drawn], t)
+    v = table.values
+    return SimulationResult(
+        v.is_values[index], v.us_values[index], v.wis_values[index],
+        v.k[index], v.wis_defined[index],
+    )
+
+
 def simulate_estimates(
     problem: EstimationProblem,
     n: int,
@@ -335,11 +430,12 @@ def simulate_estimates(
 ) -> SimulationResult:
     """All three estimators over ``trials`` independent batches of size n.
 
-    A piecewise-constant problem is simulated from per-cell sample
-    counts (see the module docstring); any other problem from its
-    samples. The sample path allocates its workspace once per call:
-    (rows, n) float64 arrays for x, the observations, the weights and
-    one scratch, with rows = min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS //
+    A piecewise-constant problem is simulated from its outcome table
+    when it has at most ``trials`` outcomes and from per-trial cell
+    counts otherwise; any other problem from its samples (see the
+    module docstring). The sample path allocates its workspace once per
+    call: (rows, n) float64 arrays for x, the observations, the weights
+    and one scratch, with rows = min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS //
     n)), and every chunk writes into prefix views of it. Its peak memory
     is therefore a few times CHUNK_ELEMENTS values plus O(trials) for the
     results, whatever n is; for n > CHUNK_ELEMENTS a chunk is one row of
@@ -355,6 +451,9 @@ def simulate_estimates(
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
     table = problem.cells if surface is None else None
+    m = 0 if table is None else table.p.size
+    if m and math.comb(n + m - 1, m - 1) <= trials:
+        return _draw_outcomes(problem, n, trials, seed, t)
     if table is None:
         chunk_rows = min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS // n), trials)
         x_buf, obs_buf, w_buf, scratch = np.empty((4, chunk_rows, n))

@@ -1,10 +1,13 @@
 """Cell tables and the cell-count simulation path.
 
 Problems built from piecewise-uniform densities and a step evaluation
-are simulated from per-cell sample counts; all other problems from
+are simulated from per-cell sample counts, drawn as outcomes of their
+enumerated outcome table when it has at most one row per trial and as
+per-trial Multinomial counts otherwise; all other problems from
 samples. The same h given as a plain function forces the sample path on
-an otherwise identical problem, which is how these tests compare the two
-paths.
+an otherwise identical problem, which is how these tests compare the
+paths. The outcome table is also the exact distribution of a batch, so
+its pmf-weighted moments are checked against the analytic catalog.
 """
 
 import math
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unequal_support import experiments
 from unequal_support._kernels import batch_estimates, cell_estimates
 from unequal_support.config import build_problem
 from unequal_support.densities import (
@@ -28,10 +32,14 @@ from unequal_support.densities import (
     SampleBatch,
     TruncatedNormal,
 )
-from unequal_support.estimators import ControlVariate, us_estimate
+from unequal_support.estimators import ControlVariate, estimate_all, us_estimate
 from unequal_support.experiments import (
+    analytic_reports,
     illustrative_problem,
+    moment_inputs,
+    outcome_table,
     run_trials,
+    sampling_mean,
     simulate_estimates,
 )
 from unequal_support.moments import rho
@@ -60,6 +68,38 @@ def mixed_problem() -> EstimationProblem:
         [(0.0, 0.5, -2.0), (0.5, 1.8, 1.0), (1.8, 3.0, 4.0)]
     )
     return EstimationProblem(f, g, h, PruningSet.from_intervals([(0.1, 2.2)], g))
+
+
+def two_weight_problem() -> EstimationProblem:
+    """A target of two weights inside C = [0, 1], g = U[0, 2] and a
+    two-step h, so WIS differs from US (on the illustrative problem w is
+    constant on C and the two agree on every batch)."""
+    g = PiecewiseUniform.uniform(0.0, 2.0)
+    f = PiecewiseUniform([(0.0, 0.5), (0.5, 1.0)], [0.8, 0.2])
+    h = EvaluationFunction.piecewise_constant([(0.0, 0.25, -1.0), (0.25, 1.0, 2.0)])
+    return EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 1.0)], g))
+
+
+def outcome_table_calls(monkeypatch) -> list:
+    """Record each outcome_table call that simulate_estimates makes."""
+    calls = []
+    original = experiments.outcome_table
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "outcome_table", spy)
+    return calls
+
+
+def exact_moments(values, pmf, theta, given) -> tuple[float, float, float]:
+    """(mean, variance, MSE) of ``values`` under ``pmf``, restricted to
+    the outcomes ``given``."""
+    p = pmf[given] / math.fsum(pmf[given])
+    x = values[given]
+    mean = float(p @ x)
+    return mean, float(p @ (x - mean) ** 2), float(p @ (x - theta) ** 2)
 
 
 def uncovered_cv_problem(plain_h: bool) -> EstimationProblem:
@@ -172,16 +212,139 @@ class TestCellEstimates:
             assert got[3].dtype == np.int64
 
 
+class TestOutcomeTable:
+    @pytest.mark.parametrize(
+        "problem, n",
+        [
+            (illustrative_problem(0.5, 10.0), 5),
+            (illustrative_problem(0.9, 1.0), 50),
+            (illustrative_problem(2.0, 0.0), 10),
+            (mixed_problem(), 4),
+            (two_weight_problem(), 7),
+        ],
+    )
+    def test_rows_are_every_count_vector_and_pmf_sums_to_one(self, problem, n):
+        table = outcome_table(problem, n)
+        m = problem.cells.p.size
+        assert table.counts.shape == (math.comb(n + m - 1, m - 1), m)
+        assert np.all(table.counts.sum(axis=1) == n) and np.all(table.counts >= 0)
+        rows = [tuple(row) for row in table.counts.tolist()]
+        assert rows == sorted(set(rows))  # distinct, in lexicographic order
+        assert abs(math.fsum(table.pmf) - 1.0) <= 1e-12
+        in_c_counts = table.counts[:, problem.cells.in_c].sum(axis=1)
+        assert table.values.k.tolist() == in_c_counts.tolist()
+
+    def test_one_cell_has_one_outcome_at_any_n(self):
+        g = PiecewiseUniform.uniform(0.0, 1.0)
+        h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 3.0)])
+        problem = EstimationProblem(g, g, h, PruningSet.from_intervals([(0.0, 1.0)], g))
+        table = outcome_table(problem, 10**9)
+        assert table.counts.tolist() == [[10**9]] and table.pmf.tolist() == [1.0]
+        sim = simulate_estimates(problem, 10**9, 5, seed=1)
+        assert sim.us_values.tolist() == [3.0] * 5
+
+    def test_needs_a_cell_table(self):
+        with pytest.raises(ValueError):
+            outcome_table(with_plain_h(illustrative_problem(1.0)), 5)
+
+    def test_outcomes_of_zero_pmf_are_never_drawn(self, monkeypatch):
+        """Cells of g-mass 1e-200, 1 and 1e-200 at n = 2: the outcomes
+        (0, 0, 2), (1, 0, 1) and (2, 0, 0), first, inner and last in
+        the table, have pmf 1e-400 or less, which underflows to 0."""
+        g = PiecewiseUniform([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], [1e-200, 1.0, 1e-200])
+        h = EvaluationFunction.piecewise_constant(
+            [(0.0, 1.0, 1.0), (1.0, 2.0, 10.0), (2.0, 3.0, 100.0)]
+        )
+        problem = EstimationProblem(g, g, h, PruningSet.from_intervals([(0.0, 3.0)], g))
+        table = outcome_table(problem, 2)
+        assert (table.pmf == 0.0).tolist() == [True, False, False, True, False, True]
+
+        class Uniforms:
+            # 1.0 stands for a product u * cdf[-1] that rounds onto the
+            # top of the CDF.
+            def random(self, size):
+                return np.resize([0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0], size)
+
+        monkeypatch.setattr(experiments, "_chunk_rng", lambda seed, chunk: Uniforms())
+        sim = simulate_estimates(problem, 2, 10, seed=0)
+        # w = 1, so IS is the mean of h over the batch: unique per outcome.
+        positive = table.values.is_values[table.pmf > 0.0]
+        assert np.isin(sim.is_values, positive).all()
+        assert {positive[0], positive[-1]} <= set(sim.is_values.tolist())
+
+    @pytest.mark.parametrize("cv", ["none", "sampling-mean"])
+    def test_exact_moments_match_catalog_on_acceptance_grid(self, cv):
+        for f_max in (0.2, 0.5, 1.0, 2.0):
+            for theta in (0.0, 1.0, 10.0):
+                problem = illustrative_problem(f_max, theta)
+                t = sampling_mean(problem) if cv == "sampling-mean" else 0.0
+                _, v = moment_inputs(problem, t)
+                for n in (5, 10, 50):
+                    table = outcome_table(problem, n, t)
+                    reports = analytic_reports(n, problem.c, v, theta, t)
+                    everywhere = np.ones(table.pmf.size, dtype=bool)
+                    positive = table.values.k > 0
+                    for key, values, given in [
+                        ("is_unconditional", table.values.is_values, everywhere),
+                        ("is_positive", table.values.is_values, positive),
+                        ("us_unconditional", table.values.us_values, everywhere),
+                        ("us_positive", table.values.us_values, positive),
+                    ]:
+                        got = exact_moments(values, table.pmf, theta, given)
+                        report = reports[key]
+                        want = (report.mean, report.variance, report.mse)
+                        assert got == pytest.approx(want, rel=1e-10, abs=1e-12), (
+                            f_max, theta, n, key,
+                        )
+
+    def test_two_weight_wis_column(self):
+        problem = two_weight_problem()
+        table, cells, n = outcome_table(problem, 3), problem.cells, 3
+        values = table.values
+        positive = values.k > 0
+        assert np.any(values.wis_values[positive] != values.us_values[positive])
+        want = cell_estimates(table.counts, n, cells.w, cells.h, cells.in_c, problem.c)
+        assert np.array_equal(values.wis_values, want[2])
+        # The same batches as samples at the cell midpoints, through the
+        # scalar estimators.
+        mid = 0.5 * (cells.lows + cells.highs)
+        for row, wis in zip(table.counts, values.wis_values):
+            batch = SampleBatch(np.repeat(mid, row), seed=None, n=n)
+            assert estimate_all(problem, batch)["WIS"].value == pytest.approx(
+                wis, rel=1e-13, abs=1e-13
+            )
+
+    def test_sample_path_wis_agrees_with_exact_moments(self):
+        problem, n, trials = two_weight_problem(), 3, 40_000
+        table = outcome_table(problem, n)
+        theta, _ = moment_inputs(problem)
+        everywhere = np.ones(table.pmf.size, dtype=bool)
+        wis = table.values.wis_values
+        mean, variance, _ = exact_moments(wis, table.pmf, theta, everywhere)
+        sim = simulate_estimates(with_plain_h(problem), n, trials, seed=12)
+        se = math.sqrt(variance / trials)
+        assert abs(sim.wis_values.mean() - mean) <= 4.0 * se
+
+
 class TestCellPathMatchesSamplePath:
-    N = 10
     TRIALS = 40_000
 
+    # The mixed problem has ten cells: at n = 10 its 92 378 outcomes take
+    # the per-trial Multinomial path, at n = 4 its 715 the table path.
     def test_distributions_agree(self, monkeypatch):
+        self.assert_distributions_agree(monkeypatch, 10, table_path=False)
+
+    def test_distributions_agree_on_outcome_table(self, monkeypatch):
+        self.assert_distributions_agree(monkeypatch, 4, table_path=True)
+
+    def assert_distributions_agree(self, monkeypatch, n, table_path):
         problem = mixed_problem()
-        n, trials, c = self.N, self.TRIALS, problem.c
+        trials, c = self.TRIALS, problem.c
         sample_sim = simulate_estimates(with_plain_h(problem), n, trials, seed=5)
         forbid_sampling(monkeypatch, problem.sampling)
+        calls = outcome_table_calls(monkeypatch)
         cell_sim = simulate_estimates(problem, n, trials, seed=6)
+        assert bool(calls) == table_path
 
         for sim in (cell_sim, sample_sim):
             se_k = math.sqrt(n * c * (1.0 - c) / trials)
@@ -216,6 +379,15 @@ class TestCellPathMatchesSamplePath:
         b = simulate_estimates(mixed_problem(), 7, 5000, seed=99, t=0.0)
         for name in ("is_values", "us_values", "wis_values", "k", "wis_defined"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_table_used_exactly_when_outcomes_fit_in_trials(self, monkeypatch):
+        problem = illustrative_problem(0.5, 1.0)  # three cells: 66 outcomes at n = 10
+        calls = outcome_table_calls(monkeypatch)
+        for trials, table_path in [(65, False), (66, True), (3 * 4096 + 5, True)]:
+            calls.clear()
+            sim = simulate_estimates(problem, 10, trials, seed=4)
+            assert bool(calls) == table_path, trials
+            assert sim.k.shape == (trials,)
 
 
 class TestCoverageErrorsOnBothPaths:

@@ -1,5 +1,7 @@
 """Densities, evaluation functions, pruning sets, and batch plumbing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,9 @@ class TestPiecewiseUniform:
             PiecewiseUniform([(0.0, 1.0), (2.0, 3.0)], weights=[0.7, 0.7])
         with pytest.raises(ValueError):
             PiecewiseUniform([(0.0, 1.0)], weights=[0.5, 0.5])
+        for weights in ([math.nan, 1.0], [0.5, math.nan], [math.inf, 0.5]):
+            with pytest.raises(ValueError, match="weights"):
+                PiecewiseUniform([(0.0, 1.0), (2.0, 3.0)], weights=weights)
 
     def test_weighted_sampling_hits_both_intervals(self):
         d = PiecewiseUniform([(0.0, 1.0), (5.0, 6.0)], weights=[0.25, 0.75])
@@ -198,6 +203,11 @@ class TestTruncatedNormal:
             TruncatedNormal(1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             TruncatedNormal(0.0, 1.0, 0.0, -1.0)
+        nan = math.nan
+        for args in [(nan, 1.0, 0.0, 1.0), (0.0, nan, 0.0, 1.0),
+                     (0.0, 1.0, nan, 1.0), (0.0, 1.0, 0.0, nan)]:
+            with pytest.raises(ValueError):
+                TruncatedNormal(*args)
 
 
 class TestDraw:

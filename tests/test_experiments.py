@@ -89,6 +89,16 @@ class TestSimulateEstimates:
         b = simulate_estimates(problem, 7, 1000, seed=2)
         assert not np.array_equal(a.is_values, b.is_values)
 
+    def test_chunk_streams_are_keyed_by_seed_and_chunk(self):
+        keys = [(0, 0), (0, 1), (1, 0), (1, 1), (2**64 - 1, 0), (7, 2**20)]
+        draws = [experiments._chunk_rng(s, c).random(8).tobytes() for s, c in keys]
+        assert len(set(draws)) == len(keys)
+        again = [experiments._chunk_rng(s, c).random(8).tobytes() for s, c in keys]
+        assert again == draws
+        # The stream is PCG64DXSM seeded by the SeedSequence of the key.
+        rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([7, 2**20])))
+        assert rng.random(8).tobytes() == draws[-1]
+
     def test_spans_chunk_boundary(self):
         problem = illustrative_problem(1.0)
         sim = simulate_estimates(problem, 3, 4096 + 7, seed=5)
