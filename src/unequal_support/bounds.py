@@ -51,7 +51,8 @@ class BoundRequest:
     side: str
 
     def __post_init__(self):
-        if self.b < 0.0:
+        # Not b < 0: NaN must fail too.
+        if not self.b >= 0.0:
             raise ValueError("b must be nonnegative")
         if not 0.0 < self.c <= 1.0:
             raise ValueError("c must lie in (0, 1]")
@@ -88,15 +89,20 @@ def _signed(estimate: float, margin: float, side: str) -> float:
     return estimate - margin if side == "lower" else estimate + margin
 
 
-def hoeffding_is(req: BoundRequest) -> BoundResult:
-    """One-sided bound from the ordinary estimate over all n samples."""
-    margin = _margin(req.b, req.delta, req.n)
+def _bound(req: BoundRequest, scale: float, m: int, method: str) -> BoundResult:
+    """The defined bound at the Hoeffding margin of m variables of range scale."""
+    margin = _margin(scale, req.delta, m)
     return BoundResult(
         value=_signed(req.estimate.value, margin, req.side),
         defined=True,
-        method="IS-hoeffding",
+        method=method,
         side=req.side,
     )
+
+
+def hoeffding_is(req: BoundRequest) -> BoundResult:
+    """One-sided bound from the ordinary estimate over all n samples."""
+    return _bound(req, req.b, req.n, "IS-hoeffding")
 
 
 def hoeffding_us(req: BoundRequest, k: int) -> BoundResult:
@@ -113,13 +119,7 @@ def hoeffding_us(req: BoundRequest, k: int) -> BoundResult:
         return BoundResult(
             value=math.nan, defined=False, method="US-hoeffding", side=req.side
         )
-    margin = _margin(req.c * req.b, req.delta, k)
-    return BoundResult(
-        value=_signed(req.estimate.value, margin, req.side),
-        defined=True,
-        method="US-hoeffding",
-        side=req.side,
-    )
+    return _bound(req, req.c * req.b, k, "US-hoeffding")
 
 
 def truncate_bound(res: BoundResult, h_lo: float, h_hi: float) -> BoundResult:

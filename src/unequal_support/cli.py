@@ -63,7 +63,6 @@ from .config import load_problem
 from .densities import draw
 from .estimators import ControlVariate, estimate_all
 from .experiments import (
-    MomentsRow,
     coverage_experiment,
     emit,
     illustrative_problem,
@@ -259,13 +258,7 @@ def _cmd_moments(args) -> int:
     rows = []
     for estimator, regime, kappa in cells:
         inputs = MomentInputs(args.n, args.c, args.v, args.theta, kappa)
-        report = moment_report(estimator, regime, inputs)
-        rows.append(
-            MomentsRow(
-                estimator, regime, report.mean, report.bias,
-                report.variance, report.mse,
-            )
-        )
+        rows.append(moment_report(estimator, regime, inputs))
     _write(rows, args)
     return 0
 

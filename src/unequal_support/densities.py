@@ -325,13 +325,11 @@ class EvaluationFunction:
         """Step function from (lo, hi, value) triples on disjoint intervals."""
         pieces = tuple((float(a), float(b), float(v)) for a, b, v in pieces)
         support = IntervalUnion([(a, b) for a, b, _ in pieces])
-        lows = np.array(sorted(a for a, _, _ in pieces))
-        order = np.argsort([a for a, _, _ in pieces])
-        values = np.array([pieces[i][2] for i in order])
+        # Disjoint pieces sort by their lows, the support's interval order.
+        values = np.array([v for _, _, v in sorted(pieces)])
 
         def fn(x):
-            j = np.clip(np.searchsorted(lows, x, side="right") - 1, 0, len(lows) - 1)
-            return values[j]
+            return values[support.locate(x)[0]]
 
         obj = cls(fn, support)
         obj.pieces = pieces
@@ -416,6 +414,31 @@ class EstimationProblem:
         """The problem's :class:`CellTable`, built once, or None."""
         return CellTable.from_problem(self)
 
+    def support_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lows, highs) of the cells between the breakpoints of f, g, h
+        and C that lie inside the sampling support. Each support is
+        constant on a cell, so the cell's midpoint decides."""
+        lows, highs, mid = _breakpoint_cells(
+            self.target.support,
+            self.sampling.support,
+            self.evaluation.support,
+            self.pruning.intervals,
+        )
+        keep = self.sampling.contains(mid)
+        return lows[keep], highs[keep]
+
+    def node_terms(self, x: np.ndarray, q: np.ndarray):
+        """(p, w, h, in_c) at nodes x of a rule with weights q: p = q g(x),
+        w = f(x)/g(x), h(x) and membership in C. Summing p phi(w, h, in_c)
+        applies the rule to the integral of g phi(f/g, h, [x in C])."""
+        # h first: its temporaries then share memory with fewer live arrays.
+        h = self.evaluation(x)
+        p = self.sampling.pdf(x)
+        w = self.target.pdf(x)
+        w /= p
+        p *= q
+        return p, w, h, self.pruning.contains(x)
+
     def batch_terms(
         self, values: np.ndarray, observed: np.ndarray | None = None, out=None
     ):
@@ -485,8 +508,10 @@ class CellTable:
     constant, so the count of samples in each cell is a sufficient
     statistic for every estimator. Each cell ``[lows[j], highs[j]]``
     carries its mass ``p`` under g, the weight ``w`` = f/g, the
-    evaluation ``h`` and membership ``in_c`` in C, all read at the cell
-    midpoint. Cells outside the sampling support are left out: no sample
+    evaluation ``h`` and membership ``in_c`` in C: the terms of
+    :meth:`EstimationProblem.node_terms` under the midpoint rule, one node
+    per :meth:`EstimationProblem.support_cells` cell weighted by its
+    length. Cells outside the sampling support are left out: no sample
     can land there.
     """
 
@@ -504,20 +529,8 @@ class CellTable:
         f, g, h = problem.target, problem.sampling, problem.evaluation
         if h.pieces is None or not all(isinstance(d, PiecewiseUniform) for d in (f, g)):
             return None
-        lows, highs, mid = _breakpoint_cells(
-            f.support, g.support, h.support, problem.pruning.intervals
-        )
-        gv = g.pdf(mid)
-        keep = gv > 0.0
-        lows, highs, mid, gv = lows[keep], highs[keep], mid[keep], gv[keep]
-        return cls(
-            lows=lows,
-            highs=highs,
-            p=gv * (highs - lows),
-            w=f.pdf(mid) / gv,
-            h=h(mid),
-            in_c=problem.pruning.contains(mid),
-        )
+        lows, highs = problem.support_cells()
+        return cls(lows, highs, *problem.node_terms(0.5 * (lows + highs), highs - lows))
 
     def check_coverage(self, counts: np.ndarray, t: float) -> None:
         """The batch checks of the sample path, on the cells some trial hit."""

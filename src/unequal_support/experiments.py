@@ -60,7 +60,6 @@ from .densities import (
     PiecewiseUniform,
     PruningSet,
     TruncatedNormal,
-    _breakpoint_cells,
     check_control_variate_coverage,
 )
 from .estimators import ControlVariate
@@ -75,7 +74,6 @@ __all__ = [
     "SweepRow",
     "BoundsSweepRow",
     "CoverageRow",
-    "MomentsRow",
     "SyntheticReturnSurface",
     "illustrative_problem",
     "treatment_problem",
@@ -250,40 +248,28 @@ def _terms(problem: EstimationProblem):
     """(p, w, h, in_c) arrays: sum p phi(w, h, in_c) is the integral of
     g phi(f/g, h, [x in C]), exact when the problem has a cell table.
 
-    Without one, p is the composite Simpson weight times g(x) on each
-    breakpoint cell of f, g, h and C inside g's support: an even share,
-    at least 2, of ``_QUAD_PANELS`` panels by length, with end nodes one
-    ulp inside so that each cell reads its own one-sided limits.
+    Without one, the terms are read at composite Simpson nodes on each of
+    the problem's support cells: an even share, at least 2, of
+    ``_QUAD_PANELS`` panels by length, with end nodes one ulp inside so
+    that each cell reads its own one-sided limits.
     """
     table = problem.cells
     if table is not None:
         return table.p, table.w, table.h, table.in_c
-    lows, highs, mid = _breakpoint_cells(
-        problem.target.support,
-        problem.sampling.support,
-        problem.evaluation.support,
-        problem.pruning.intervals,
-    )
-    keep = problem.sampling.contains(mid)
-    lows, highs = lows[keep], highs[keep]
+    lows, highs = problem.support_cells()
     share = (highs - lows) / (highs - lows).sum()
     panels = np.maximum(1, np.round(share * (_QUAD_PANELS // 2)).astype(int)) * 2
     ends = np.cumsum(panels + 1)
-    x, p = np.empty(ends[-1]), np.empty(ends[-1])
+    x, q = np.empty(ends[-1]), np.empty(ends[-1])
     for lo, hi, m, b in zip(lows, highs, panels, ends):
         a = b - m - 1
         x[a:b] = np.linspace(lo, hi, m + 1)
         x[a], x[b - 1] = np.nextafter(lo, hi), np.nextafter(hi, lo)
         # Simpson weights (hi - lo)/(3m) times 1, 4, 2, 4, ..., 2, 4, 1.
-        p[a:b:2], p[a + 1 : b : 2] = 2.0, 4.0
-        p[a] = p[b - 1] = 1.0
-        p[a:b] *= (hi - lo) / (3 * m)
-    h = problem.evaluation(x)
-    gv = problem.sampling.pdf(x)
-    p *= gv
-    w = problem.target.pdf(x)
-    w /= gv
-    return p, w, h, problem.pruning.contains(x)
+        q[a:b:2], q[a + 1 : b : 2] = 2.0, 4.0
+        q[a] = q[b - 1] = 1.0
+        q[a:b] *= (hi - lo) / (3 * m)
+    return problem.node_terms(x, q)
 
 
 def _mean_h(terms) -> float:
@@ -906,21 +892,6 @@ def coverage_experiment(
             )
         )
     return rows
-
-
-@dataclass(frozen=True)
-class MomentsRow:
-    """One analytic catalog cell, for the table-printing command."""
-
-    estimator: str
-    regime: str
-    mean: float
-    bias: float
-    variance: float | None
-    mse: float | None
-
-    def record(self) -> dict:
-        return dict(self.__dict__)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,8 @@ class MomentInputs:
 
     def __post_init__(self):
         _validate_nc(self.n, self.c)
-        if self.v < 0.0:
+        # Not v < 0: NaN must fail too.
+        if not self.v >= 0.0:
             raise ValueError("v must be nonnegative")
         if self.kappa is not None and not 1 <= self.kappa <= self.n:
             raise ValueError("kappa must lie in [1, n]")
@@ -81,6 +82,9 @@ class MomentReport:
     bias: float
     variance: float | None
     mse: float | None
+
+    def record(self) -> dict:
+        return dict(self.__dict__)
 
 
 def rho(n: int, c: float) -> float:

@@ -131,6 +131,10 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             BoundRequest(EstimateResult(1.0, 1, True), 1.0, 0.5, 10, 0.1, "sideways")
 
+    def test_nan_range_rejected(self):
+        with pytest.raises(ValueError, match="b must be nonnegative"):
+            request(b=math.nan)
+
 
 class TestWeightedRange:
     def test_sign_changing_integrand_includes_zero(self):

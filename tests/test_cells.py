@@ -124,6 +124,32 @@ class TestCellTable:
         assert table.h.tolist() == [9.0, 11.0, 11.0]
         assert table.in_c.tolist() == [True, True, False]
 
+    @pytest.mark.parametrize("make", [mixed_problem, two_weight_problem])
+    def test_midpoint_terms_bit_for_bit(self, make):
+        """The cells are the breakpoint cells of f, g, h and C whose
+        midpoints lie in G, and each cell's terms are read at its midpoint:
+        p = g(mid) (high - low) and w = f(mid) / g(mid), bit for bit."""
+        problem = make()
+        table = CellTable.from_problem(problem)
+        supports = (
+            problem.target.support,
+            problem.sampling.support,
+            problem.evaluation.support,
+            problem.pruning.intervals,
+        )
+        edges = sorted({float(e) for s in supports for iv in s for e in iv})
+        cells = [
+            (lo, hi) for lo, hi in zip(edges, edges[1:])
+            if problem.sampling.contains(0.5 * (lo + hi))
+        ]
+        assert list(zip(table.lows.tolist(), table.highs.tolist())) == cells
+        mid = 0.5 * (table.lows + table.highs)
+        gv = problem.sampling.pdf(mid)
+        assert table.p.tobytes() == (gv * (table.highs - table.lows)).tobytes()
+        assert table.w.tobytes() == (problem.target.pdf(mid) / gv).tobytes()
+        assert table.h.tobytes() == problem.evaluation(mid).tobytes()
+        assert table.in_c.tolist() == problem.pruning.contains(mid).tolist()
+
     def test_cells_outside_sampling_support_left_out(self):
         table = CellTable.from_problem(mixed_problem())
         assert np.all(table.p > 0.0)

@@ -10,6 +10,8 @@ import pytest
 from unequal_support import cli
 from unequal_support.cli import main
 from unequal_support.densities import EstimationProblem
+from unequal_support.experiments import render
+from unequal_support.moments import MomentInputs, moment_report
 
 SWEEP_HEADER = (
     "f_max,theta,n,c,v,analytic_is_var_u,analytic_is_var_c,"
@@ -195,6 +197,36 @@ class TestMoments:
         assert len(exact) == 2
         for r in exact:
             assert r["variance"] == ""
+
+    def test_rows_are_the_catalog_reports(self, capsys):
+        """Each JSON record is one moment_report's fields, keys in order,
+        and the CSV text is the rendering of the same reports."""
+        flags = ["--n", "50", "--c", "0.25", "--v", "16", "--theta", "10", "--kappa", "3"]
+        records = json.loads(run(["moments", *flags, "--format", "json"], capsys))
+        cells = [
+            ("IS", "unconditional", None),
+            ("IS", "conditioned-positive", None),
+            ("US", "unconditional", None),
+            ("US", "conditioned-positive", None),
+            ("IS", "conditioned-exact", 3),
+            ("US", "conditioned-exact", 3),
+        ]
+        reports = [
+            moment_report(estimator, regime, MomentInputs(50, 0.25, 16.0, 10.0, kappa))
+            for estimator, regime, kappa in cells
+        ]
+        assert [list(r.items()) for r in records] == [
+            list(vars(report).items()) for report in reports
+        ]
+        assert records[-1]["variance"] is None and records[-1]["mse"] is None
+        assert run(["moments", *flags], capsys) == render(reports, "csv")
+
+    def test_nan_variance_is_a_user_error(self, capsys):
+        code = main(["moments", "--n", "10", "--c", "0.5", "--v", "nan", "--theta", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: v must be nonnegative\n"
 
 
 class TestParser:

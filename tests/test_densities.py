@@ -246,6 +246,48 @@ class TestEvaluationFunction:
         out = h(np.array([0.25, 0.5, 1.0, 2.0, 2.5]))
         assert out.tolist() == [-1.0, 1.0, 1.0, 1.0, 0.0]
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        start=st.floats(-100.0, 100.0),
+        spans=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+                st.floats(0.01, 10.0),
+                st.floats(-1e6, 1e6),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_piecewise_constant_matches_a_plain_lookup(self, start, spans, order):
+        """Pieces that touch (gap 0) or are separated by gaps, given in any
+        order: x takes the value of the piece holding it, the later piece's
+        at a shared endpoint, and 0 outside every piece."""
+        pieces, hi = [], start
+        for gap, length, value in spans:
+            lo = hi + gap
+            hi = lo + length
+            pieces.append((lo, hi, value))
+        shuffled = list(pieces)
+        order.shuffle(shuffled)
+        h = EvaluationFunction.piecewise_constant(shuffled)
+
+        def reference(x):
+            value = 0.0
+            for lo, hi, v in pieces:
+                if lo <= x <= hi:
+                    value = v
+            return value
+
+        anchors = [a for lo, hi, _ in pieces for a in (lo, hi, 0.5 * (lo + hi))]
+        xs = [
+            y for a in anchors
+            for y in (np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf))
+        ]
+        xs += [-np.inf, np.inf, np.nan]
+        assert h(np.array(xs)).tolist() == [reference(x) for x in xs]
+
     def test_nan_and_inf_outside_support_become_zero(self):
         def fn(x):
             return np.where(x < 0.0, np.nan, np.where(x > 1.0, np.inf, -x))

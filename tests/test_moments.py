@@ -322,3 +322,7 @@ class TestMomentInputs:
             MomentInputs(5, 0.5, -1.0, 0.0)
         with pytest.raises(ValueError):
             MomentInputs(5, 0.5, 1.0, 0.0, kappa=6)
+
+    def test_nan_variance_rejected(self):
+        with pytest.raises(ValueError, match="v must be nonnegative"):
+            MomentInputs(10, 0.5, math.nan, 1.0)
