@@ -12,8 +12,10 @@ evaluation is constant between finitely many breakpoints;
 :class:`CellTable` lists those cells.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from statistics import NormalDist
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -233,14 +235,30 @@ class PiecewiseUniform:
         return float(np.dot(self.heights, overlap))
 
 
+def _normal_cdf(z: float) -> float:
+    """Standard normal CDF.
+
+    Keep this form. Every treatment target's normaliser reads the CDF at
+    z = -1 and 0, where dividing by sqrt(2) gives the bits of Cephes'
+    ``ndtr``, so treatment outputs keep their bytes; multiplying by
+    sqrt(0.5) is 1 ulp off at z = -1.
+    """
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+# Standard normal quantile as a ufunc; its result is an object array unless
+# written into a float ``out`` with ``casting="unsafe"``.
+_normal_quantile = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+
+
 class TruncatedNormal:
     """Normal(mean, stddev) truncated to [lower, upper] and renormalized.
 
     Sampling uses the inverse CDF on the truncated quantile range, so a
-    fixed seed always consumes exactly one uniform per draw. ``pdf`` and
-    ``sample`` run their chains in place in one array. scipy's
-    ``ndtr``/``ndtri`` are imported where they are used, so code that
-    never builds a truncated normal never loads scipy.
+    fixed seed always consumes exactly one uniform per draw. The normal
+    CDF is :func:`_normal_cdf` (``math.erfc``) and its quantile is
+    ``statistics.NormalDist().inv_cdf``, applied elementwise. ``pdf`` and
+    ``sample`` run their chains in place in one array.
     """
 
     def __init__(self, lower: float, upper: float, mean: float, stddev: float):
@@ -248,15 +266,13 @@ class TruncatedNormal:
             raise ValueError("lower must be < upper")
         if not stddev > 0:
             raise ValueError("stddev must be positive")
-        from scipy.special import ndtr
-
         self.lower = float(lower)
         self.upper = float(upper)
         self.mean = float(mean)
         self.stddev = float(stddev)
         self.support = IntervalUnion([(lower, upper)])
-        self._cdf_lo = float(ndtr((lower - mean) / stddev))
-        self._cdf_hi = float(ndtr((upper - mean) / stddev))
+        self._cdf_lo = _normal_cdf((self.lower - self.mean) / self.stddev)
+        self._cdf_hi = _normal_cdf((self.upper - self.mean) / self.stddev)
         self._z = self._cdf_hi - self._cdf_lo
         # Not _z <= 0: a NaN mean gives a NaN _z, which must fail too.
         if not self._z > 0:
@@ -279,29 +295,30 @@ class TruncatedNormal:
         return self.support.contains(x)
 
     def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
-        from scipy.special import ndtri
-
         q = rng.random(size, out=out)
         q *= self._z
         q += self._cdf_lo
-        x = ndtri(q, out=q)
+        # inv_cdf raises at q <= 0 (an underflowed _cdf_lo) and q >= 1 (a
+        # _cdf_hi of 1). The quantile there is -inf or +inf, which the clip
+        # below turns into lower or upper. The mask is taken before q is
+        # overwritten, and each masked write reads only what it writes.
+        inside = (q > 0.0) & (q < 1.0)
+        np.copysign(np.inf, q - 0.5, out=q, where=~inside)
+        x = _normal_quantile(q, out=q, where=inside, casting="unsafe")
         x *= self.stddev
         x += self.mean
         return np.clip(x, self.lower, self.upper, out=x)
 
     def interval_mass(self, intervals) -> float:
-        from scipy.special import ndtr
-
         query = _as_interval_union(intervals)
         total = 0.0
         for a, b in query:
             a_c = max(a, self.lower)
             b_c = min(b, self.upper)
             if a_c < b_c:
-                total += float(
-                    ndtr((b_c - self.mean) / self.stddev)
-                    - ndtr((a_c - self.mean) / self.stddev)
-                )
+                z_a = (a_c - self.mean) / self.stddev
+                z_b = (b_c - self.mean) / self.stddev
+                total += _normal_cdf(z_b) - _normal_cdf(z_a)
         return total / self._z
 
 

@@ -770,6 +770,12 @@ def _bound_trials(
         yield shared, sim, _margin(b, delta, n), us_margin
 
 
+def _mean_or_nan(values: np.ndarray) -> float:
+    """Mean of a US-side column's values over the trials with k > 0; NaN,
+    without numpy's empty-mean warning, when there are none."""
+    return float(np.mean(values)) if values.size else math.nan
+
+
 @dataclass(frozen=True)
 class BoundsSweepRow:
     """Mean one-sided bounds at one n, plus how often the pruned bound exists.
@@ -820,8 +826,8 @@ def sweep_bounds(
                 **shared,
                 mean_is_lower=float(np.mean(sim.is_values - is_margin)),
                 mean_is_upper=float(np.mean(sim.is_values + is_margin)),
-                mean_us_lower=float(np.mean(us_values - us_margins)),
-                mean_us_upper=float(np.mean(us_values + us_margins)),
+                mean_us_lower=_mean_or_nan(us_values - us_margins),
+                mean_us_upper=_mean_or_nan(us_values + us_margins),
                 empirical_rho=float(np.mean(defined)),
                 analytic_rho=rho(shared["n"], shared["c"]),
             )
@@ -873,11 +879,13 @@ def coverage_experiment(
     ):
         defined = sim.us_defined
         cover_is = float(np.mean(sim.is_values - is_margin <= theta))
-        cover_us = float(
-            np.mean((sim.us_values - us_margin)[defined] <= theta)
-        )
+        cover_us = _mean_or_nan((sim.us_values - us_margin)[defined] <= theta)
         mean_k = float(sim.k.mean())
-        mean_margin_us = float(us_margin[defined].mean())
+        mean_margin_us = _mean_or_nan(us_margin[defined])
+        # mean_k is 0 exactly when no trial has k > 0.
+        predicted = math.nan
+        if mean_k:
+            predicted = shared["c"] * math.sqrt(shared["n"] / mean_k)
         rows.append(
             CoverageRow(
                 **shared,
@@ -886,7 +894,7 @@ def coverage_experiment(
                 mean_margin_is=is_margin,
                 mean_margin_us=mean_margin_us,
                 margin_ratio=mean_margin_us / is_margin,
-                predicted_ratio=shared["c"] * math.sqrt(shared["n"] / mean_k),
+                predicted_ratio=predicted,
                 mean_k=mean_k,
                 undefined_rate=float(1.0 - np.mean(defined)),
             )

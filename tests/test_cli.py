@@ -166,6 +166,23 @@ class TestBoundsAndCoverage:
         assert len(rows) == 1
         assert 0.85 <= float(rows[0]["coverage_us"]) <= 1.0
 
+    @pytest.mark.parametrize(
+        "command, us_columns",
+        [
+            ("bounds", ["mean_us_lower", "mean_us_upper"]),
+            ("coverage", ["coverage_us", "mean_margin_us", "margin_ratio", "predicted_ratio"]),
+        ],
+    )
+    def test_no_trial_in_c_gives_nan_us_columns(self, command, us_columns, capsys):
+        code = main([command, "--f-max", "0.01", "--n-grid", "1", "--trials", "10"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        (row,) = csv.DictReader(io.StringIO(captured.out))
+        rho_column = "empirical_rho" if command == "bounds" else "mean_k"
+        assert float(row[rho_column]) == 0.0  # no trial has k > 0
+        assert [row[name] for name in us_columns] == ["nan"] * len(us_columns)
+
 
 class TestMoments:
     def test_headline_catalog(self, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from unequal_support.densities import (
     Density,
@@ -19,9 +20,22 @@ from unequal_support.densities import (
     SampleBatch,
     SamplingSupportError,
     TruncatedNormal,
+    _normal_cdf,
     draw,
 )
 from unequal_support.experiments import run_trials
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose ``random`` fills with given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = self.values
+        return out
 
 
 class TestDensityProtocol:
@@ -192,6 +206,49 @@ class TestTruncatedNormal:
         rng = np.random.default_rng(3)
         x = d.sample(rng, 10_000)
         assert ((x >= 10.375) & (x <= 11.0)).all()
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (10.375, 11.0, 11.0, 0.625),
+            (-60.0, 1.0, 0.0, 1.0),  # _cdf_lo underflows to 0
+            (0.0, 60.0, 0.0, 1.0),  # _cdf_hi is 1; q rounds to 1 at u = 1 - 2**-53
+        ],
+    )
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    def test_extreme_uniforms_stay_in_support(self, bounds, u):
+        d = TruncatedNormal(*bounds)
+        x = d.sample(_FixedUniforms(u), 8)
+        assert ((x >= d.lower) & (x <= d.upper)).all()
+
+    def test_quantile_edges_land_on_the_bounds(self):
+        low = TruncatedNormal(-60.0, 1.0, 0.0, 1.0)
+        assert low._cdf_lo == 0.0
+        assert (low.sample(_FixedUniforms(0.0), 4) == -60.0).all()
+        high = TruncatedNormal(0.0, 60.0, 0.0, 1.0)
+        assert high._cdf_lo + (1.0 - 2.0**-53) * high._z == 1.0
+        assert (high.sample(_FixedUniforms(1.0 - 2.0**-53), 4) == 60.0).all()
+
+    def test_normal_cdf_against_ndtr(self):
+        # The treatment target's normaliser reads z = -1 and 0 only.
+        for z in (-1.0, 0.0):
+            assert _normal_cdf(z) == ndtr(z)
+        z = np.linspace(-8.0, 8.0, 16_001)
+        got = np.array([_normal_cdf(v) for v in z])
+        np.testing.assert_allclose(got, ndtr(z), rtol=1e-13, atol=0.0)
+
+    def test_quantile_path_against_ndtri(self):
+        # _cdf_lo underflows to 0 and _z is 1, so sample maps u itself.
+        d = TruncatedNormal(-50.0, 50.0, 0.0, 1.0)
+        assert (d._cdf_lo, d._z) == (0.0, 1.0)
+        p = np.linspace(1e-12, 1.0 - 1e-12, 20_001)
+        x = d.sample(_FixedUniforms(p), p.shape)
+        assert np.max(np.abs(x - ndtri(p))) <= 4e-15
+        # Geometric tails reach 4.4e-15 (5 ulps at |x| = 6.1): bound in ulps.
+        tail = np.geomspace(1e-12, 0.5, 2_000)
+        p = np.concatenate([tail, 1.0 - tail])
+        x = d.sample(_FixedUniforms(p), p.shape)
+        assert (np.abs(x - ndtri(p)) <= 8 * np.spacing(np.abs(ndtri(p)))).all()
 
     def test_interval_mass_additive(self):
         d = TruncatedNormal(0.0, 2.0, 1.0, 0.7)

@@ -702,11 +702,42 @@ class TestImportCost:
             "print(loaded())\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['estimate', '--example', 'treatment']) == 0\n"
-            "print('scipy.special' in loaded())\n"
+            "print(loaded())\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
-        # The truncated normal of the treatment example does load scipy,
-        # so the probe can see it.
-        assert out.stdout.splitlines() == ["[]", "[]", "True"]
+        assert out.stdout.splitlines() == ["[]", "[]", "[]"]
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        """With every scipy import raising, the truncated-normal paths (the
+        treatment target's normaliser, and a truncated-normal sampling
+        density's masses and draws) still run."""
+        config = tmp_path / "normal-sampling.yaml"
+        config.write_text(
+            "problem:\n"
+            "  target: {kind: uniform, low: 0.0, high: 1.0}\n"
+            "  sampling: {kind: truncated-normal, lower: 0.0, upper: 2.0, "
+            "mean: 1.0, stddev: 0.8}\n"
+            "  evaluation: {pieces: [[0.0, 0.5, -1.0], [0.5, 2.0, 1.0]]}\n"
+            "  pruning: {intervals: [[0.0, 1.0]]}\n"
+        )
+        commands = [
+            ["estimate", "--example", "treatment", "--cv", "sampling-mean"],
+            ["sweep-treatment", "--cr-min-grid", "9", "--trials", "2000"],
+            ["estimate", "--config", str(config), "--cv", "sampling-mean"],
+        ]
+        probe = (
+            "import contextlib, io, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from unequal_support import cli\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    print(code)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.splitlines() == ["0", "0", "0"]
+        assert out.stderr == ""

@@ -6,6 +6,7 @@ result is one array, and rejects an ``out`` of the wrong shape.
 """
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -163,8 +164,6 @@ def test_checks_still_raise_with_out():
 
 def test_in_place_chains_match_direct_formulas():
     """Each in-place chain gives the bits of its textbook expression."""
-    from scipy.special import ndtri
-
     u = np.random.default_rng(5).uniform(0.0, 1.0, SHAPE)
     d = DENSITIES["two-piece"]
     cum = np.concatenate([[0.0], np.cumsum(d.weights)])
@@ -175,7 +174,7 @@ def test_in_place_chains_match_direct_formulas():
     assert _same_bits(d.sample(np.random.default_rng(5), SHAPE), expected)
 
     tn = TruncatedNormal(9.5, 11.0, mean=11.0, stddev=1.5)
-    x = tn.mean + tn.stddev * ndtri(tn._cdf_lo + u * tn._z)
+    x = tn.mean + tn.stddev * np.vectorize(NormalDist().inv_cdf)(tn._cdf_lo + u * tn._z)
     expected = np.clip(x, tn.lower, tn.upper)
     assert _same_bits(tn.sample(np.random.default_rng(5), SHAPE), expected)
 
