@@ -44,11 +44,7 @@ from .estimators import (
     ControlVariate,
     EstimateResult,
     estimate_all,
-    importance_weight,
-    is_estimate,
-    us_estimate,
     us_estimate_empirical_c,
-    wis_estimate,
 )
 from .experiments import (
     SimulationResult,

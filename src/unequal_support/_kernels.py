@@ -11,8 +11,9 @@ every sample in a cell shares its weight, evaluation and membership.
 Both reduce their batches to four sums and hand them to one place,
 ``_estimates_from_sums``, which holds the estimator formulas and the
 zero conventions (US is 0 when k = 0, WIS is 0 when every weight
-vanishes). The scalar estimators in :mod:`unequal_support.estimators`
-are ``batch_estimates`` on a single row.
+vanishes). The scalar estimator,
+:func:`unequal_support.estimators.estimate_all`, is ``batch_estimates``
+on a single row.
 
 ``out_array`` checks the NumPy-style ``out=`` buffers that the
 sample-path layers accept, so that a caller can run every chunk in one

@@ -45,8 +45,8 @@ Density blocks accept ``kind: uniform`` (``low``, ``high``),
 ``kind: piecewise-uniform`` (``intervals``, optional ``weights``), or
 ``kind: truncated-normal`` (``lower``, ``upper``, ``mean``, ``stddev``).
 The evaluation is a step function given as ``[lo, hi, value]`` pieces;
-the pruning block takes ``intervals`` and an optional explicit ``c``
-overriding the analytic mass under the sampling density.
+the pruning block takes ``intervals`` only, and c is their analytic
+mass under the sampling density.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused by every later call: parsing leaves the parser

@@ -19,7 +19,6 @@ The schema (documented in full in the CLI module and README):
           - [0.25, 2.0, 1.0]
       pruning:
         intervals: [[0.0, 0.5]]
-        # c: 0.25              # optional override of the analytic mass
 
 Truncated-normal blocks take ``lower``, ``upper``, ``mean``, ``stddev``.
 """
@@ -30,7 +29,6 @@ import yaml
 from .densities import (
     EstimationProblem,
     EvaluationFunction,
-    IntervalUnion,
     PiecewiseUniform,
     PruningSet,
     TruncatedNormal,
@@ -98,11 +96,13 @@ def build_problem(doc: dict) -> EstimationProblem:
     pieces = _reals(eval_block, "pieces", "evaluation", 2)
     evaluation = EvaluationFunction.piecewise_constant(pieces)
     prune_block = _require(spec, "pruning", "problem")
-    intervals = IntervalUnion(_reals(prune_block, "intervals", "pruning", 2))
+    intervals = _reals(prune_block, "intervals", "pruning", 2)
     if "c" in prune_block:
-        pruning = PruningSet(intervals, _reals(prune_block, "c", "pruning"))
-    else:
-        pruning = PruningSet.from_intervals(intervals, sampling)
+        raise ValueError(
+            "pruning: 'c' is not a key; c is the mass of the pruning "
+            "intervals under the sampling density, computed exactly"
+        )
+    pruning = PruningSet.from_intervals(intervals, sampling)
     return EstimationProblem(target, sampling, evaluation, pruning)
 
 

@@ -35,8 +35,7 @@ __all__ = [
     "PruningSet",
     "EstimationProblem",
     "CellTable",
-    "check_pruning_coverage",
-    "check_control_variate_coverage",
+    "check_coverage",
     "SampleBatch",
     "draw",
 ]
@@ -143,9 +142,9 @@ class IntervalUnion:
 class Density(Protocol):
     """Structural interface every density family implements.
 
-    ``support`` is the interval union outside which the density is zero;
-    ``pdf`` must be nonnegative and integrate to 1 over it;
-    ``contains`` must agree with pdf > 0 pointwise; ``interval_mass``
+    ``support`` is the interval union outside which the density is zero,
+    and its ``contains`` must agree with pdf > 0 pointwise; ``pdf`` must
+    be nonnegative and integrate to 1 over it; ``interval_mass``
     returns the analytic probability of an interval union; ``sample``
     draws i.i.d. points inside the support from a caller-owned
     generator. ``pdf`` and ``sample`` write into ``out``, a float64
@@ -155,8 +154,6 @@ class Density(Protocol):
     support: IntervalUnion
 
     def pdf(self, x, out=None) -> np.ndarray: ...
-
-    def contains(self, x) -> np.ndarray: ...
 
     def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray: ...
 
@@ -209,9 +206,6 @@ class PiecewiseUniform:
         idx, inside = self.support.locate(x)
         # Heights are finite and positive, so the mask multiply is exact.
         return np.multiply(self.heights[idx], inside, out=out_array(x.shape, out))
-
-    def contains(self, x) -> np.ndarray:
-        return self.support.contains(x)
 
     def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
         # random() fills the same doubles as uniform(0, 1).
@@ -291,9 +285,6 @@ class TruncatedNormal:
         dens /= self.stddev * np.sqrt(2.0 * np.pi) * self._z
         return zero_outside(dens, inside)
 
-    def contains(self, x) -> np.ndarray:
-        return self.support.contains(x)
-
     def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
         q = rng.random(size, out=out)
         q *= self._z
@@ -325,7 +316,8 @@ class TruncatedNormal:
 class EvaluationFunction:
     """Real-valued evaluation map with a declared interval support.
 
-    Evaluations outside the declared support are exactly zero.
+    Evaluations outside the declared support are exactly +0.0, whatever
+    ``fn`` returns there (NaN and inf included).
     """
 
     def __init__(self, fn: Callable, support):
@@ -335,7 +327,11 @@ class EvaluationFunction:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.where(self.support.contains(x), self.fn(x), 0.0)
+        # A fresh float64 copy of fn(x), broadcast to x: fn may return x
+        # itself, or a scalar.
+        hv = np.empty(x.shape)
+        hv[...] = self.fn(x)
+        return zero_outside(hv, self.support.contains(x))
 
     @classmethod
     def piecewise_constant(cls, pieces: Sequence[Sequence[float]]) -> "EvaluationFunction":
@@ -401,7 +397,8 @@ class EstimationProblem:
     of f, g and h, and a violation raises :class:`SamplingSupportError`.
     C ⊇ F ∩ H is checked on every batch that flows through the
     estimators, on the samples it holds: any sample with f(x)h(x) != 0
-    outside C raises :class:`PruningCoverageError`.
+    outside C raises :class:`PruningCoverageError`. With a nonzero
+    control variate C must cover all of F; see :func:`check_coverage`.
     """
 
     target: Density
@@ -412,8 +409,8 @@ class EstimationProblem:
     def __post_init__(self):
         f_set, g_set, h = self.target.support, self.sampling.support, self.evaluation
         lows, highs, mid = _breakpoint_cells(f_set, g_set, h.support)
-        # Membership in each support is constant on a cell, and
-        # Density.contains agrees with pdf > 0.
+        # Membership in each support is constant on a cell, and a
+        # density's support agrees with pdf > 0.
         missed = f_set.contains(mid) & ~g_set.contains(mid) & (h(mid) != 0.0)
         if np.any(missed):
             j = np.flatnonzero(missed)[0]
@@ -441,7 +438,7 @@ class EstimationProblem:
             self.evaluation.support,
             self.pruning.intervals,
         )
-        keep = self.sampling.contains(mid)
+        keep = self.sampling.support.contains(mid)
         return lows[keep], highs[keep]
 
     def node_terms(self, x: np.ndarray, q: np.ndarray):
@@ -457,7 +454,12 @@ class EstimationProblem:
         return p, w, h, self.pruning.contains(x)
 
     def batch_terms(
-        self, values: np.ndarray, observed: np.ndarray | None = None, out=None
+        self,
+        values: np.ndarray,
+        observed: np.ndarray | None = None,
+        out=None,
+        *,
+        t: float = 0.0,
     ):
         """Per-sample (weight, evaluation, in-C) arrays for a batch.
 
@@ -466,10 +468,11 @@ class EstimationProblem:
         sample (a noisy return, say) and is returned in place of h(x):
         h is then not evaluated, and the pruning spot-check reads f(x)
         times the observed value, the terms the estimators sum. Raises
-        if a sample is impossible under g or if the pruning spot-check
-        fails. The weights are written into ``out``, a float64 array of
-        the batch's shape, when one is given; g(x) is held there until
-        f(x)/g(x) replaces it.
+        if a sample is impossible under g, and runs the coverage checks
+        of :func:`check_coverage` for the control variate ``t``. The
+        weights are written into ``out``, a float64 array of the batch's
+        shape, when one is given; g(x) is held there until f(x)/g(x)
+        replaces it.
         """
         values = np.asarray(values, dtype=float)
         w = self.sampling.pdf(values, out=out)
@@ -486,7 +489,7 @@ class EstimationProblem:
             if hv.shape != values.shape:
                 raise ValueError("observed must hold one value per sample")
         in_c = self.pruning.contains(values)
-        check_pruning_coverage(np.multiply(fv, hv, out=fv), in_c)
+        check_coverage(w, np.multiply(fv, hv, out=fv), in_c, t)
         return w, hv, in_c
 
 
@@ -496,21 +499,21 @@ def _breakpoint_cells(*unions: IntervalUnion):
     return edges[:-1], edges[1:], 0.5 * (edges[:-1] + edges[1:])
 
 
-def check_pruning_coverage(fh, in_c) -> None:
-    """Raise if any f(x)h(x) != 0 lies outside C."""
-    if np.any((fh != 0.0) & ~in_c):
+def check_coverage(w, fh, in_c, t: float) -> None:
+    """The coverage checks of C on a batch's terms, in this order.
+
+    Raises :class:`PruningCoverageError` if any f(x)h(x) != 0 lies
+    outside C, then :class:`ControlVariateCoverageError` if t != 0 and
+    any weight f(x)/g(x) != 0 does: with a nonzero control variate the
+    centered term w (h - t) is nonzero wherever f is, so C must cover
+    all of F.
+    """
+    outside = ~in_c
+    if np.any((fh != 0.0) & outside):
         raise PruningCoverageError(
             "sample with f(x)h(x) != 0 lies outside the pruning set"
         )
-
-
-def check_control_variate_coverage(w, in_c, t: float) -> None:
-    """Raise if t != 0 and any weight f(x)/g(x) != 0 lies outside C.
-
-    With a nonzero control variate the centered term w (h - t) is
-    nonzero wherever f is, so C must cover all of F.
-    """
-    if t != 0.0 and np.any((w != 0.0) & ~in_c):
+    if t != 0.0 and np.any((w != 0.0) & outside):
         raise ControlVariateCoverageError(
             "control variate requires the pruning set to cover the "
             "target support; found f(x) != 0 outside C"
@@ -550,11 +553,10 @@ class CellTable:
         return cls(lows, highs, *problem.node_terms(0.5 * (lows + highs), highs - lows))
 
     def check_coverage(self, counts: np.ndarray, t: float) -> None:
-        """The batch checks of the sample path, on the cells some trial hit."""
+        """:func:`check_coverage` on the cells some trial hit."""
         hit = counts.any(axis=0)
-        w, in_c = self.w[hit], self.in_c[hit]
-        check_pruning_coverage(w * self.h[hit], in_c)
-        check_control_variate_coverage(w, in_c, t)
+        w = self.w[hit]
+        check_coverage(w, w * self.h[hit], self.in_c[hit], t)
 
 
 def draw(density, seed: int, count: int) -> SampleBatch:

@@ -1,45 +1,36 @@
 """Point estimators of E_f[h(X)] from samples drawn under g.
 
-Three estimators are provided:
+``estimate_all`` returns three estimates of one batch, with weights
+w_i = f(X_i)/g(X_i) and a constant control variate t:
 
-* ``is_estimate``: ordinary importance sampling,
-  t + (1/n) Σ (f(X_i)/g(X_i)) (h(X_i) − t).
-* ``us_estimate``: importance sampling restricted to the pruning set C
-  and rescaled by its mass c: t + (c/k) Σ_{X_i ∈ C} w_i (h(X_i) − t),
+* ``"IS"``: ordinary importance sampling, t + (1/n) Σ w_i (h(X_i) − t).
+* ``"US"``: importance sampling restricted to the pruning set C and
+  rescaled by its mass c: t + (c/k) Σ_{X_i ∈ C} w_i (h(X_i) − t),
   defined only when k > 0 samples land in C.
-* ``wis_estimate``: the self-normalized (weighted) variant,
+* ``"WIS"``: the self-normalized (weighted) variant,
   Σ w_i h(X_i) / Σ w_i.
 
-Each is a view of :func:`unequal_support._kernels.batch_estimates` on
-the batch as a single row, so the formulas and their zero conventions
-(US is 0 when k = 0, WIS is 0 when every weight vanishes) exist once and
-the scalar and batched paths agree by construction. ``estimate_all``
-returns all three from one evaluation of the batch.
+It is :func:`unequal_support._kernels.batch_estimates` on the batch as a
+single row, and its coverage checks are those of
+:meth:`~unequal_support.densities.EstimationProblem.batch_terms`, so the
+formulas, their zero conventions (US is 0 when k = 0, WIS is 0 when
+every weight vanishes) and the errors they raise exist once, and the
+scalar and batched paths agree by construction.
+``us_estimate_empirical_c`` is the empirical-mass US variant.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ._kernels import batch_estimates
-from .densities import (
-    EstimationProblem,
-    SampleBatch,
-    SamplingSupportError,
-    check_control_variate_coverage,
-)
+from .densities import EstimationProblem, SampleBatch
 
 __all__ = [
     "ControlVariate",
     "EstimateResult",
     "estimate_all",
-    "importance_weight",
-    "is_estimate",
-    "us_estimate",
     "us_estimate_empirical_c",
-    "wis_estimate",
 ]
 
 
@@ -87,34 +78,23 @@ class EstimateResult:
     defined: bool
 
 
-def importance_weight(problem: EstimationProblem, x) -> float | np.ndarray:
-    """f(x)/g(x); raises if x is impossible under the sampling density."""
-    gv = problem.sampling.pdf(x)
-    if np.any(np.asarray(gv) <= 0.0):
-        raise SamplingSupportError(
-            "importance weight requested at a point with g(x) = 0"
-        )
-    out = problem.target.pdf(x) / gv
-    return float(out) if np.isscalar(x) else out
-
-
-def _row(
+def estimate_all(
     problem: EstimationProblem,
     batch: SampleBatch,
-    c: float,
-    t: float,
-    cv_coverage: bool = False,
+    cv: ControlVariate = NO_CONTROL_VARIATE,
 ) -> dict[str, EstimateResult]:
     """``{"IS", "US", "WIS"}`` of the batch as one (1, n) kernel row.
 
-    With ``cv_coverage`` the batch must also pass the control-variate
-    coverage check.
+    The batch must pass the coverage checks of
+    :meth:`EstimationProblem.batch_terms`. With a nonzero control
+    variate the centered evaluation h − t is nonzero where h is zero,
+    so C must cover all of F, not just F ∩ H; a sample outside C with
+    f(x) != 0 raises :class:`ControlVariateCoverageError`.
     """
-    w, hv, in_c = problem.batch_terms(batch.values[None, :])
-    if cv_coverage:
-        check_control_variate_coverage(w, in_c, t)
+    t = cv.t
+    w, hv, in_c = problem.batch_terms(batch.values[None, :], t=t)
     is_value, us_value, wis_value, k, wis_defined = (
-        x[0].item() for x in batch_estimates(w, hv, in_c, c, t)
+        x[0].item() for x in batch_estimates(w, hv, in_c, problem.c, t)
     )
     return {
         "IS": EstimateResult(value=is_value, k=k, defined=True),
@@ -123,66 +103,15 @@ def _row(
     }
 
 
-def estimate_all(
-    problem: EstimationProblem,
-    batch: SampleBatch,
-    cv: ControlVariate = NO_CONTROL_VARIATE,
-) -> dict[str, EstimateResult]:
-    """``{"IS", "US", "WIS"}`` estimates from one evaluation of the batch.
-
-    The batch must pass the control-variate coverage check of
-    :func:`us_estimate`, which IS and WIS alone do not need.
-    """
-    return _row(problem, batch, problem.c, cv.t, cv_coverage=True)
-
-
-def is_estimate(
-    problem: EstimationProblem,
-    batch: SampleBatch,
-    cv: ControlVariate = NO_CONTROL_VARIATE,
-) -> EstimateResult:
-    """Ordinary importance sampling with an optional constant control variate."""
-    return _row(problem, batch, problem.c, cv.t)["IS"]
-
-
-def us_estimate(
-    problem: EstimationProblem,
-    batch: SampleBatch,
-    cv: ControlVariate = NO_CONTROL_VARIATE,
-) -> EstimateResult:
-    """Unequal-support estimate: prune to C, average, rescale by c.
-
-    With a nonzero control variate the centered evaluation h − t is
-    nonzero where h is zero, so C must cover all of F, not just F ∩ H;
-    a sample outside C with f(x) != 0 raises
-    :class:`ControlVariateCoverageError`.
-    """
-    return estimate_all(problem, batch, cv)["US"]
-
-
 def us_estimate_empirical_c(
     problem: EstimationProblem, batch: SampleBatch
 ) -> EstimateResult:
     """Unequal-support estimate with c replaced by its empirical estimate k/n.
 
     Algebraically identical to ordinary importance sampling without a
-    control variate (the two rescalings cancel): the US row with c = 1
-    and t = 0, scaled by k/n.
+    control variate (the two rescalings cancel): the US estimate scaled
+    by k/(n c).
     """
-    us = _row(problem, batch, 1.0, 0.0)["US"]
-    return EstimateResult(value=us.k / batch.n * us.value, k=us.k, defined=us.defined)
-
-
-def wis_estimate(
-    problem: EstimationProblem,
-    batch: SampleBatch,
-    cv: ControlVariate = NO_CONTROL_VARIATE,
-) -> EstimateResult:
-    """Weighted (self-normalized) importance sampling.
-
-    The control variate is applied to h − t with t added back; for a
-    constant t this is algebraically the plain weighted estimate, kept
-    for uniformity with the other estimators. Returns the zero
-    convention when every weight vanishes.
-    """
-    return _row(problem, batch, problem.c, cv.t)["WIS"]
+    us = estimate_all(problem, batch)["US"]
+    value = us.k / (batch.n * problem.c) * us.value
+    return EstimateResult(value=value, k=us.k, defined=us.defined)

@@ -60,7 +60,6 @@ from .densities import (
     PiecewiseUniform,
     PruningSet,
     TruncatedNormal,
-    check_control_variate_coverage,
 )
 from .estimators import ControlVariate
 from .moments import MomentInputs, MomentReport, moment_report, rho
@@ -461,8 +460,7 @@ def simulate_estimates(
         observed = (
             None if surface is None else surface.observe(rng, x, out=obs_buf[:rows])
         )
-        w, hv, in_c = problem.batch_terms(x, observed, out=w_buf[:rows])
-        check_control_variate_coverage(w, in_c, t)
+        w, hv, in_c = problem.batch_terms(x, observed, out=w_buf[:rows], t=t)
         parts.append(batch_estimates(w, hv, in_c, problem.c, t, out=scratch[:rows]))
     cols = [np.concatenate([p[i] for p in parts]) for i in range(5)]
     return SimulationResult(*cols)

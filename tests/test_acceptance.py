@@ -19,11 +19,7 @@ from unequal_support.densities import (
     PruningSet,
     draw,
 )
-from unequal_support.estimators import (
-    is_estimate,
-    us_estimate,
-    us_estimate_empirical_c,
-)
+from unequal_support.estimators import estimate_all, us_estimate_empirical_c
 from unequal_support.experiments import (
     coverage_experiment,
     illustrative_problem,
@@ -91,15 +87,15 @@ def test_criterion_03_exact_identities():
     full = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 2.0)], g))
     for batch_index in range(1000):
         batch = draw(full.sampling, seed=batch_index, count=25)
-        a = is_estimate(full, batch).value
-        b = us_estimate(full, batch).value
+        results = estimate_all(full, batch)
+        a, b = results["IS"].value, results["US"].value
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-300)
 
     # Second identity: the empirical-mass variant recovers IS on any pruning set.
     pruned = illustrative_problem(0.5, theta=10.0)
     for batch_index in range(1000):
         batch = draw(pruned.sampling, seed=batch_index, count=25)
-        a = is_estimate(pruned, batch).value
+        a = estimate_all(pruned, batch)["IS"].value
         b = us_estimate_empirical_c(pruned, batch).value
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-300)
 

@@ -32,7 +32,7 @@ from unequal_support.densities import (
     SampleBatch,
     TruncatedNormal,
 )
-from unequal_support.estimators import ControlVariate, estimate_all, us_estimate
+from unequal_support.estimators import ControlVariate, estimate_all
 from unequal_support.experiments import (
     analytic_reports,
     illustrative_problem,
@@ -140,7 +140,7 @@ class TestCellTable:
         edges = sorted({float(e) for s in supports for iv in s for e in iv})
         cells = [
             (lo, hi) for lo, hi in zip(edges, edges[1:])
-            if problem.sampling.contains(0.5 * (lo + hi))
+            if problem.sampling.support.contains(0.5 * (lo + hi))
         ]
         assert list(zip(table.lows.tolist(), table.highs.tolist())) == cells
         mid = 0.5 * (table.lows + table.highs)
@@ -417,32 +417,43 @@ class TestCellPathMatchesSamplePath:
 
 
 class TestCoverageErrorsOnBothPaths:
-    @pytest.mark.parametrize("plain_h", [False, True], ids=["cells", "plain-h"])
-    def test_control_variate_needs_c_to_cover_f(self, plain_h):
+    # The raising problems have three cells, so 66 outcomes at n = 10:
+    # 100 trials take the outcome table, 50 the per-trial cell counts.
+    # Per path: (h as a plain function, trials).
+    PATHS = {"cells": (False, 100), "cell-counts": (False, 50), "plain-h": (True, 100)}
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_control_variate_needs_c_to_cover_f(self, path, monkeypatch):
+        plain_h, trials = self.PATHS[path]
         problem = uncovered_cv_problem(plain_h)
         batch = SampleBatch(np.array([0.1, 0.7]), seed=None, n=2)
         with pytest.raises(ControlVariateCoverageError):
-            us_estimate(problem, batch, ControlVariate(1.0))
+            estimate_all(problem, batch, ControlVariate(1.0))
+        calls = outcome_table_calls(monkeypatch)
         with pytest.raises(ControlVariateCoverageError):
-            simulate_estimates(problem, 10, 100, seed=1, t=1.0)
+            simulate_estimates(problem, 10, trials, seed=1, t=1.0)
+        assert bool(calls) == (path == "cells")
         with pytest.raises(ControlVariateCoverageError):
-            run_trials(problem, 10, 100, 0.5, ControlVariate(1.0), seed=1)
+            run_trials(problem, 10, trials, 0.5, ControlVariate(1.0), seed=1)
 
     @pytest.mark.parametrize("plain_h", [False, True], ids=["cells", "plain-h"])
     def test_without_control_variate_the_same_problem_runs(self, plain_h):
         stats = run_trials(uncovered_cv_problem(plain_h), 10, 4000, 0.5, seed=1)
         assert abs(stats["US"].cond_mean - 0.5) <= 4.0 * stats["US"].cond_se_mean
 
-    @pytest.mark.parametrize("plain_h", [False, True], ids=["cells", "plain-h"])
-    def test_c_missing_part_of_f_and_h_raises(self, plain_h):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_c_missing_part_of_f_and_h_raises(self, path, monkeypatch):
+        plain_h, trials = self.PATHS[path]
         g = PiecewiseUniform.uniform(0.0, 2.0)
         f = PiecewiseUniform.uniform(0.0, 1.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0)])
         problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 0.6)], g))
         if plain_h:
             problem = with_plain_h(problem)
+        calls = outcome_table_calls(monkeypatch)
         with pytest.raises(PruningCoverageError):
-            simulate_estimates(problem, 10, 100, seed=1)
+            simulate_estimates(problem, 10, trials, seed=1)
+        assert bool(calls) == (path == "cells")
 
     @pytest.mark.parametrize("plain_h", [False, True], ids=["cells", "plain-h"])
     def test_cells_no_trial_hits_never_raise(self, plain_h):

@@ -92,13 +92,15 @@ class TestBuildProblem:
         assert hv.tolist() == [-1.0, 1.0]
 
     def test_explicit_c_override(self):
+        # c is the exact mass of C under g; a hand-set c is refused.
         doc = {
             "problem": {
                 **GOOD_DOC["problem"],
                 "pruning": {"intervals": [[0.0, 0.5]], "c": 0.3},
             }
         }
-        assert build_problem(doc).c == 0.3
+        with pytest.raises(ValueError, match="pruning: 'c' is not a key"):
+            build_problem(doc)
 
     def test_missing_problem_key(self):
         with pytest.raises(ValueError, match="top-level 'problem'"):

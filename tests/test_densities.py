@@ -175,7 +175,7 @@ class TestPiecewiseUniform:
         assert abs(d.interval_mass(intervals) - 1.0) <= 1e-12
         rng = np.random.default_rng(seed)
         x = d.sample(rng, 256)
-        assert d.contains(x).all()
+        assert d.support.contains(x).all()
         assert (d.pdf(x) > 0).all()
 
 
@@ -353,6 +353,11 @@ class TestEvaluationFunction:
         out = h(np.array([[-0.5, 0.0, 0.25], [1.0, 1.5, np.nan]]))
         assert out.dtype == np.float64
         assert out.tolist() == [[0.0, -0.0, -0.25], [-1.0, 0.0, 0.0]]
+        # -inf too, and every zero outside the support is +0.0.
+        h = EvaluationFunction(lambda x: -np.inf / x, [(0.0, 1.0)])
+        out = h(np.array([-2.0, 0.5, 3.0]))
+        assert out.tolist() == [0.0, -np.inf, 0.0]
+        assert not np.signbit(out[[0, 2]]).any()
 
     def test_scalar_result_broadcasts(self):
         h = EvaluationFunction(lambda x: 3.0, [(0.0, 1.0)])

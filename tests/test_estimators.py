@@ -18,11 +18,7 @@ from unequal_support.densities import (
 from unequal_support.estimators import (
     ControlVariate,
     estimate_all,
-    importance_weight,
-    is_estimate,
-    us_estimate,
     us_estimate_empirical_c,
-    wis_estimate,
 )
 
 
@@ -46,23 +42,28 @@ def signed_problem(f_max=1.0, theta=0.0, c_intervals=None):
     return EstimationProblem(f, g, h, prune)
 
 
+def weight_at(problem: EstimationProblem, x: float) -> float:
+    """f(x)/g(x) as the estimators read it, from ``batch_terms``."""
+    return float(problem.batch_terms(np.array([x]))[0][0])
+
+
 class TestImportanceWeight:
     def test_illustrative_weight(self):
-        assert importance_weight(basic_problem(1.0), 0.5) == 2.0
+        assert weight_at(basic_problem(1.0), 0.5) == 2.0
 
     def test_equal_distributions_weight_one(self):
         f = PiecewiseUniform.uniform(0.0, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 2.0, 1.0)])
         prune = PruningSet.from_intervals([(0.0, 2.0)], f)
         problem = EstimationProblem(f, f, h, prune)
-        assert importance_weight(problem, 1.3) == 1.0
+        assert weight_at(problem, 1.3) == 1.0
 
     def test_ratio_of_uniform_heights(self):
-        assert importance_weight(basic_problem(0.5), 0.25) == pytest.approx(4.0)
+        assert weight_at(basic_problem(0.5), 0.25) == pytest.approx(4.0)
 
     def test_outside_g_rejected(self):
         with pytest.raises(SamplingSupportError):
-            importance_weight(basic_problem(1.0), 2.5)
+            weight_at(basic_problem(1.0), 2.5)
 
 
 class TestIsEstimate:
@@ -70,7 +71,7 @@ class TestIsEstimate:
         problem = basic_problem(1.0)
         values = np.array([0.1, 0.4, 1.2, 1.9, 0.8])
         batch = SampleBatch(values, seed=None, n=5)
-        res = is_estimate(problem, batch)
+        res = estimate_all(problem, batch)["IS"]
         assert res.value == pytest.approx(2.0 * 3 / 5, rel=1e-15)
         assert res.defined and res.k == 3
 
@@ -80,20 +81,20 @@ class TestIsEstimate:
         prune = PruningSet.from_intervals([(0.0, 2.0)], f)
         problem = EstimationProblem(f, f, h, prune)
         batch = draw(f, 8, 200)
-        res = is_estimate(problem, batch)
+        res = estimate_all(problem, batch)["IS"]
         assert res.value == pytest.approx(float(np.mean(h(batch.values))), rel=1e-14)
 
     def test_exact_with_matched_control_variate(self):
         theta = 3.5
         problem = basic_problem(1.0, h_value=theta)
         batch = draw(problem.sampling, 21, 500)
-        res = is_estimate(problem, batch, ControlVariate(theta))
+        res = estimate_all(problem, batch, ControlVariate(theta))["IS"]
         assert res.value == theta
 
     def test_k_zero_not_special(self):
         problem = basic_problem(0.5)
         batch = SampleBatch(np.array([1.0, 1.5, 1.9]), seed=None, n=3)
-        res = is_estimate(problem, batch)
+        res = estimate_all(problem, batch)["IS"]
         assert res.value == 0.0 and res.defined and res.k == 0
 
 
@@ -101,21 +102,21 @@ class TestUsEstimate:
     def test_constant_one_on_target(self):
         problem = basic_problem(1.0)
         batch = draw(problem.sampling, 4, 100)
-        res = us_estimate(problem, batch)
+        res = estimate_all(problem, batch)["US"]
         assert res.defined
         assert res.value == pytest.approx(1.0, rel=1e-14)
 
     def test_undefined_when_no_samples_in_c(self):
         problem = basic_problem(0.5)
         batch = SampleBatch(np.array([1.0, 1.5]), seed=None, n=2)
-        res = us_estimate(problem, batch)
+        res = estimate_all(problem, batch)["US"]
         assert res.value == 0.0 and not res.defined and res.k == 0
 
     def test_exact_with_matched_control_variate(self):
         theta = -2.0
         problem = basic_problem(1.0, h_value=theta)
         batch = draw(problem.sampling, 9, 300)
-        res = us_estimate(problem, batch, ControlVariate(theta))
+        res = estimate_all(problem, batch, ControlVariate(theta))["US"]
         assert res.defined and res.value == theta
 
     def test_control_variate_requires_cover_of_target(self):
@@ -126,14 +127,9 @@ class TestUsEstimate:
         prune = PruningSet.from_intervals([(0.0, 0.5)], g)
         problem = EstimationProblem(f, g, h, prune)
         batch = SampleBatch(np.array([0.25, 0.75]), seed=None, n=2)
-        assert us_estimate(problem, batch).defined
-        with pytest.raises(ControlVariateCoverageError):
-            us_estimate(problem, batch, ControlVariate(0.5))
+        assert estimate_all(problem, batch)["US"].defined
         with pytest.raises(ControlVariateCoverageError):
             estimate_all(problem, batch, ControlVariate(0.5))
-        # IS and WIS do not restrict the centered sum to C, so they accept it.
-        assert is_estimate(problem, batch, ControlVariate(0.5)).value == 0.5
-        assert wis_estimate(problem, batch, ControlVariate(0.5)).value == 0.5
 
     def test_coincides_with_is_when_c_covers_g(self):
         rng = np.random.default_rng(2024)
@@ -146,8 +142,8 @@ class TestUsEstimate:
         for _ in range(1000):
             n = int(rng.integers(1, 60))
             batch = SampleBatch(rng.uniform(0.0, 2.0, n), seed=None, n=n)
-            us = us_estimate(problem, batch)
-            is_ = is_estimate(problem, batch)
+            results = estimate_all(problem, batch)
+            us, is_ = results["US"], results["IS"]
             assert us.defined and us.k == n
             assert abs(us.value - is_.value) <= 1e-12 * max(1.0, abs(is_.value))
 
@@ -157,8 +153,8 @@ class TestUsEstimate:
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, -1.0), (1.0, 2.0, 3.0)])
         problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 2.0)], g))
         batch = draw(g, 606, 1_000_000)
-        us = us_estimate(problem, batch)
-        is_ = is_estimate(problem, batch)
+        results = estimate_all(problem, batch)
+        us, is_ = results["US"], results["IS"]
         assert us.k == batch.n
         assert abs(us.value - is_.value) <= 1e-12 * max(1.0, abs(is_.value))
 
@@ -174,14 +170,14 @@ class TestEmpiricalC:
             if emp.k == 0:
                 assert emp.value == 0.0 and not emp.defined
                 continue
-            ref = is_estimate(problem, batch)
+            ref = estimate_all(problem, batch)["IS"]
             assert abs(emp.value - ref.value) <= 1e-12 * max(1.0, abs(ref.value))
 
     def test_recovers_is_at_a_million_samples(self):
         problem = signed_problem(0.5, theta=4.0)
         batch = draw(problem.sampling, 707, 1_000_000)
         emp = us_estimate_empirical_c(problem, batch)
-        ref = is_estimate(problem, batch)
+        ref = estimate_all(problem, batch)["IS"]
         assert emp.defined and 0 < emp.k < batch.n
         assert abs(emp.value - ref.value) <= 1e-12 * max(1.0, abs(ref.value))
 
@@ -197,8 +193,8 @@ class TestEmpiricalC:
         prune = PruningSet.from_intervals([(0.0, 2.0)], f)
         problem = EstimationProblem(f, f, h, prune)
         batch = draw(f, 12, 64)
-        a = is_estimate(problem, batch).value
-        b = us_estimate(problem, batch).value
+        results = estimate_all(problem, batch)
+        a, b = results["IS"].value, results["US"].value
         c = us_estimate_empirical_c(problem, batch).value
         assert a == pytest.approx(b, rel=1e-14)
         assert a == pytest.approx(c, rel=1e-14)
@@ -211,52 +207,32 @@ class TestWisEstimate:
         prune = PruningSet.from_intervals([(0.0, 2.0)], f)
         problem = EstimationProblem(f, f, h, prune)
         batch = draw(f, 31, 100)
-        res = wis_estimate(problem, batch)
+        res = estimate_all(problem, batch)["WIS"]
         assert res.value == pytest.approx(float(np.mean(h(batch.values))), rel=1e-14)
 
     def test_equals_one_on_illustrative(self):
         problem = basic_problem(1.0)
         batch = draw(problem.sampling, 6, 50)
-        assert wis_estimate(problem, batch).value == pytest.approx(1.0, rel=1e-14)
+        assert estimate_all(problem, batch)["WIS"].value == pytest.approx(1.0, rel=1e-14)
 
     def test_single_sample_in_c(self):
         problem = signed_problem(1.0, theta=2.0)
         batch = SampleBatch(np.array([0.25, 1.5, 1.9]), seed=None, n=3)
-        res = wis_estimate(problem, batch)
+        res = estimate_all(problem, batch)["WIS"]
         assert res.value == pytest.approx(1.0, rel=1e-14)  # h(0.25) = theta - 1
 
     def test_undefined_when_all_weights_zero(self):
         problem = basic_problem(0.5)
         batch = SampleBatch(np.array([1.2, 1.7]), seed=None, n=2)
-        res = wis_estimate(problem, batch)
+        res = estimate_all(problem, batch)["WIS"]
         assert res.value == 0.0 and not res.defined
 
     def test_constant_control_variate_is_identity(self):
         problem = signed_problem(1.0, theta=3.0)
         batch = draw(problem.sampling, 41, 200)
-        plain = wis_estimate(problem, batch)
-        shifted = wis_estimate(problem, batch, ControlVariate(2.5))
+        plain = estimate_all(problem, batch)["WIS"]
+        shifted = estimate_all(problem, batch, ControlVariate(2.5))["WIS"]
         assert shifted.value == pytest.approx(plain.value, rel=1e-12)
-
-
-class TestEstimateAll:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        n=st.integers(1, 64),
-        f_max=st.floats(0.1, 2.0),
-        t=st.sampled_from([0.0, 0.3, -2.5]),
-    )
-    def test_equals_the_three_estimators(self, seed, n, f_max, t):
-        # C = F, so a control variate is accepted.
-        problem = signed_problem(f_max, theta=1.5)
-        batch = draw(problem.sampling, seed, n)
-        cv = ControlVariate(t)
-        assert estimate_all(problem, batch, cv) == {
-            "IS": is_estimate(problem, batch, cv),
-            "US": us_estimate(problem, batch, cv),
-            "WIS": wis_estimate(problem, batch, cv),
-        }
 
 
 class TestPermutationInvariance:
@@ -268,9 +244,11 @@ class TestPermutationInvariance:
         values = rng.uniform(0.0, 2.0, n)
         batch = SampleBatch(values, seed=None, n=n)
         shuffled = SampleBatch(rng.permutation(values), seed=None, n=n)
-        for est in (is_estimate, us_estimate, us_estimate_empirical_c, wis_estimate):
-            a = est(problem, batch)
-            b = est(problem, shuffled)
+
+        def estimates(b):
+            return [*estimate_all(problem, b).values(), us_estimate_empirical_c(problem, b)]
+
+        for a, b in zip(estimates(batch), estimates(shuffled)):
             assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(a.value))
             assert a.k == b.k and a.defined == b.defined
 

@@ -1,4 +1,4 @@
-"""The batched kernel against a per-row reference and the scalar estimators."""
+"""The batched kernel against a per-row reference and the scalar estimator."""
 
 import math
 
@@ -7,12 +7,7 @@ import pytest
 
 from unequal_support._kernels import batch_estimates
 from unequal_support.densities import SampleBatch
-from unequal_support.estimators import (
-    ControlVariate,
-    is_estimate,
-    us_estimate,
-    wis_estimate,
-)
+from unequal_support.estimators import ControlVariate, estimate_all
 from unequal_support.experiments import illustrative_problem
 
 
@@ -98,9 +93,8 @@ class TestAgainstScalarEstimators:
         cv = ControlVariate(t)
         for i in range(trials):
             batch = SampleBatch(x[i], seed=None, n=n)
-            ref_is = is_estimate(problem, batch, cv)
-            ref_us = us_estimate(problem, batch, cv)
-            ref_wis = wis_estimate(problem, batch, cv)
+            ref = estimate_all(problem, batch, cv)
+            ref_is, ref_us, ref_wis = ref["IS"], ref["US"], ref["WIS"]
             assert is_v[i] == pytest.approx(ref_is.value, rel=1e-10, abs=1e-12)
             assert us_v[i] == pytest.approx(ref_us.value, rel=1e-10, abs=1e-12)
             assert wis_v[i] == pytest.approx(ref_wis.value, rel=1e-10, abs=1e-12)
