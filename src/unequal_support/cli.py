@@ -46,7 +46,8 @@ Density blocks accept ``kind: uniform`` (``low``, ``high``),
 ``kind: truncated-normal`` (``lower``, ``upper``, ``mean``, ``stddev``).
 The evaluation is a step function given as ``[lo, hi, value]`` pieces;
 the pruning block takes ``intervals`` only, and c is their analytic
-mass under the sampling density.
+mass under the sampling density. Every block refuses a key it does
+not read.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused by every later call: parsing leaves the parser

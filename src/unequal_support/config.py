@@ -21,6 +21,7 @@ The schema (documented in full in the CLI module and README):
         intervals: [[0.0, 0.5]]
 
 Truncated-normal blocks take ``lower``, ``upper``, ``mean``, ``stddev``.
+Every block refuses a key it does not read.
 """
 
 import numpy as np
@@ -49,6 +50,17 @@ def _require(mapping, key: str, context: str):
     return mapping[key]
 
 
+def _only(block, keys: tuple, context: str) -> None:
+    """Refuse a ``block`` that is not a mapping, or has a key outside ``keys``."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{context} block must be a mapping")
+    for key in block:
+        if key not in keys:
+            raise ValueError(
+                f"{context}: unknown key '{key}' (expected {', '.join(keys)})"
+            )
+
+
 _SHAPES = ("a real number", "a list of reals", "a list of lists of reals")
 
 
@@ -69,16 +81,18 @@ def build_density(block: dict, context: str = "density"):
     """Density object from one configuration block."""
     kind = _require(block, "kind", context)
     if kind == "uniform":
+        _only(block, ("kind", "low", "high"), context)
         return PiecewiseUniform.uniform(
             _reals(block, "low", context), _reals(block, "high", context)
         )
     if kind == "piecewise-uniform":
+        _only(block, ("kind", "intervals", "weights"), context)
         weights = _reals(block, "weights", context, 1) if "weights" in block else None
         return PiecewiseUniform(_reals(block, "intervals", context, 2), weights)
     if kind == "truncated-normal":
-        return TruncatedNormal(
-            *(_reals(block, key, context) for key in ("lower", "upper", "mean", "stddev"))
-        )
+        keys = ("lower", "upper", "mean", "stddev")
+        _only(block, ("kind", *keys), context)
+        return TruncatedNormal(*(_reals(block, key, context) for key in keys))
     raise ValueError(
         f"{context}: unknown density kind '{kind}' "
         "(expected uniform, piecewise-uniform, or truncated-normal)"
@@ -89,10 +103,13 @@ def build_problem(doc: dict) -> EstimationProblem:
     """EstimationProblem from a parsed configuration document."""
     if not isinstance(doc, dict) or "problem" not in doc:
         raise ValueError("configuration must contain a top-level 'problem' mapping")
+    _only(doc, ("problem",), "configuration")
     spec = doc["problem"]
+    _only(spec, ("target", "sampling", "evaluation", "pruning"), "problem")
     target = build_density(_require(spec, "target", "problem"), "target")
     sampling = build_density(_require(spec, "sampling", "problem"), "sampling")
     eval_block = _require(spec, "evaluation", "problem")
+    _only(eval_block, ("pieces",), "evaluation")
     pieces = _reals(eval_block, "pieces", "evaluation", 2)
     evaluation = EvaluationFunction.piecewise_constant(pieces)
     prune_block = _require(spec, "pruning", "problem")
@@ -102,6 +119,7 @@ def build_problem(doc: dict) -> EstimationProblem:
             "pruning: 'c' is not a key; c is the mass of the pruning "
             "intervals under the sampling density, computed exactly"
         )
+    _only(prune_block, ("intervals",), "pruning")
     pruning = PruningSet.from_intervals(intervals, sampling)
     return EstimationProblem(target, sampling, evaluation, pruning)
 

@@ -324,14 +324,18 @@ class EvaluationFunction:
         self.fn = fn
         self.support = _as_interval_union(support)
         self.pieces: tuple | None = None  # set for piecewise-constant maps
+        self._steps: np.ndarray | None = None  # their values, in support order
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        # A fresh float64 copy of fn(x), broadcast to x: fn may return x
-        # itself, or a scalar.
+        # One search of the support gives a step function's piece index
+        # and the inside mask.
+        index, inside = self.support.locate(x)
+        # A fresh float64 copy of the values, broadcast to x: fn may
+        # return x itself, or a scalar.
         hv = np.empty(x.shape)
-        hv[...] = self.fn(x)
-        return zero_outside(hv, self.support.contains(x))
+        hv[...] = self.fn(x) if self._steps is None else self._steps[index]
+        return zero_outside(hv, inside)
 
     @classmethod
     def piecewise_constant(cls, pieces: Sequence[Sequence[float]]) -> "EvaluationFunction":
@@ -345,7 +349,7 @@ class EvaluationFunction:
             return values[support.locate(x)[0]]
 
         obj = cls(fn, support)
-        obj.pieces = pieces
+        obj.pieces, obj._steps = pieces, values
         return obj
 
 

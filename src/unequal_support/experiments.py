@@ -16,7 +16,7 @@ Reproducibility contract: every sweep derives one sub-seed per grid
 point from the master seed, and each point's trials are generated in
 fixed-size chunks, each drawing from its own PCG64DXSM stream seeded by
 the SeedSequence of (point seed, chunk index). Statistics are reduced
-in trial order, so a rerun with the same flags yields byte-identical
+in a fixed order, so a rerun with the same flags yields byte-identical
 output, and a future parallel runner could own one chunk per worker
 without changing any number.
 
@@ -28,9 +28,12 @@ count alone:
   admit at most ``trials`` count vectors, math.comb(n + m - 1, m - 1),
   enumerates them once with their Multinomial(n, p) probabilities and
   estimates (:func:`outcome_table`). Each chunk of 4096 trials then
-  draws one uniform per trial and maps it through the outcome CDF. The
-  rule compares the table's O(outcomes) cost with the O(trials) cost of
-  the per-trial draws it replaces, so it needs no setting.
+  draws one uniform per trial, maps it through the outcome CDF and bins
+  the picks, so the trials are kept as a histogram of the outcomes they
+  drew: one :class:`SimulationResult` row per drawn outcome, with its
+  count. The rule compares the table's O(outcomes) cost with the
+  O(trials) cost of the per-trial draws it replaces, so it needs no
+  setting.
 - **Per-trial counts.** Any other piecewise-constant problem draws each
   of a chunk's 4096 trials' per-cell sample counts, Multinomial(n, p),
   and never the samples themselves, so a chunk costs O(trials x cells)
@@ -43,7 +46,9 @@ count alone:
 
 Both cell paths give each count vector the same estimates, through
 :func:`cell_estimates`, and run the same coverage checks on the cells
-their trials hit.
+their trials hit. The two per-trial paths keep one row per trial, with
+count 1, and every summary (:func:`summarize_trials`, the bound and
+coverage rows) is one count-weighted sum over the rows on all paths.
 """
 
 import json
@@ -316,17 +321,31 @@ def moment_inputs(
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Per-trial estimator values over one grid point's Monte Carlo run."""
+    """Estimator values over one grid point's Monte Carlo run.
+
+    Each row holds one (IS, US, WIS, k, WIS-defined) outcome and
+    ``count``, how many trials gave it: on the outcome-table path one
+    row per drawn outcome with its multiplicity, on the other paths one
+    row per trial with count 1. Every statistic of the run is a
+    count-weighted sum over the rows, and ``count`` sums to the trials.
+    """
 
     is_values: np.ndarray
     us_values: np.ndarray
     wis_values: np.ndarray
     k: np.ndarray
     wis_defined: np.ndarray
+    count: np.ndarray
 
     @property
     def us_defined(self) -> np.ndarray:
         return self.k > 0
+
+
+def _unit_counts(columns) -> SimulationResult:
+    """A SimulationResult of one row per (IS, US, WIS, k, WIS-defined)
+    entry of ``columns``, each with count 1."""
+    return SimulationResult(*columns, np.ones(len(columns[0]), dtype=np.int64))
 
 
 def _compositions(n: int, m: int) -> np.ndarray:
@@ -350,8 +369,9 @@ class OutcomeTable:
 
     ``counts`` holds the per-cell count vectors in lexicographic order,
     ``pmf`` the Multinomial(n, p) probability of each, and ``values``
-    each one's (IS, US, WIS, k, WIS-defined), computed by
-    :func:`cell_estimates` exactly as for a drawn count vector.
+    each one's (IS, US, WIS, k, WIS-defined), one row per outcome with
+    count 1, computed by :func:`cell_estimates` exactly as for a drawn
+    count vector.
     """
 
     counts: np.ndarray
@@ -374,34 +394,45 @@ def outcome_table(problem: EstimationProblem, n: int, t: float = 0.0) -> Outcome
         log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
         log_pmf += log_fact[n] - log_fact[counts].sum(axis=1)
     values = cell_estimates(counts, n, table.w, table.h, table.in_c, problem.c, t)
-    return OutcomeTable(counts, np.exp(log_pmf), SimulationResult(*values))
+    return OutcomeTable(counts, np.exp(log_pmf), _unit_counts(values))
+
+
+def _outcome_histogram(pmf: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """How many of ``trials`` trials draw each outcome, one uniform per trial.
+
+    A trial draws the first outcome whose CDF value exceeds its uniform
+    times the total mass: an outcome of pmf 0 has an empty CDF step and
+    is never drawn, and a product that rounds onto the top of the CDF
+    takes the last outcome of positive pmf. Each chunk of CHUNK_TRIALS
+    trials sorts its products and counts those below each CDF value,
+    which bins the same picks without searching once per trial.
+    """
+    cdf = np.cumsum(pmf)
+    below = np.zeros(pmf.size, dtype=np.int64)
+    for chunk in range(-(-trials // CHUNK_TRIALS)):
+        rows = min(CHUNK_TRIALS, trials - chunk * CHUNK_TRIALS)
+        y = _chunk_rng(seed, chunk).random(rows)
+        y *= cdf[-1]
+        y.sort()
+        below += np.searchsorted(y, cdf, side="left")
+    hist = np.diff(below, prepend=0)
+    hist[np.flatnonzero(pmf)[-1]] += trials - below[-1]
+    return hist
 
 
 def _draw_outcomes(
     problem: EstimationProblem, n: int, trials: int, seed: int, t: float
 ) -> SimulationResult:
-    """``trials`` outcomes of the problem's table, one uniform per trial.
-
-    Each chunk of CHUNK_TRIALS trials maps its uniforms through the
-    outcome CDF; an outcome of pmf 0 has an empty CDF step and is never
-    drawn, and a uniform that rounds onto the top of the CDF takes the
-    last outcome of positive pmf.
-    """
+    """``trials`` outcomes of the problem's table, one row per outcome
+    drawn, with how many trials drew it."""
     table = outcome_table(problem, n, t)
-    cdf = np.cumsum(table.pmf)
-    picks = []
-    for chunk in range(-(-trials // CHUNK_TRIALS)):
-        rows = min(CHUNK_TRIALS, trials - chunk * CHUNK_TRIALS)
-        u = _chunk_rng(seed, chunk).random(rows)
-        picks.append(np.searchsorted(cdf, u * cdf[-1], side="right"))
-    index = np.minimum(np.concatenate(picks), np.flatnonzero(table.pmf)[-1])
-    drawn = np.zeros(table.pmf.size, dtype=bool)
-    drawn[index] = True
+    hist = _outcome_histogram(table.pmf, trials, seed)
+    drawn = np.flatnonzero(hist)
     problem.cells.check_coverage(table.counts[drawn], t)
     v = table.values
     return SimulationResult(
-        v.is_values[index], v.us_values[index], v.wis_values[index],
-        v.k[index], v.wis_defined[index],
+        v.is_values[drawn], v.us_values[drawn], v.wis_values[drawn],
+        v.k[drawn], v.wis_defined[drawn], hist[drawn],
     )
 
 
@@ -416,12 +447,15 @@ def simulate_estimates(
     """All three estimators over ``trials`` independent batches of size n.
 
     A piecewise-constant problem is simulated from its outcome table
-    when it has at most ``trials`` outcomes and from per-trial cell
-    counts otherwise; any other problem from its samples (see the
-    module docstring). The sample path allocates its workspace once per
-    call: (rows, n) float64 arrays for x, the observations, the weights
-    and one scratch, with rows = min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS //
-    n)), and every chunk writes into prefix views of it. Its peak memory
+    when it has at most ``trials`` outcomes, and its trials come back as
+    a histogram of the same per-trial picks: one row per drawn outcome,
+    with ``count`` trials each. Otherwise it is simulated from per-trial
+    cell counts, and any other problem from its samples, one row per
+    trial with count 1 (see the module docstring). The sample path
+    allocates its workspace once per call: (rows, n) float64 arrays for
+    x, the observations, the weights and one scratch, with rows =
+    min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS // n)), and every chunk
+    writes into prefix views of it. Its peak memory
     is therefore a few times CHUNK_ELEMENTS values plus O(trials) for the
     results, whatever n is; for n > CHUNK_ELEMENTS a chunk is one row of
     n samples. When a return surface is given, its noisy observations
@@ -462,8 +496,7 @@ def simulate_estimates(
         )
         w, hv, in_c = problem.batch_terms(x, observed, out=w_buf[:rows], t=t)
         parts.append(batch_estimates(w, hv, in_c, problem.c, t, out=scratch[:rows]))
-    cols = [np.concatenate([p[i] for p in parts]) for i in range(5)]
-    return SimulationResult(*cols)
+    return _unit_counts([np.concatenate([p[i] for p in parts]) for i in range(5)])
 
 
 @dataclass(frozen=True)
@@ -499,21 +532,33 @@ class TrialStats:
         return dict(self.__dict__)
 
 
-def _moment_block(values: np.ndarray, theta: float) -> tuple[float, ...]:
-    count = values.size
+def _moment_block(
+    values: np.ndarray, weights: np.ndarray, theta: float
+) -> tuple[float, ...]:
+    """(mean, variance, MSE, and their standard errors) of the trials that
+    ``values`` holds ``weights`` times each; ``weights`` are float64
+    whole numbers, and zero leaves a value out."""
+    count = float(weights.sum())
     if count < 2:
-        only = float(values[0]) if count == 1 else math.nan
+        only = float(values[np.flatnonzero(weights)[0]]) if count else math.nan
         return only, math.nan, (only - theta) ** 2 if count else math.nan, *(math.nan,) * 3
-    mean = float(values.mean())
+    mean = float(values.dot(weights)) / count
     centered = values - mean
-    variance = float(centered.dot(centered) / (count - 1))
-    sq = centered * centered
-    fourth = float(sq.dot(sq) / count)
-    sq_err = (values - theta) ** 2
-    mse = float(sq_err.mean())
+    scratch = centered * weights
+    variance = float(centered.dot(scratch)) / (count - 1)
+    scratch *= centered
+    centered *= centered
+    fourth = float(scratch.dot(centered)) / count
+    # The squared errors and their deviations from the MSE, in place.
+    sq_err = np.subtract(values, theta, out=centered)
+    sq_err *= sq_err
+    mse = float(sq_err.dot(weights)) / count
+    sq_err -= mse
+    np.multiply(sq_err, weights, out=scratch)
+    var_sq_err = float(sq_err.dot(scratch)) / (count - 1)
     se_mean = math.sqrt(variance / count)
     se_variance = math.sqrt(max(fourth - variance * variance, 0.0) / count)
-    se_mse = float(sq_err.std(ddof=1)) / math.sqrt(count)
+    se_mse = math.sqrt(var_sq_err / count)
     return mean, variance, mse, se_mean, se_variance, se_mse
 
 
@@ -523,19 +568,24 @@ def summarize_trials(
     theta: float,
     defined: np.ndarray,
     positive: np.ndarray,
+    count: np.ndarray,
 ) -> TrialStats:
-    """Mean/variance/MSE with standard errors, plus the k > 0 restriction."""
+    """Mean/variance/MSE with standard errors, plus the k > 0 restriction,
+    over the trials that each row of ``values`` stands for ``count``
+    times (one row per trial when every count is 1)."""
     values = np.asarray(values, dtype=float)
-    trials = values.size
-    uncond = _moment_block(values, theta)
-    cond = _moment_block(values[positive], theta)
-    p_undef = float(1.0 - np.mean(defined))
+    weights = np.asarray(count, dtype=float)
+    positive_weights = weights * positive
+    trials = float(weights.sum())
+    uncond = _moment_block(values, weights, theta)
+    cond = _moment_block(values, positive_weights, theta)
+    p_undef = 1.0 - float(weights.dot(defined)) / trials
     se_undef = math.sqrt(max(p_undef * (1.0 - p_undef), 0.0) / trials)
     return TrialStats(
         label,
-        trials,
+        int(trials),
         *uncond,
-        int(np.count_nonzero(positive)),
+        int(positive_weights.sum()),
         *cond,
         p_undef,
         se_undef,
@@ -554,12 +604,17 @@ def run_trials(
     """TrialStats for IS, US, and WIS over independent seeded batches."""
     sim = simulate_estimates(problem, n, trials, seed, t=cv.t, surface=surface)
     positive = sim.us_defined
-    all_defined = np.ones(trials, dtype=bool)
+    weights = sim.count.astype(float)
+    all_defined = np.ones(positive.size, dtype=bool)
     return {
-        "IS": summarize_trials("IS", sim.is_values, theta_true, all_defined, positive),
-        "US": summarize_trials("US", sim.us_values, theta_true, positive, positive),
+        "IS": summarize_trials(
+            "IS", sim.is_values, theta_true, all_defined, positive, weights
+        ),
+        "US": summarize_trials(
+            "US", sim.us_values, theta_true, positive, positive, weights
+        ),
         "WIS": summarize_trials(
-            "WIS", sim.wis_values, theta_true, sim.wis_defined, positive
+            "WIS", sim.wis_values, theta_true, sim.wis_defined, positive, weights
         ),
     }
 
@@ -753,7 +808,8 @@ def _bound_trials(
 ):
     """Per n of the two-uniform example: the fields every bound row shares
     (n, delta, theta, c, b, seed), the simulation, the IS margin and the
-    per-trial US margins, each margin for one 1 - delta side."""
+    US margin of each simulation row's k, each margin for one 1 - delta
+    side."""
     n_grid = list(n_grid)
     if not n_grid:
         raise ValueError("n grid must be nonempty")
@@ -768,10 +824,13 @@ def _bound_trials(
         yield shared, sim, _margin(b, delta, n), us_margin
 
 
-def _mean_or_nan(values: np.ndarray) -> float:
-    """Mean of a US-side column's values over the trials with k > 0; NaN,
-    without numpy's empty-mean warning, when there are none."""
-    return float(np.mean(values)) if values.size else math.nan
+def _weighted_mean(values: np.ndarray, count: np.ndarray) -> float:
+    """Mean of ``values`` over the trials each row stands for ``count``
+    times; NaN, without a division warning, when no trial counts. The
+    sum is taken in float64, exact for whole-number values up to 2**53,
+    as a per-trial mean's is."""
+    total = int(count.sum())
+    return float(np.dot(values, count.astype(float))) / total if total else math.nan
 
 
 @dataclass(frozen=True)
@@ -816,17 +875,16 @@ def sweep_bounds(
     for shared, sim, is_margin, us_margin in _bound_trials(
         f_max, n_grid, delta, trials, seed, theta
     ):
-        defined = sim.us_defined
-        us_values = sim.us_values[defined]
-        us_margins = us_margin[defined]
+        count, defined = sim.count, sim.us_defined
+        us_count = count * defined
         rows.append(
             BoundsSweepRow(
                 **shared,
-                mean_is_lower=float(np.mean(sim.is_values - is_margin)),
-                mean_is_upper=float(np.mean(sim.is_values + is_margin)),
-                mean_us_lower=_mean_or_nan(us_values - us_margins),
-                mean_us_upper=_mean_or_nan(us_values + us_margins),
-                empirical_rho=float(np.mean(defined)),
+                mean_is_lower=_weighted_mean(sim.is_values - is_margin, count),
+                mean_is_upper=_weighted_mean(sim.is_values + is_margin, count),
+                mean_us_lower=_weighted_mean(sim.us_values - us_margin, us_count),
+                mean_us_upper=_weighted_mean(sim.us_values + us_margin, us_count),
+                empirical_rho=_weighted_mean(defined, count),
                 analytic_rho=rho(shared["n"], shared["c"]),
             )
         )
@@ -875,11 +933,12 @@ def coverage_experiment(
     for shared, sim, is_margin, us_margin in _bound_trials(
         f_max, n_grid, delta, trials, seed, theta
     ):
-        defined = sim.us_defined
-        cover_is = float(np.mean(sim.is_values - is_margin <= theta))
-        cover_us = _mean_or_nan((sim.us_values - us_margin)[defined] <= theta)
-        mean_k = float(sim.k.mean())
-        mean_margin_us = _mean_or_nan(us_margin[defined])
+        count, defined = sim.count, sim.us_defined
+        us_count = count * defined
+        cover_is = _weighted_mean(sim.is_values - is_margin <= theta, count)
+        cover_us = _weighted_mean(sim.us_values - us_margin <= theta, us_count)
+        mean_k = _weighted_mean(sim.k, count)
+        mean_margin_us = _weighted_mean(us_margin, us_count)
         # mean_k is 0 exactly when no trial has k > 0.
         predicted = math.nan
         if mean_k:
@@ -894,7 +953,7 @@ def coverage_experiment(
                 margin_ratio=mean_margin_us / is_margin,
                 predicted_ratio=predicted,
                 mean_k=mean_k,
-                undefined_rate=float(1.0 - np.mean(defined)),
+                undefined_rate=1.0 - _weighted_mean(defined, count),
             )
         )
     return rows

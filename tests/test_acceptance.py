@@ -106,26 +106,30 @@ def test_criterion_04_unbiasedness_set():
     c = problem.c
     r = rho(n, c)
     sim = simulate_estimates(problem, n, TRIALS, seed=77)
-    pos = sim.k > 0
+    # One entry per trial: each row repeated as many times as it was drawn.
+    is_values, us_values, k = (
+        np.repeat(col, sim.count) for col in (sim.is_values, sim.us_values, sim.k)
+    )
+    pos = k > 0
 
     # conditional mean of US is theta
-    us_pos = sim.us_values[pos]
+    us_pos = us_values[pos]
     se = us_pos.std(ddof=1) / math.sqrt(us_pos.size)
     assert abs(us_pos.mean() - theta) <= 3.0 * se
 
     # conditional mean of IS is theta / rho
-    is_pos = sim.is_values[pos]
+    is_pos = is_values[pos]
     se = is_pos.std(ddof=1) / math.sqrt(is_pos.size)
     assert abs(is_pos.mean() - theta / r) <= 3.0 * se
 
     # unconditional mean of US is rho * theta
-    se = sim.us_values.std(ddof=1) / math.sqrt(sim.us_values.size)
-    assert abs(sim.us_values.mean() - r * theta) <= 3.0 * se
+    se = us_values.std(ddof=1) / math.sqrt(us_values.size)
+    assert abs(us_values.mean() - r * theta) <= 3.0 * se
 
     # stratified by k: mean of IS given k = kappa is (kappa / (c n)) theta
     checked = 0
     for kappa in range(0, n + 1):
-        stratum = sim.is_values[sim.k == kappa]
+        stratum = is_values[k == kappa]
         if stratum.size < 500:
             continue
         expect = (kappa / (c * n)) * theta
@@ -199,7 +203,7 @@ def test_criterion_09_wis_us_equivalence():
     problem = illustrative_problem(0.5, theta=3.0)
     sim = simulate_estimates(problem, 10, 1000, seed=13)
     pos = sim.k > 0
-    assert pos.sum() >= 900
+    assert sim.count[pos].sum() >= 900
     us, wis = sim.us_values[pos], sim.wis_values[pos]
     rel = np.abs(wis - us) / np.maximum(np.abs(us), 1e-300)
     assert rel.max() <= 1e-12

@@ -34,6 +34,7 @@ from unequal_support.densities import (
 )
 from unequal_support.estimators import ControlVariate, estimate_all
 from unequal_support.experiments import (
+    SimulationResult,
     analytic_reports,
     illustrative_problem,
     moment_inputs,
@@ -50,6 +51,14 @@ def with_plain_h(problem: EstimationProblem) -> EstimationProblem:
     h = problem.evaluation
     evaluation = EvaluationFunction(h.fn, h.support)
     return EstimationProblem(problem.target, problem.sampling, evaluation, problem.pruning)
+
+
+def per_trial(sim: SimulationResult) -> SimulationResult:
+    """The simulation with one row per trial: each row repeated as many
+    times as it was drawn."""
+    cols = (sim.is_values, sim.us_values, sim.wis_values, sim.k, sim.wis_defined)
+    expanded = [np.repeat(col, sim.count) for col in cols]
+    return SimulationResult(*expanded, np.ones(expanded[0].size, dtype=np.int64))
 
 
 def forbid_sampling(monkeypatch, density):
@@ -100,6 +109,38 @@ def exact_moments(values, pmf, theta, given) -> tuple[float, float, float]:
     x = values[given]
     mean = float(p @ x)
     return mean, float(p @ (x - mean) ** 2), float(p @ (x - theta) ** 2)
+
+
+def zero_pmf_problem() -> EstimationProblem:
+    """Cells of g-mass 1e-200, 1 and 1e-200 at n = 2: the outcomes
+    (0, 0, 2), (1, 0, 1) and (2, 0, 0), first, inner and last in the
+    table, have pmf 1e-400 or less, which underflows to 0."""
+    g = PiecewiseUniform([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], [1e-200, 1.0, 1e-200])
+    h = EvaluationFunction.piecewise_constant(
+        [(0.0, 1.0, 1.0), (1.0, 2.0, 10.0), (2.0, 3.0, 100.0)]
+    )
+    return EstimationProblem(g, g, h, PruningSet.from_intervals([(0.0, 3.0)], g))
+
+
+class EdgeUniforms:
+    """A chunk stream whose uniforms hit the ends of the outcome CDF; 1.0
+    stands for a product u * cdf[-1] that rounds onto its top."""
+
+    def random(self, size):
+        return np.resize([0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0], size)
+
+
+def per_trial_picks(pmf, trials: int, seed: int) -> np.ndarray:
+    """The outcome each trial draws: per chunk, its uniforms times the
+    total mass searched in the outcome CDF, clamped to the last outcome
+    of positive pmf."""
+    cdf = np.cumsum(pmf)
+    picks = []
+    for chunk in range(-(-trials // experiments.CHUNK_TRIALS)):
+        rows = min(experiments.CHUNK_TRIALS, trials - chunk * experiments.CHUNK_TRIALS)
+        u = experiments._chunk_rng(seed, chunk).random(rows)
+        picks.append(np.searchsorted(cdf, u * cdf[-1], side="right"))
+    return np.minimum(np.concatenate(picks), np.flatnonzero(pmf)[-1])
 
 
 def uncovered_cv_problem(plain_h: bool) -> EstimationProblem:
@@ -267,36 +308,49 @@ class TestOutcomeTable:
         table = outcome_table(problem, 10**9)
         assert table.counts.tolist() == [[10**9]] and table.pmf.tolist() == [1.0]
         sim = simulate_estimates(problem, 10**9, 5, seed=1)
-        assert sim.us_values.tolist() == [3.0] * 5
+        assert per_trial(sim).us_values.tolist() == [3.0] * 5
 
     def test_needs_a_cell_table(self):
         with pytest.raises(ValueError):
             outcome_table(with_plain_h(illustrative_problem(1.0)), 5)
 
     def test_outcomes_of_zero_pmf_are_never_drawn(self, monkeypatch):
-        """Cells of g-mass 1e-200, 1 and 1e-200 at n = 2: the outcomes
-        (0, 0, 2), (1, 0, 1) and (2, 0, 0), first, inner and last in
-        the table, have pmf 1e-400 or less, which underflows to 0."""
-        g = PiecewiseUniform([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], [1e-200, 1.0, 1e-200])
-        h = EvaluationFunction.piecewise_constant(
-            [(0.0, 1.0, 1.0), (1.0, 2.0, 10.0), (2.0, 3.0, 100.0)]
-        )
-        problem = EstimationProblem(g, g, h, PruningSet.from_intervals([(0.0, 3.0)], g))
+        problem = zero_pmf_problem()
         table = outcome_table(problem, 2)
         assert (table.pmf == 0.0).tolist() == [True, False, False, True, False, True]
-
-        class Uniforms:
-            # 1.0 stands for a product u * cdf[-1] that rounds onto the
-            # top of the CDF.
-            def random(self, size):
-                return np.resize([0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0], size)
-
-        monkeypatch.setattr(experiments, "_chunk_rng", lambda seed, chunk: Uniforms())
+        monkeypatch.setattr(experiments, "_chunk_rng", lambda seed, chunk: EdgeUniforms())
         sim = simulate_estimates(problem, 2, 10, seed=0)
         # w = 1, so IS is the mean of h over the batch: unique per outcome.
         positive = table.values.is_values[table.pmf > 0.0]
         assert np.isin(sim.is_values, positive).all()
         assert {positive[0], positive[-1]} <= set(sim.is_values.tolist())
+
+    # (problem, n, trials, seed): one to three chunks, 21 to 1326 outcomes.
+    HISTOGRAMS = [
+        (illustrative_problem(0.5, 1.0), 10, 3 * 4096 + 5, 4),
+        (illustrative_problem(0.2, 10.0), 50, 20_000, 11),
+        (illustrative_problem(2.0, 0.0), 5, 4096, 2),
+        (mixed_problem(), 4, 9000, 7),
+    ]
+
+    @pytest.mark.parametrize("problem, n, trials, seed", HISTOGRAMS)
+    def test_histogram_bins_the_per_trial_picks(self, problem, n, trials, seed):
+        pmf = outcome_table(problem, n).pmf
+        want = np.bincount(per_trial_picks(pmf, trials, seed), minlength=pmf.size)
+        assert np.array_equal(experiments._outcome_histogram(pmf, trials, seed), want)
+        sim = simulate_estimates(problem, n, trials, seed)
+        assert sim.count.tolist() == want[want > 0].tolist()
+        assert sim.k.tolist() == outcome_table(problem, n).values.k[want > 0].tolist()
+
+    def test_histogram_at_the_ends_of_the_cdf(self, monkeypatch):
+        """Zero-pmf outcomes first, inside and last in the table, and
+        uniforms at 0, at 1 - 2**-53 and rounding onto the CDF's top."""
+        pmf = outcome_table(zero_pmf_problem(), 2).pmf
+        monkeypatch.setattr(experiments, "_chunk_rng", lambda seed, chunk: EdgeUniforms())
+        for trials in (5, 4099):
+            want = np.bincount(per_trial_picks(pmf, trials, 0), minlength=pmf.size)
+            assert np.array_equal(experiments._outcome_histogram(pmf, trials, 0), want)
+            assert want[pmf == 0.0].sum() == 0 and want[-2] > 0
 
     @pytest.mark.parametrize("cv", ["none", "sampling-mean"])
     def test_exact_moments_match_catalog_on_acceptance_grid(self, cv):
@@ -349,7 +403,7 @@ class TestOutcomeTable:
         mean, variance, _ = exact_moments(wis, table.pmf, theta, everywhere)
         sim = simulate_estimates(with_plain_h(problem), n, trials, seed=12)
         se = math.sqrt(variance / trials)
-        assert abs(sim.wis_values.mean() - mean) <= 4.0 * se
+        assert abs(per_trial(sim).wis_values.mean() - mean) <= 4.0 * se
 
 
 class TestCellPathMatchesSamplePath:
@@ -366,10 +420,10 @@ class TestCellPathMatchesSamplePath:
     def assert_distributions_agree(self, monkeypatch, n, table_path):
         problem = mixed_problem()
         trials, c = self.TRIALS, problem.c
-        sample_sim = simulate_estimates(with_plain_h(problem), n, trials, seed=5)
+        sample_sim = per_trial(simulate_estimates(with_plain_h(problem), n, trials, seed=5))
         forbid_sampling(monkeypatch, problem.sampling)
         calls = outcome_table_calls(monkeypatch)
-        cell_sim = simulate_estimates(problem, n, trials, seed=6)
+        cell_sim = per_trial(simulate_estimates(problem, n, trials, seed=6))
         assert bool(calls) == table_path
 
         for sim in (cell_sim, sample_sim):
@@ -398,12 +452,12 @@ class TestCellPathMatchesSamplePath:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 4 * 2**20
-        assert abs(sim.k.mean() / 10**9 - problem.c) < 1e-3
+        assert abs(per_trial(sim).k.mean() / 10**9 - problem.c) < 1e-3
 
     def test_reruns_identical(self):
         a = simulate_estimates(mixed_problem(), 7, 5000, seed=99, t=0.0)
         b = simulate_estimates(mixed_problem(), 7, 5000, seed=99, t=0.0)
-        for name in ("is_values", "us_values", "wis_values", "k", "wis_defined"):
+        for name in ("is_values", "us_values", "wis_values", "k", "wis_defined", "count"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_table_used_exactly_when_outcomes_fit_in_trials(self, monkeypatch):
@@ -413,7 +467,7 @@ class TestCellPathMatchesSamplePath:
             calls.clear()
             sim = simulate_estimates(problem, 10, trials, seed=4)
             assert bool(calls) == table_path, trials
-            assert sim.k.shape == (trials,)
+            assert sim.count.sum() == trials
 
 
 class TestCoverageErrorsOnBothPaths:

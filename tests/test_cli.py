@@ -329,6 +329,11 @@ MALFORMED = {
         "{kind: uniform, low: 0.0, high: 2.0}",
         "{kind: piecewise-uniform, intervals: [[0.0, 2.0]], weights: {a: 1}}",
     ),
+    "weight-key": CONFIG.replace(
+        "{kind: uniform, low: 0.0, high: 2.0}",
+        "{kind: piecewise-uniform, intervals: [[0.0, 2.0]], weight: [1.0]}",
+    ),
+    "uniform-mean-key": CONFIG.replace("low: 0.0, high: 1.0", "low: 0.0, high: 1.0, mean: 5"),
     "stddev-null": CONFIG.replace(
         "{kind: uniform, low: 0.0, high: 1.0}",
         "{kind: truncated-normal, lower: 0.0, upper: 1.0, mean: 0.5, stddev: null}",

@@ -112,6 +112,65 @@ class TestBuildProblem:
             build_problem(doc)
 
 
+def _with(block: str, key: str, value) -> dict:
+    """GOOD_DOC with ``key: value`` added to one block: ``configuration``
+    (the document), ``problem``, ``evaluation``, ``pruning``, or the
+    target block as each density kind."""
+    doc = {"problem": {name: dict(b) for name, b in GOOD_DOC["problem"].items()}}
+    kinds = {
+        "uniform": {"kind": "uniform", "low": 0.0, "high": 0.5},
+        "piecewise-uniform": {"kind": "piecewise-uniform", "intervals": [[0.0, 0.5]]},
+        "truncated-normal": {
+            "kind": "truncated-normal",
+            "lower": 0.0,
+            "upper": 0.5,
+            "mean": 0.5,
+            "stddev": 1.0,
+        },
+    }
+    if block == "configuration":
+        doc[key] = value
+    elif block == "problem":
+        doc["problem"][key] = value
+    elif block in kinds:
+        doc["problem"]["target"] = {**kinds[block], key: value}
+    else:
+        doc["problem"][block][key] = value
+    return doc
+
+
+# (block, unknown key, context named in the error): a misspelt key
+# (weight for weights, intervals for pieces) and keys of other blocks.
+UNKNOWN_KEYS = [
+    ("configuration", "problems", "configuration"),
+    ("problem", "target_density", "problem"),
+    ("uniform", "mean", "target"),
+    ("piecewise-uniform", "weight", "target"),
+    ("truncated-normal", "low", "target"),
+    ("evaluation", "intervals", "evaluation"),
+    ("pruning", "pieces", "pruning"),
+]
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize(
+        "block, key, context", UNKNOWN_KEYS, ids=[block for block, _, _ in UNKNOWN_KEYS]
+    )
+    def test_every_block_refuses_a_key_it_does_not_read(self, block, key, context):
+        with pytest.raises(ValueError, match=rf"^{context}: unknown key '{key}'"):
+            build_problem(_with(block, key, [1.0]))
+
+    @pytest.mark.parametrize("block", ["uniform", "piecewise-uniform", "truncated-normal"])
+    def test_each_density_kind_builds_without_extra_keys(self, block):
+        doc = _with(block, "kind", block)  # rewrites kind to itself
+        assert build_problem(doc).c == pytest.approx(0.25)
+
+    def test_illustrative_config_still_loads(self):
+        problem = load_problem(ILLUSTRATIVE_CONFIG)
+        assert problem.c == pytest.approx(0.5)
+        assert problem.cells is not None
+
+
 class TestLoadProblem:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "problem.yaml"

@@ -345,6 +345,36 @@ class TestEvaluationFunction:
         xs += [-np.inf, np.inf, np.nan]
         assert h(np.array(xs)).tolist() == [reference(x) for x in xs]
 
+    # One piece (the support's index is the scalar 0), and pieces that
+    # touch, leave a gap and hold a -0.0.
+    STEPS = [[(0.0, 1.0, 2.0)], [(0.0, 0.5, -1.0), (0.5, 1.0, -0.0), (1.5, 2.0, 3.0)]]
+
+    @pytest.mark.parametrize("pieces", STEPS)
+    def test_step_function_bits_match_its_lookup_as_a_plain_function(self, pieces):
+        """At piece endpoints, in gaps and outside the support, the step
+        function gives the bits of the generic path: its lookup ``fn``,
+        then the support's membership."""
+        h = EvaluationFunction.piecewise_constant(pieces)
+        plain = EvaluationFunction(h.fn, h.support)
+        ends = sorted({e for lo, hi, _ in pieces for e in (lo, hi)})
+        xs = [y for a in ends for y in (np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf))]
+        xs += [1.25, -3.0, 7.0, -np.inf, np.inf, np.nan]
+        xs = np.array(xs + [0.0] * (-len(xs) % 3)).reshape(-1, 3)
+        assert h(xs).tobytes() == plain(xs).tobytes()
+
+    @pytest.mark.parametrize("pieces", STEPS)
+    def test_step_function_searches_its_support_once_per_call(self, pieces, monkeypatch):
+        h = EvaluationFunction.piecewise_constant(pieces)
+        calls, locate = [], h.support.locate
+
+        def spy(x):
+            calls.append(1)
+            return locate(x)
+
+        monkeypatch.setattr(h.support, "locate", spy)
+        h(np.linspace(-1.0, 3.0, 17))
+        assert len(calls) == 1
+
     def test_nan_and_inf_outside_support_become_zero(self):
         def fn(x):
             return np.where(x < 0.0, np.nan, np.where(x > 1.0, np.inf, -x))

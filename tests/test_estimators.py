@@ -261,13 +261,17 @@ class TestConditionalMeans:
         theta, f_max, n, trials = 2.0, 0.5, 10, 150_000
         problem = illustrative_problem(f_max, theta)
         sim = simulate_estimates(problem, n, trials, seed=20240817)
-        pos = sim.k > 0
+        # One entry per trial: each row repeated as many times as it was drawn.
+        is_values, us_values, k = (
+            np.repeat(col, sim.count) for col in (sim.is_values, sim.us_values, sim.k)
+        )
+        pos = k > 0
         r = rho(n, problem.c)
 
-        us_vals = sim.us_values[pos]
+        us_vals = us_values[pos]
         se = us_vals.std(ddof=1) / np.sqrt(us_vals.size)
         assert abs(us_vals.mean() - theta) <= 3.0 * se
 
-        is_vals = sim.is_values[pos]
+        is_vals = is_values[pos]
         se = is_vals.std(ddof=1) / np.sqrt(is_vals.size)
         assert abs(is_vals.mean() - theta / r) <= 3.0 * se

@@ -16,6 +16,7 @@ from scipy.integrate import quad, simpson
 
 from unequal_support import experiments
 from unequal_support._kernels import batch_estimates
+from unequal_support.bounds import _margin, weighted_range
 from unequal_support.cli import DEFAULT_F_MAX_GRID, DEFAULT_THETA_GRID
 from unequal_support.config import load_problem
 from unequal_support.densities import (
@@ -32,6 +33,7 @@ from unequal_support.densities import (
 from unequal_support.estimators import ControlVariate
 from unequal_support.experiments import (
     SyntheticReturnSurface,
+    TrialStats,
     analytic_reports,
     coverage_experiment,
     derive_seed,
@@ -82,12 +84,15 @@ class TestSimulateEstimates:
         assert np.array_equal(a.us_values, b.us_values)
         assert np.array_equal(a.wis_values, b.wis_values)
         assert np.array_equal(a.k, b.k)
+        assert np.array_equal(a.count, b.count)
 
     def test_seed_changes_stream(self):
         problem = illustrative_problem(0.5, 1.0)
         a = simulate_estimates(problem, 7, 1000, seed=1)
         b = simulate_estimates(problem, 7, 1000, seed=2)
-        assert not np.array_equal(a.is_values, b.is_values)
+        assert not (
+            np.array_equal(a.is_values, b.is_values) and np.array_equal(a.count, b.count)
+        )
 
     def test_chunk_streams_are_keyed_by_seed_and_chunk(self):
         keys = [(0, 0), (0, 1), (1, 0), (1, 1), (2**64 - 1, 0), (7, 2**20)]
@@ -102,7 +107,7 @@ class TestSimulateEstimates:
     def test_spans_chunk_boundary(self):
         problem = illustrative_problem(1.0)
         sim = simulate_estimates(problem, 3, 4096 + 7, seed=5)
-        assert sim.is_values.shape == (4103,)
+        assert sim.count.sum() == 4103
 
     def test_validation(self):
         problem = illustrative_problem(1.0)
@@ -202,6 +207,7 @@ def assert_matches_rebuilt(problem, seed, t, surface=None):
         got = (sim.is_values, sim.us_values, sim.wis_values, sim.k, sim.wis_defined)
         for column, expected in zip(got, want):
             assert np.array_equal(column, expected)
+        assert sim.count.tolist() == [1] * sum(chunk_rows)
 
 
 class TestSamplePathWithoutSurface:
@@ -246,7 +252,7 @@ class TestSummarize:
         theta = 2.0
         positive = np.array([True, True, False, True, True])
         defined = np.ones(5, dtype=bool)
-        stats = summarize_trials("IS", values, theta, defined, positive)
+        stats = summarize_trials("IS", values, theta, defined, positive, np.ones(5))
         assert stats.mean == pytest.approx(values.mean())
         assert stats.variance == pytest.approx(values.var(ddof=1))
         assert stats.mse == pytest.approx(((values - theta) ** 2).mean())
@@ -261,9 +267,161 @@ class TestSummarize:
     def test_undefined_rate(self):
         values = np.array([0.0, 1.0, 0.0, 1.0])
         defined = np.array([False, True, False, True])
-        stats = summarize_trials("US", values, 1.0, defined, defined)
+        stats = summarize_trials("US", values, 1.0, defined, defined, np.ones(4))
         assert stats.undefined_rate == 0.5
         assert stats.se_undefined_rate == pytest.approx(math.sqrt(0.25 / 4))
+
+
+def per_trial_summary(label, values, theta, defined, positive) -> TrialStats:
+    """The summary of one value per trial that the count-weighted
+    summaries replace, kept as their reference."""
+
+    def block(values):
+        count = values.size
+        if count < 2:
+            only = float(values[0]) if count == 1 else math.nan
+            return only, math.nan, (only - theta) ** 2 if count else math.nan, *(math.nan,) * 3
+        mean = float(values.mean())
+        centered = values - mean
+        variance = float(centered.dot(centered) / (count - 1))
+        sq = centered * centered
+        fourth = float(sq.dot(sq) / count)
+        sq_err = (values - theta) ** 2
+        return (
+            mean,
+            variance,
+            float(sq_err.mean()),
+            math.sqrt(variance / count),
+            math.sqrt(max(fourth - variance * variance, 0.0) / count),
+            float(sq_err.std(ddof=1)) / math.sqrt(count),
+        )
+
+    p_undef = float(1.0 - np.mean(defined))
+    return TrialStats(
+        label,
+        values.size,
+        *block(values),
+        int(np.count_nonzero(positive)),
+        *block(values[positive]),
+        p_undef,
+        math.sqrt(max(p_undef * (1.0 - p_undef), 0.0) / values.size),
+    )
+
+
+def per_trial(sim) -> list:
+    """(IS, US, WIS, k, WIS-defined), one entry per trial: each row
+    repeated as many times as it was drawn."""
+    cols = (sim.is_values, sim.us_values, sim.wis_values, sim.k, sim.wis_defined)
+    return [np.repeat(col, sim.count) for col in cols]
+
+
+def assert_close(got, want, what=None):
+    """Equal, both NaN, or within 1e-10 relative: the summation order
+    of a count-weighted sum differs from a per-trial one."""
+    if isinstance(want, (int, str)) or not (math.isfinite(got) or math.isfinite(want)):
+        assert got == want or (math.isnan(got) and math.isnan(want)), what
+    else:
+        assert abs(got - want) <= 1e-10 * max(abs(got), abs(want)), (what, got, want)
+
+
+def _summary_points():
+    """(name, problem, n, theta, surface): the acceptance grid on the
+    outcome table, then two per-trial-count and two sample-path points."""
+    for f_max in (0.2, 0.5, 1.0, 2.0):
+        for theta in (0.0, 1.0, 10.0):
+            for n in (5, 10, 50):
+                problem = illustrative_problem(f_max, theta)
+                yield f"table-{f_max}-{theta}-{n}", problem, n, theta, None
+    surface = SyntheticReturnSurface()
+    two_cells = EstimationProblem(
+        PiecewiseUniform([(0.0, 0.5), (0.5, 1.0)], [0.8, 0.2]),
+        PiecewiseUniform.uniform(0.0, 2.0),
+        EvaluationFunction.piecewise_constant([(0.0, 0.25, -1.0), (0.25, 1.0, 2.0)]),
+        PruningSet.from_intervals([(0.0, 1.0)], PiecewiseUniform.uniform(0.0, 2.0)),
+    )
+    yield "cell-counts-two-weights", two_cells, 120, 0.4, None
+    yield "cell-counts-illustrative", illustrative_problem(0.5, 10.0), 200, 10.0, None
+    treatment = treatment_problem(9.5, surface)
+    theta = moment_inputs(treatment, surface=surface)[0]
+    yield "samples-surface", treatment, 30, theta, surface
+    plain = illustrative_problem(1.0, 1.0)
+    plain_h = EvaluationFunction(plain.evaluation.fn, plain.evaluation.support)
+    plain = EstimationProblem(plain.target, plain.sampling, plain_h, plain.pruning)
+    yield "samples-plain-h", plain, 10, 1.0, None
+
+
+SUMMARY_POINTS = list(_summary_points())
+
+
+class TestCountWeightedSummaries:
+    """Summaries and bound rows of the outcome-table, per-trial-count
+    and sample paths against the per-trial formulas on the same trials."""
+
+    @pytest.mark.parametrize("cv", [0.0, 0.75])
+    def test_trial_stats_match_per_trial_summary(self, cv):
+        for name, problem, n, theta, surface in SUMMARY_POINTS:
+            trials, seed = 20_000 if name.startswith("table") else 3000, 23
+            sim = simulate_estimates(problem, n, trials, seed, t=cv, surface=surface)
+            assert (sim.count == 1).all() != name.startswith("table")
+            stats = run_trials(problem, n, trials, theta, ControlVariate(cv), seed, surface)
+            is_v, us_v, wis_v, k, wis_defined = per_trial(sim)
+            positive = k > 0
+            want = {
+                "IS": per_trial_summary("IS", is_v, theta, np.ones(trials, bool), positive),
+                "US": per_trial_summary("US", us_v, theta, positive, positive),
+                "WIS": per_trial_summary("WIS", wis_v, theta, wis_defined, positive),
+            }
+            for label, expected in want.items():
+                for field, value in expected.to_record().items():
+                    assert_close(getattr(stats[label], field), value, (name, label, field))
+
+    def test_weighted_rows_equal_repeated_unit_rows(self):
+        values = np.array([3.0, -1.0, 0.5, 7.0])
+        count = np.array([2, 1, 0, 5])
+        positive = np.array([True, False, True, True])
+        defined = np.array([True, True, False, True])
+        got = summarize_trials("US", values, 1.5, defined, positive, count)
+        want = summarize_trials(
+            "US",
+            np.repeat(values, count),
+            1.5,
+            np.repeat(defined, count),
+            np.repeat(positive, count),
+            np.ones(count.sum()),
+        )
+        assert got.trials == 8 and got.positive_trials == 7
+        for field, value in want.to_record().items():
+            assert_close(getattr(got, field), value, field)
+
+    @pytest.mark.parametrize("n, trials", [(10, 20_000), (200, 2000)])
+    def test_bound_rows_match_per_trial_formulas(self, n, trials):
+        """n = 10 takes the outcome table, n = 200 per-trial counts. The
+        shares and mean k are exact sums of whole numbers, so they match
+        bit for bit."""
+        f_max, delta, theta, seed = 0.5, 0.1, 1.0, 9
+        problem = illustrative_problem(f_max, theta)
+        c, b = problem.c, weighted_range(problem)
+        sim = simulate_estimates(problem, n, trials, derive_seed(seed, 0))
+        is_v, us_v, _, k, _ = per_trial(sim)
+        defined = k > 0
+        is_margin = _margin(b, delta, n)
+        us_margin = _margin(c * b, delta, np.maximum(k, 1))
+
+        (row,) = sweep_bounds(f_max, [n], delta, trials, seed, theta)
+        assert_close(row.mean_is_lower, float(np.mean(is_v - is_margin)))
+        assert_close(row.mean_is_upper, float(np.mean(is_v + is_margin)))
+        assert_close(row.mean_us_lower, float(np.mean((us_v - us_margin)[defined])))
+        assert_close(row.mean_us_upper, float(np.mean((us_v + us_margin)[defined])))
+        assert row.empirical_rho == float(np.mean(defined))
+
+        (cov,) = coverage_experiment(f_max, [n], delta, trials, theta, seed)
+        assert cov.coverage_is == float(np.mean(is_v - is_margin <= theta))
+        assert cov.coverage_us == float(np.mean((us_v - us_margin)[defined] <= theta))
+        assert cov.mean_k == float(k.mean())
+        assert cov.undefined_rate == float(1.0 - np.mean(defined))
+        assert_close(cov.mean_margin_us, float(np.mean(us_margin[defined])))
+        assert_close(cov.margin_ratio, float(np.mean(us_margin[defined])) / is_margin)
+        assert_close(cov.predicted_ratio, c * math.sqrt(n / float(k.mean())))
 
 
 class TestRunTrials:
@@ -343,7 +501,7 @@ class TestSweepIllustrative:
         problem = illustrative_problem(0.5, theta=3.0)
         sim = simulate_estimates(problem, 20, 1000, seed=17)
         pos = sim.k > 0
-        assert pos.sum() > 900
+        assert sim.count[pos].sum() > 900
         np.testing.assert_allclose(
             sim.wis_values[pos], sim.us_values[pos], rtol=1e-12
         )
