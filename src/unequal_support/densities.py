@@ -15,7 +15,6 @@ evaluation is constant between finitely many breakpoints;
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from statistics import NormalDist
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -240,9 +239,77 @@ def _normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-# Standard normal quantile as a ufunc; its result is an object array unless
-# written into a float ``out`` with ``casting="unsafe"``.
-_normal_quantile = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+# Wichura's AS241 (PPND16) rationals, numerator then denominator, each
+# highest power first, as ``statistics.NormalDist().inv_cdf`` evaluates
+# them: the central one in r = 0.180625 - q^2 (|q| <= 0.425, q = p - 0.5),
+# then the tails' in r = sqrt(-log(min(p, 1 - p))) less 1.6 (r <= 5) or 5.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+)
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
+     4.6303378461565452959e0, 1.4234371107496835773e0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
+     2.0531916266377588219e0, 1.0),
+)
+_AS241_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
+     5.4637849111641143699e0, 6.6579046435011037772e0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0),
+)
+
+
+def _poly(r: np.ndarray, coefficients) -> np.ndarray:
+    """Horner's rule in inv_cdf's order, highest power first."""
+    acc = np.full_like(r, coefficients[0])
+    for a in coefficients[1:]:
+        acc *= r
+        acc += a
+    return acc
+
+
+def _normal_quantile(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each p, written into ``out``, which may
+    be p itself: the floating-point operations of
+    ``statistics.NormalDist().inv_cdf``, vectorised, and -inf at p <= 0
+    and +inf at p >= 1, where inv_cdf raises."""
+    q = p - 0.5
+    central = np.abs(q) <= 0.425
+    tail = ~central
+    # Gathered before out, which may be p, is written.
+    pt, qt = p[tail], q[tail]
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    num, den = _AS241_CENTRAL
+    out[central] = _poly(r, num) * qc / _poly(r, den)
+    # min(p, 1 - p), which is not positive where p lies outside (0, 1):
+    # those entries read log(1) and are set to inf below. math.log is the
+    # libm log that inv_cdf takes; np.log can be an ulp away from it.
+    r = np.where(qt <= 0.0, pt, 1.0 - pt)
+    edge = ~(r > 0.0)
+    r[edge] = 1.0
+    r = np.sqrt(-np.fromiter(map(math.log, r), float, r.size))
+    xt = np.empty_like(r)
+    for part, shift, (num, den) in (
+        (r <= 5.0, 1.6, _AS241_NEAR),
+        (r > 5.0, 5.0, _AS241_FAR),
+    ):
+        rp = r[part] - shift
+        xt[part] = _poly(rp, num) / _poly(rp, den)
+    xt[edge] = np.inf
+    np.negative(xt, out=xt, where=qt < 0.0)
+    out[tail] = xt
+    return out
 
 
 class TruncatedNormal:
@@ -251,8 +318,8 @@ class TruncatedNormal:
     Sampling uses the inverse CDF on the truncated quantile range, so a
     fixed seed always consumes exactly one uniform per draw. The normal
     CDF is :func:`_normal_cdf` (``math.erfc``) and its quantile is
-    ``statistics.NormalDist().inv_cdf``, applied elementwise. ``pdf`` and
-    ``sample`` run their chains in place in one array.
+    :func:`_normal_quantile`, Wichura's AS241 over the whole array.
+    ``pdf`` and ``sample`` run their chains in place in one array.
     """
 
     def __init__(self, lower: float, upper: float, mean: float, stddev: float):
@@ -289,13 +356,9 @@ class TruncatedNormal:
         q = rng.random(size, out=out)
         q *= self._z
         q += self._cdf_lo
-        # inv_cdf raises at q <= 0 (an underflowed _cdf_lo) and q >= 1 (a
-        # _cdf_hi of 1). The quantile there is -inf or +inf, which the clip
-        # below turns into lower or upper. The mask is taken before q is
-        # overwritten, and each masked write reads only what it writes.
-        inside = (q > 0.0) & (q < 1.0)
-        np.copysign(np.inf, q - 0.5, out=q, where=~inside)
-        x = _normal_quantile(q, out=q, where=inside, casting="unsafe")
+        # q <= 0 (an underflowed _cdf_lo) and q >= 1 (a _cdf_hi of 1) map
+        # to -inf and +inf, which the clip turns into lower and upper.
+        x = _normal_quantile(q, out=q)
         x *= self.stddev
         x += self.mean
         return np.clip(x, self.lower, self.upper, out=x)
@@ -503,6 +566,18 @@ def _breakpoint_cells(*unions: IntervalUnion):
     return edges[:-1], edges[1:], 0.5 * (edges[:-1] + edges[1:])
 
 
+def place_rule(lows, highs, z, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(x, q): a rule with nodes z and weights on [-1, 1] placed on each
+    cell [lows[j], highs[j]], cell by cell: x = mid + half z and
+    q = half weights, half being the cell's half-length. z and the
+    weights are halved rather than the length, so the one-node rule
+    (node 0, weight 2) gives each cell's midpoint and length bit for
+    bit, subnormal lengths included."""
+    mid, length = 0.5 * (lows + highs), highs - lows
+    x = mid[:, None] + length[:, None] * (0.5 * np.asarray(z))
+    return x.ravel(), (length[:, None] * (0.5 * np.asarray(weights))).ravel()
+
+
 def check_coverage(w, fh, in_c, t: float) -> None:
     """The coverage checks of C on a batch's terms, in this order.
 
@@ -533,10 +608,10 @@ class CellTable:
     statistic for every estimator. Each cell ``[lows[j], highs[j]]``
     carries its mass ``p`` under g, the weight ``w`` = f/g, the
     evaluation ``h`` and membership ``in_c`` in C: the terms of
-    :meth:`EstimationProblem.node_terms` under the midpoint rule, one node
-    per :meth:`EstimationProblem.support_cells` cell weighted by its
-    length. Cells outside the sampling support are left out: no sample
-    can land there.
+    :meth:`EstimationProblem.node_terms` under the midpoint rule, the
+    one-node case of :func:`place_rule` on the
+    :meth:`EstimationProblem.support_cells` cells. Cells outside the
+    sampling support are left out: no sample can land there.
     """
 
     lows: np.ndarray
@@ -554,7 +629,9 @@ class CellTable:
         if h.pieces is None or not all(isinstance(d, PiecewiseUniform) for d in (f, g)):
             return None
         lows, highs = problem.support_cells()
-        return cls(lows, highs, *problem.node_terms(0.5 * (lows + highs), highs - lows))
+        # The one-node rule on [-1, 1]: node 0, weight 2.
+        x, q = place_rule(lows, highs, [0.0], [2.0])
+        return cls(lows, highs, *problem.node_terms(x, q))
 
     def check_coverage(self, counts: np.ndarray, t: float) -> None:
         """:func:`check_coverage` on the cells some trial hit."""

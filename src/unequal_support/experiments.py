@@ -8,9 +8,10 @@ surrogate itself, not any real system).
 
 Every sweep's analytic inputs come from its problem: ``sampling_mean``
 (E_g[h]) and ``moment_inputs`` ((theta, v)) sum over the problem's
-terms, its cell table or Simpson nodes. The two analytic-vs-empirical
-sweeps share one loop over (coordinate, problem, theta) points, and the
-bound and coverage sweeps one bound-trial loop.
+terms, its cell table or 32 Gauss-Legendre nodes on each of its support
+cells. The two analytic-vs-empirical sweeps share one loop over
+(coordinate, problem, theta) points, and the bound and coverage sweeps
+one bound-trial loop.
 
 Reproducibility contract: every sweep derives one sub-seed per grid
 point from the master seed, and each point's trials are generated in
@@ -51,6 +52,7 @@ count 1, and every summary (:func:`summarize_trials`, the bound and
 coverage rows) is one count-weighted sum over the rows on all paths.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -65,6 +67,7 @@ from .densities import (
     PiecewiseUniform,
     PruningSet,
     TruncatedNormal,
+    place_rule,
 )
 from .estimators import ControlVariate
 from .moments import MomentInputs, MomentReport, moment_report, rho
@@ -244,36 +247,37 @@ def treatment_problem(
     return EstimationProblem(target, sampling, evaluation, pruning)
 
 
-# Simpson panels of a problem's terms when it has no cell table.
-_QUAD_PANELS = 100_000
+# Gauss-Legendre nodes per support cell of a problem with no cell table.
+# Against adaptive quadrature at cr_min = 10.99 (target stddev 0.01) the
+# treatment v is 1.7e-14 off with 32 nodes and 1.3e-13 off with 16.
+_QUAD_NODES = 32
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # Imported here, once per process, so that importing the package
+    # does not load numpy.polynomial.
+    from numpy.polynomial.legendre import leggauss
+
+    z, weights = leggauss(_QUAD_NODES)
+    # Every caller shares these arrays.
+    z.flags.writeable = weights.flags.writeable = False
+    return z, weights
 
 
 def _terms(problem: EstimationProblem):
     """(p, w, h, in_c) arrays: sum p phi(w, h, in_c) is the integral of
     g phi(f/g, h, [x in C]), exact when the problem has a cell table.
 
-    Without one, the terms are read at composite Simpson nodes on each of
-    the problem's support cells: an even share, at least 2, of
-    ``_QUAD_PANELS`` panels by length, with end nodes one ulp inside so
-    that each cell reads its own one-sided limits.
+    Without one, the terms are read at the ``_QUAD_NODES`` Gauss-Legendre
+    nodes of each of the problem's support cells. Each integrand is
+    analytic inside a cell, where the rule converges geometrically, and
+    its nodes are interior, so each cell reads its own one-sided limits.
     """
     table = problem.cells
     if table is not None:
         return table.p, table.w, table.h, table.in_c
-    lows, highs = problem.support_cells()
-    share = (highs - lows) / (highs - lows).sum()
-    panels = np.maximum(1, np.round(share * (_QUAD_PANELS // 2)).astype(int)) * 2
-    ends = np.cumsum(panels + 1)
-    x, q = np.empty(ends[-1]), np.empty(ends[-1])
-    for lo, hi, m, b in zip(lows, highs, panels, ends):
-        a = b - m - 1
-        x[a:b] = np.linspace(lo, hi, m + 1)
-        x[a], x[b - 1] = np.nextafter(lo, hi), np.nextafter(hi, lo)
-        # Simpson weights (hi - lo)/(3m) times 1, 4, 2, 4, ..., 2, 4, 1.
-        q[a:b:2], q[a + 1 : b : 2] = 2.0, 4.0
-        q[a] = q[b - 1] = 1.0
-        q[a:b] *= (hi - lo) / (3 * m)
-    return problem.node_terms(x, q)
+    return problem.node_terms(*place_rule(*problem.support_cells(), *_gauss_legendre()))
 
 
 def _mean_h(terms) -> float:
@@ -295,7 +299,7 @@ def _theta_v(terms, c: float, t: float, surface) -> tuple[float, float]:
 
 def sampling_mean(problem: EstimationProblem) -> float:
     """E_g[h], the natural constant control variate: sum p h over the
-    problem's terms, its cell table or Simpson nodes."""
+    problem's terms, its cell table or its Gauss-Legendre nodes."""
     return _mean_h(_terms(problem))
 
 
@@ -733,9 +737,6 @@ def _sweep(
         cv = ControlVariate.from_spec(cv_mode, lambda: _mean_h(terms))
         derived, v = _theta_v(terms, problem.c, cv.t, surface)
         theta = derived if theta is None else theta
-        # Held across the simulation, a Simpson table's 2.5 MB made the
-        # allocator return and re-fault the chunk temporaries' memory.
-        del terms
         for n in n_grid:
             point_seed = derive_seed(seed, index)
             index += 1
@@ -789,9 +790,9 @@ def sweep_treatment_surrogate(
     """One SweepRow per cr_min under the synthetic return surface.
 
     Ground truth theta and the conditional term variance come from
-    Simpson quadrature over the problem's terms, so the analytic columns
-    are exact for the surrogate itself (they describe no external
-    system). ``cv_mode = sampling-mean`` uses the expected return under
+    32-node Gauss-Legendre quadrature on each support cell of the
+    problem, so the analytic columns are exact for the surrogate itself
+    (they describe no external system). ``cv_mode = sampling-mean`` uses the expected return under
     the sampling policy as the control variate.
     """
     surface = surface or SyntheticReturnSurface()

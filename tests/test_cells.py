@@ -15,11 +15,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unequal_support import experiments
 from unequal_support._kernels import batch_estimates, cell_estimates
+from unequal_support.cli import DEFAULT_F_MAX_GRID, DEFAULT_THETA_GRID
 from unequal_support.config import build_problem
 from unequal_support.densities import (
     CellTable,
@@ -31,6 +32,7 @@ from unequal_support.densities import (
     PruningSet,
     SampleBatch,
     TruncatedNormal,
+    place_rule,
 )
 from unequal_support.estimators import ControlVariate, estimate_all
 from unequal_support.experiments import (
@@ -190,6 +192,53 @@ class TestCellTable:
         assert table.w.tobytes() == (problem.target.pdf(mid) / gv).tobytes()
         assert table.h.tobytes() == problem.evaluation(mid).tobytes()
         assert table.in_c.tolist() == problem.pruning.contains(mid).tolist()
+
+    @staticmethod
+    def assert_one_node_rule_is_the_midpoint_rule(problem):
+        """place_rule's one-node rule (node 0, weight 2) puts each node at
+        its cell's midpoint with the cell's length as weight, and the cell
+        table holds the terms read there, bit for bit."""
+        table = CellTable.from_problem(problem)
+        lows, highs = problem.support_cells()
+        x, q = place_rule(lows, highs, np.zeros(1), np.full(1, 2.0))
+        mid, length = 0.5 * (lows + highs), highs - lows
+        assert x.tobytes() == mid.tobytes() and q.tobytes() == length.tobytes()
+        want = problem.node_terms(mid, length)
+        for got, expected in zip((table.p, table.w, table.h, table.in_c), want):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_one_node_rule_on_the_illustrative_grid(self):
+        for f_max in DEFAULT_F_MAX_GRID:
+            for theta in DEFAULT_THETA_GRID:
+                self.assert_one_node_rule_is_the_midpoint_rule(
+                    illustrative_problem(f_max, theta)
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cuts=st.lists(st.floats(0.01, 0.99), min_size=5, max_size=5, unique=True),
+        weights=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+        values=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        c_ends=st.tuples(st.floats(0.0, 0.45), st.floats(0.55, 1.0)),
+        scale=st.floats(0.1, 100.0),
+    )
+    # A first cell [0, 5e-324], whose half-length underflows to 0.
+    @example(
+        cuts=[0.5, 0.75, 0.875, 0.25, 0.375], weights=(0.5, 0.5), values=(0.0, 0.0),
+        c_ends=(5e-324, 1.0), scale=1.0,
+    )
+    def test_one_node_rule_on_random_piecewise_problems(
+        self, cuts, weights, values, c_ends, scale
+    ):
+        a, b, fa, fb, h_cut = (scale * x for x in cuts)
+        a, b, fa, fb = sorted((a, b, fa, fb))
+        g = PiecewiseUniform([(0.0, b), (b, scale)], [weights[0], 1.0 - weights[0]])
+        f = PiecewiseUniform([(a, fa), (fb, scale)], [weights[1], 1.0 - weights[1]])
+        h = EvaluationFunction.piecewise_constant(
+            [(0.0, h_cut, values[0]), (h_cut, scale, values[1])]
+        )
+        c_set = PruningSet.from_intervals([(scale * c_ends[0], scale * c_ends[1])], g)
+        self.assert_one_node_rule_is_the_midpoint_rule(EstimationProblem(f, g, h, c_set))
 
     def test_cells_outside_sampling_support_left_out(self):
         table = CellTable.from_problem(mixed_problem())

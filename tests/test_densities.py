@@ -1,6 +1,7 @@
 """Densities, evaluation functions, pruning sets, and batch plumbing."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from unequal_support.densities import (
     SamplingSupportError,
     TruncatedNormal,
     _normal_cdf,
+    _normal_quantile,
     draw,
 )
 from unequal_support.experiments import run_trials
@@ -249,6 +251,33 @@ class TestTruncatedNormal:
         p = np.concatenate([tail, 1.0 - tail])
         x = d.sample(_FixedUniforms(p), p.shape)
         assert (np.abs(x - ndtri(p)) <= 8 * np.spacing(np.abs(ndtri(p)))).all()
+
+    def test_quantile_bits_equal_inv_cdf(self):
+        """The vectorised AS241 quantile is bit-equal to
+        NormalDist().inv_cdf on a dense grid, both tails (down to 1e-300
+        and up to 1 - 2**-53) and each side of the branch ends
+        |p - 0.5| = 0.425 and min(p, 1 - p) = exp(-25)."""
+        ends = [0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)]
+        p = np.concatenate([
+            np.linspace(0.0, 1.0, 200_001)[1:-1],
+            np.geomspace(1e-300, 0.5, 20_000),
+            1.0 - np.geomspace(2.0**-53, 0.5, 20_000),
+            np.random.default_rng(8).random(100_000),
+            [y for a in ends for y in (np.nextafter(a, 0.0), a, np.nextafter(a, 1.0))],
+            [5e-324, 1.0 - 2.0**-53],
+        ])
+        inv = NormalDist().inv_cdf
+        expected = np.array([inv(v) for v in p])
+        assert _normal_quantile(p, np.empty_like(p)).tobytes() == expected.tobytes()
+        # In place, over a 2-D array.
+        grid = p[: 2 * (p.size // 2)].reshape(2, -1)
+        want = expected[: grid.size].reshape(grid.shape)
+        assert _normal_quantile(grid, out=grid).tobytes() == want.tobytes()
+
+    def test_quantile_outside_the_open_unit_interval_is_infinite(self):
+        p = np.array([0.0, -0.0, -1e-300, 1.0, 1.5])
+        x = _normal_quantile(p, np.empty_like(p))
+        assert x.tolist() == [-math.inf, -math.inf, -math.inf, math.inf, math.inf]
 
     def test_interval_mass_additive(self):
         d = TruncatedNormal(0.0, 2.0, 1.0, 0.7)

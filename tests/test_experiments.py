@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad, simpson
+from scipy.integrate import quad
 
 from unequal_support import experiments
 from unequal_support._kernels import batch_estimates
@@ -583,7 +583,7 @@ def _pieces_mean(problem):
 
 def _without_pieces(problem):
     """The same problem with h as a plain function: no cell table, so its
-    terms come from Simpson nodes."""
+    terms come from Gauss-Legendre nodes."""
     h = problem.evaluation
     evaluation = EvaluationFunction(h.fn, h.support)
     return EstimationProblem(problem.target, problem.sampling, evaluation, problem.pruning)
@@ -613,7 +613,7 @@ class TestDerivedInputs:
         c_ends=st.tuples(st.floats(0.0, 0.45), st.floats(0.55, 1.0)),
         t=st.floats(-3.0, 3.0),
     )
-    def test_simpson_table_agrees_with_cell_table(
+    def test_gauss_legendre_terms_agree_with_cell_table(
         self, cuts, weights, values, h_cut, c_ends, t
     ):
         a, b, fa, fb = sorted(4.0 * x for x in cuts)
@@ -678,28 +678,38 @@ class TestTreatmentSurrogate:
         assert theta_t == theta
         assert v_centered < v / 10.0
 
-    @pytest.mark.parametrize("cr_min", [8.5, 9.0, 10.375, 10.9])
-    def test_simpson_rule_matches_scipy(self, cr_min):
-        """The Simpson table's sums against scipy's Simpson rule on one
-        uniform grid over the target support (the sampling support for
-        E_g[h])."""
+    @pytest.mark.parametrize("cr_min", [8.5, 9.0, 10.375, 10.9, 10.99])
+    def test_gauss_legendre_rule_matches_scipy_quad(self, cr_min):
+        """theta, v (with the surface's extra variance, at t = 0 and at
+        E_g[h]) and E_g[h] from the Gauss-Legendre terms against adaptive
+        quadrature at its tightest relative tolerance. At cr_min = 10.99
+        the target's stddev is 0.01."""
         surface = SyntheticReturnSurface()
         problem = treatment_problem(cr_min, surface)
-        p, w, h, in_c = experiments._terms(problem)
-        lo, hi = problem.target.lower, problem.target.upper
-        xs = np.linspace(lo, hi, 100_001)
-        fv, gv = problem.target.pdf(xs), problem.sampling.pdf(xs)
-        base = surface.marginal_return(xs)
-        t = sampling_mean(problem)
-        for table_sum, y in [
-            ((p * w * h).sum(), fv * base),
-            ((p * (w * (h - t)) ** 2).sum(), fv * fv / gv * (base - t) ** 2),
-            ((p * w * w).sum(), fv * fv / gv),
-        ]:
-            assert table_sum == pytest.approx(simpson(y, x=xs), rel=1e-13, abs=0.0)
-        xg = np.linspace(8.5, 11.0, 100_001)
-        expected_mean = simpson(surface.marginal_return(xg), x=xg) / 2.5
-        assert t == pytest.approx(expected_mean, rel=1e-13, abs=0.0)
+        f, g, base = problem.target.pdf, problem.sampling.pdf, surface.marginal_return
+        c = problem.c
+
+        def integral(fn, lo=cr_min):
+            return quad(lambda x: float(fn(np.array(x))), lo, 11.0, epsabs=0.0,
+                        epsrel=1.2e-14, limit=200)[0]
+
+        close = functools.partial(pytest.approx, rel=1e-13, abs=0.0)
+        mean = integral(lambda x: g(x) * base(x), lo=8.5)
+        assert sampling_mean(problem) == close(mean)
+        theta = integral(lambda x: f(x) * base(x))
+        for t in (0.0, mean):
+            m = (theta - t) / c
+            spread = integral(lambda x: g(x) * (f(x) / g(x) * (base(x) - t) - m) ** 2)
+            weight_sq = integral(lambda x: f(x) ** 2 / g(x))
+            v = (spread + surface.extra_variance * weight_sq) / c
+            assert moment_inputs(problem, t, surface) == close((theta, v))
+
+    def test_terms_hold_quad_nodes_per_support_cell(self):
+        problem = treatment_problem(10.375)
+        lows, _ = problem.support_cells()
+        assert len(lows) == 2
+        for array in experiments._terms(problem):
+            assert array.shape == (len(lows) * experiments._QUAD_NODES,)
 
     def test_one_quadrature_pass_per_point(self, monkeypatch):
         """One table build per sweep point, and E_g[h], theta and v of the
@@ -837,6 +847,19 @@ class TestImportCost:
         probe = (
             "import sys, unequal_support, unequal_support.cli\n"
             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_cli_import_loads_neither_scipy_nor_numpy_polynomial(self):
+        """The Gauss-Legendre nodes are computed on first use, so importing
+        the CLI loads numpy.polynomial no more than scipy."""
+        probe = (
+            "import sys, unequal_support.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
