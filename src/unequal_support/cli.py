@@ -74,7 +74,7 @@ from .experiments import (
     sweep_treatment_surrogate,
     treatment_problem,
 )
-from .moments import MomentInputs, moment_report
+from .moments import ESTIMATORS, MomentInputs, moment_report
 
 __all__ = ["main"]
 
@@ -245,21 +245,19 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    cells = [
-        ("IS", "unconditional", None),
-        ("IS", "conditioned-positive", None),
-        ("US", "unconditional", None),
-        ("US", "conditioned-positive", None),
+    # The four averaged cells share one MomentInputs, and so one
+    # E[1/K | K > 0] sum; the conditioned-exact cells need kappa set.
+    averaged = MomentInputs(args.n, args.c, args.v, args.theta)
+    rows = [
+        moment_report(estimator, regime, averaged)
+        for estimator in ESTIMATORS
+        for regime in ("unconditional", "conditioned-positive")
     ]
     if args.kappa is not None:
-        cells += [
-            ("IS", "conditioned-exact", args.kappa),
-            ("US", "conditioned-exact", args.kappa),
+        exact = MomentInputs(args.n, args.c, args.v, args.theta, args.kappa)
+        rows += [
+            moment_report(estimator, "conditioned-exact", exact) for estimator in ESTIMATORS
         ]
-    rows = []
-    for estimator, regime, kappa in cells:
-        inputs = MomentInputs(args.n, args.c, args.v, args.theta, kappa)
-        rows.append(moment_report(estimator, regime, inputs))
     _write(rows, args)
     return 0
 

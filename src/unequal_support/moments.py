@@ -13,6 +13,7 @@ is nonempty after pruning, and ``binom_inv_moment``, the conditional
 inverse moment E[1/K | K > 0] for K ~ Binomial(n, c).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +50,9 @@ class MomentInputs:
     ``v`` is the variance of a single importance-sampling term
     f(X)/g(X) h(X) conditioned on X landing in C. ``kappa`` is only
     meaningful for the conditioned-exact regime.
+
+    ``rho`` and ``inv_moment`` are derived from (n, c) on first use and
+    kept, so every catalog cell read from one instance shares them.
     """
 
     n: int
@@ -62,8 +66,25 @@ class MomentInputs:
         # Not v < 0: NaN must fail too.
         if not self.v >= 0.0:
             raise ValueError("v must be nonnegative")
+        if not math.isfinite(self.v):
+            raise ValueError("v must be finite")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         if self.kappa is not None and not 1 <= self.kappa <= self.n:
             raise ValueError("kappa must lie in [1, n]")
+
+    # cached_property writes the instance __dict__ directly, which a
+    # frozen dataclass allows. Both call the module-level functions by
+    # name, so a caller that replaces them on the module is seen.
+    @functools.cached_property
+    def rho(self) -> float:
+        """rho(n, c): the probability that a batch is nonempty."""
+        return rho(self.n, self.c)
+
+    @functools.cached_property
+    def inv_moment(self) -> float:
+        """binom_inv_moment(n, c): E[1/K | K > 0] for K ~ Binomial(n, c)."""
+        return binom_inv_moment(self.n, self.c)
 
 
 @dataclass(frozen=True)
@@ -142,8 +163,15 @@ def binom_inv_moment(n: int, c: float) -> float:
     The normalising constant cancels in the ratio, so neither the
     absolute pmf nor rho enters the sums.
 
+    The window's k are one float array, and both half-window products
+    are written into one buffer u over that window: the lower half
+    through a reversed view, so it runs outward from the mode like the
+    upper half.
+
     Cost: O(sqrt(n log(n / r))) terms, about 11 000 at n = 10^6 and
-    c = 1/4. Exactly 1/n at c = 1.
+    c = 1/4, in two arrays of that length plus the ratio temporaries.
+    Exactly 1/n at c = 1. :class:`MomentInputs` computes it once per
+    instance.
     """
     _validate_nc(n, c)
     if c == 1.0:
@@ -152,14 +180,15 @@ def binom_inv_moment(n: int, c: float) -> float:
     # The mode lies within one of nc, so inside the window (half-width > 4).
     mode = min(n, math.floor((n + 1) * c))
     odds = c / (1.0 - c)
-    up = np.arange(mode, hi)
-    down = np.arange(mode, lo, -1)
-    u = np.concatenate([
-        np.cumprod(down / (n - down + 1.0) / odds)[::-1],
-        [1.0],
-        np.cumprod((n - up) / (up + 1.0) * odds),
-    ])
-    k = np.arange(lo, hi + 1)
+    k = np.arange(lo, hi + 1, dtype=float)
+    u = np.empty_like(k)
+    i = mode - lo
+    down = k[i:0:-1]  # mode, mode - 1, ..., lo + 1
+    # u[:i][::-1], not u[i - 1::-1]: at i = 0 the latter is all of u.
+    np.cumprod(down / (n - down + 1.0) / odds, out=u[:i][::-1])
+    u[i] = 1.0
+    up = k[i:-1]
+    np.cumprod((n - up) / (up + 1.0) * odds, out=u[i + 1:])
     if lo == 0:
         u, k = u[1:], k[1:]
     return float(np.sum(u / k) / np.sum(u))
@@ -181,8 +210,10 @@ def moment_report(estimator: str, regime: str, inputs: MomentInputs) -> MomentRe
     US k=kappa  theta                    (none)
     ==========  =======================  =============================================
 
-    e has no closed form (see :func:`binom_inv_moment`), so it is computed
-    only for the two averaged US cells, the only formulas that use it.
+    r and e are read from ``inputs.rho`` and ``inputs.inv_moment``, so
+    they are computed once per :class:`MomentInputs`, not once per cell.
+    e has no closed form (see :func:`binom_inv_moment`), and only the two
+    averaged US cells, the only formulas that use it, read it.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
@@ -199,7 +230,7 @@ def moment_report(estimator: str, regime: str, inputs: MomentInputs) -> MomentRe
     if inputs.kappa is not None:
         raise ValueError("kappa is only meaningful in the conditioned-exact regime")
 
-    r = rho(n, c)
+    r = inputs.rho
     if regime == "unconditional":
         if estimator == "IS":
             mean = theta
@@ -207,7 +238,7 @@ def moment_report(estimator: str, regime: str, inputs: MomentInputs) -> MomentRe
         else:
             mean = r * theta
             variance = (
-                r * c * c * v * binom_inv_moment(n, c) + theta * theta * r * (1.0 - r)
+                r * c * c * v * inputs.inv_moment + theta * theta * r * (1.0 - r)
             )
     else:
         if estimator == "IS":
@@ -217,7 +248,7 @@ def moment_report(estimator: str, regime: str, inputs: MomentInputs) -> MomentRe
             ) / (c * n * r * r)
         else:
             mean = theta
-            variance = c * c * v * binom_inv_moment(n, c)
+            variance = c * c * v * inputs.inv_moment
     bias = mean - theta
     return MomentReport(estimator, regime, mean, bias, variance, variance + bias * bias)
 

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from unequal_support import cli
+from unequal_support import cli, moments
 from unequal_support.cli import main
 from unequal_support.densities import EstimationProblem
 from unequal_support.experiments import render
@@ -244,6 +244,37 @@ class TestMoments:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: v must be nonnegative\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--v", "inf", "v must be finite"),
+            ("--theta", "nan", "theta must be finite"),
+            ("--theta", "inf", "theta must be finite"),
+        ],
+    )
+    def test_non_finite_input_is_a_user_error(self, flag, value, message, capsys):
+        argv = {"--n": "10", "--c": "0.5", "--v": "1", "--theta": "1", flag: value}
+        code = main(["moments", *(x for item in argv.items() for x in item)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kappa", [[], ["--kappa", "13"]])
+    def test_one_inverse_moment_per_call(self, monkeypatch, kappa, capsys):
+        """The four averaged cells share one E[1/K | K > 0] sum; the
+        conditioned-exact cells need none."""
+        seen = []
+        original = moments.binom_inv_moment
+
+        def counting(n, c):
+            seen.append((n, c))
+            return original(n, c)
+
+        monkeypatch.setattr(moments, "binom_inv_moment", counting)
+        run(["moments", "--n", "50", "--c", "0.25", "--v", "16", "--theta", "10", *kappa], capsys)
+        assert seen == [(50, 0.25)]
 
 
 class TestParser:

@@ -127,6 +127,27 @@ class TestBinomInvMoment:
         # and n <= 10^6, so the half-width is below sqrt(400 n).
         assert hi - lo <= 40.0 * math.sqrt(n) + 2.0
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-6, 0.015, 0.5, 1.0 - 1e-6, 1.0 - 1e-12])
+    @pytest.mark.parametrize("n", [1, 2, 3, 30, 10**3, 10**6])
+    def test_one_buffer_sum_equals_three_array_reference(self, n, c):
+        """The one-buffer sum does the reference's operations in the same
+        order, so the bits agree. The grid puts the mode at each window
+        edge (c = 1e-300 at lo = 0, c near 1 at hi = n)."""
+        lo, hi = _inv_moment_window(n, c)
+        mode = min(n, math.floor((n + 1) * c))
+        odds = c / (1.0 - c)
+        up = np.arange(mode, hi)
+        down = np.arange(mode, lo, -1)
+        u = np.concatenate([
+            np.cumprod(down / (n - down + 1.0) / odds)[::-1],
+            [1.0],
+            np.cumprod((n - up) / (up + 1.0) * odds),
+        ])
+        k = np.arange(lo, hi + 1)
+        if lo == 0:
+            u, k = u[1:], k[1:]
+        assert binom_inv_moment(n, c) == float(np.sum(u / k) / np.sum(u))
+
     def test_window_is_small_at_large_n(self):
         lo, hi = _inv_moment_window(10**6, 0.25)
         assert hi - lo + 1 <= 11_000
@@ -241,6 +262,20 @@ class TestMomentReport:
         moment_report(estimator, regime, MomentInputs(50, 0.25, 16.0, 10.0))
         assert seen == [(50, 0.25)] * calls
 
+    def test_averaged_cells_of_one_input_share_one_inverse_moment(self, monkeypatch):
+        seen = []
+
+        def counting(n, c):
+            seen.append((n, c))
+            return binom_inv_moment(n, c)
+
+        monkeypatch.setattr(moments, "binom_inv_moment", counting)
+        inputs = MomentInputs(50, 0.25, 16.0, 10.0)
+        for estimator in ("IS", "US"):
+            for regime in ("unconditional", "conditioned-positive"):
+                moment_report(estimator, regime, inputs)
+        assert seen == [(50, 0.25)]
+
     def test_us_variances_match_formulas_bit_for_bit(self):
         n, c, v, theta = 50, 0.25, 16.0, 10.0
         r, e_inv = rho(n, c), binom_inv_moment(n, c)
@@ -326,3 +361,16 @@ class TestMomentInputs:
     def test_nan_variance_rejected(self):
         with pytest.raises(ValueError, match="v must be nonnegative"):
             MomentInputs(10, 0.5, math.nan, 1.0)
+
+    @pytest.mark.parametrize(
+        "v, theta, message",
+        [
+            (math.inf, 1.0, "v must be finite"),
+            (1.0, math.nan, "theta must be finite"),
+            (1.0, math.inf, "theta must be finite"),
+            (1.0, -math.inf, "theta must be finite"),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, v, theta, message):
+        with pytest.raises(ValueError, match=message):
+            MomentInputs(10, 0.5, v, theta)
