@@ -744,6 +744,28 @@ class TestTreatmentSurrogate:
             assert sampling_mean(problem) == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("cr_min", [8.5, 9.5, 10.375])
+    def test_theta_and_v_match_scipy_quad(self, cr_min):
+        surface = SyntheticReturnSurface()
+        problem = treatment_problem(cr_min, surface)
+        f, g, base = problem.target.pdf, problem.sampling.pdf, surface.marginal_return
+        c = problem.c
+
+        def integral(fn):
+            return quad(lambda x: float(fn(np.array(x))), cr_min, 11.0, epsabs=0.0,
+                        epsrel=1e-13, limit=200)[0]
+
+        theta = integral(lambda x: f(x) * base(x))
+        assert moment_inputs(problem)[0] == pytest.approx(theta, rel=1e-10, abs=0.0)
+        for t in (0.0, sampling_mean(problem)):
+            # f vanishes outside C, so the in-C mean of w (h - t) is
+            # (theta - t) / c; v integrates the centred square directly.
+            m = (theta - t) / c
+            spread = integral(lambda x: g(x) * (f(x) / g(x) * (base(x) - t) - m) ** 2)
+            weight_sq = integral(lambda x: f(x) ** 2 / g(x))
+            v = (spread + surface.extra_variance * weight_sq) / c
+            assert moment_inputs(problem, t, surface)[1] == pytest.approx(v, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("cr_min", [8.5, 9.5, 10.375])
     def test_v_unmoved_by_a_large_common_shift(self, cr_min):
         """Raising every return and t by 1e3 leaves v; a difference of
         nearly equal integrals would lose it to cancellation."""
@@ -823,6 +845,16 @@ class TestSeedDerivation:
 
 
 class TestImportCost:
+    def test_package_imports_no_scipy_stats_or_integrate(self):
+        probe = (
+            "import sys, unequal_support, unequal_support.cli\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_cli_import_loads_neither_scipy_nor_numpy_polynomial(self):
         """The Gauss-Legendre nodes are computed on first use, so importing
         the package and its CLI loads numpy.polynomial no more than scipy."""
