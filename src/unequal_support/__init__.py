@@ -16,10 +16,9 @@ bounds), ``experiments`` (seeded Monte Carlo harness and sweeps),
 """
 
 from .bounds import (
-    BoundRequest,
-    BoundResult,
     confidence_interval,
     hoeffding_is,
+    hoeffding_margin,
     hoeffding_us,
     truncate_bound,
     weighted_range,

@@ -2,28 +2,34 @@
 
 For an average of m i.i.d. variables with range b', a 1 - delta
 one-sided bound sits b' sqrt(ln(1/delta) / (2m)) away from the
-empirical mean. The ordinary estimator averages n variables of range b
-(the range of f h / g over the sampling support); the pruned estimator
-averages its k in-C variables, whose range contracts to c b, so its
-margin tends to be tighter when c is small even though k <= n.
+empirical mean (:func:`hoeffding_margin`). The ordinary estimator
+averages n variables of range b (the range of f h / g over the sampling
+support): :func:`hoeffding_is`. The pruned estimator averages its k
+in-C variables, whose range contracts to c b, so its margin tends to be
+tighter when c is small even though k <= n: :func:`hoeffding_us`.
+
+Every function takes plain floats or NumPy arrays (estimates and counts
+broadcast) and returns the same. With no variables to average (k = 0)
+the margin and both bounds are NaN: the bound is undefined, and
+:func:`truncate_bound` replaces it with the deterministic endpoint for
+its side. :func:`confidence_interval` gives the two-sided interval,
+spending delta/2 per side.
 
 ``b`` is caller-supplied because no library can bound an arbitrary h;
 :func:`weighted_range` computes it exactly for the built-in
-piecewise-uniform densities with step evaluation functions.
+piecewise-uniform densities with step evaluation functions. It is the
+range (max minus min) of f(x)h(x)/g(x), not a magnitude bound; for
+sign-changing integrands the two differ by up to a factor of two.
 """
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .densities import EstimationProblem
-from .estimators import EstimateResult
 
 __all__ = [
-    "BoundRequest",
-    "BoundResult",
-    "SIDES",
+    "hoeffding_margin",
     "hoeffding_is",
     "hoeffding_us",
     "truncate_bound",
@@ -31,132 +37,71 @@ __all__ = [
     "weighted_range",
 ]
 
-SIDES = ("lower", "upper")
 
+def hoeffding_margin(b: float, m, delta: float):
+    """b sqrt(ln(1/delta) / (2m)): the one-sided 1 - delta Hoeffding
+    margin of a mean of m variables of range b.
 
-@dataclass(frozen=True)
-class BoundRequest:
-    """Inputs for one one-sided bound.
-
-    ``b`` is the range (max minus min) of f(x)h(x)/g(x) over the
-    sampling support, not a magnitude bound; for sign-changing
-    integrands the two differ by up to a factor of two.
+    ``m`` may be an array of counts. Where m = 0 there is nothing to
+    average and the margin is NaN, the mark of an undefined bound.
     """
-
-    estimate: EstimateResult
-    b: float
-    c: float
-    n: int
-    delta: float
-    side: str
-
-    def __post_init__(self):
-        # Not b < 0: NaN must fail too.
-        if not self.b >= 0.0:
-            raise ValueError("b must be nonnegative")
-        if not 0.0 < self.c <= 1.0:
-            raise ValueError("c must lie in (0, 1]")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}")
+    # Not b < 0: NaN must fail too.
+    if not b >= 0.0:
+        raise ValueError("b must be nonnegative")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
+    m = np.asarray(m)
+    if (m < 0).any():
+        raise ValueError("m must be nonnegative")
+    # ln(1/delta)/2 is exact, so its quotient by m rounds as ln(1/delta)/(2m).
+    return b * np.sqrt(math.log(1.0 / delta) / 2.0 / np.where(m > 0, m, np.nan))
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """One one-sided bound; ``defined`` is False when no data landed in C.
-
-    An undefined bound carries value NaN until
-    :func:`truncate_bound` substitutes the conservative deterministic
-    bound for its side.
-    """
-
-    value: float
-    defined: bool
-    method: str
-    side: str
+def hoeffding_is(estimate, b: float, n, delta: float):
+    """(lower, upper): the two one-sided 1 - delta bounds around the
+    ordinary estimate of n samples."""
+    margin = hoeffding_margin(b, n, delta)
+    return estimate - margin, estimate + margin
 
 
-def _margin(scale, delta: float, m):
-    """Hoeffding margin scale * sqrt(ln(1/delta) / (2m)); scale and m may
-    be arrays."""
-    return scale * np.sqrt(math.log(1.0 / delta) / (2.0 * m))
+def hoeffding_us(estimate, b: float, c: float, k, delta: float):
+    """(lower, upper): the two one-sided 1 - delta bounds around the
+    pruned estimate of k in-C samples, whose range is c b; NaN where
+    k = 0."""
+    if not 0.0 < c <= 1.0:
+        raise ValueError("c must lie in (0, 1]")
+    margin = hoeffding_margin(c * b, k, delta)
+    return estimate - margin, estimate + margin
 
 
-def _signed(estimate: float, margin: float, side: str) -> float:
-    return estimate - margin if side == "lower" else estimate + margin
-
-
-def _bound(req: BoundRequest, scale: float, m: int, method: str) -> BoundResult:
-    """The defined bound at the Hoeffding margin of m variables of range scale."""
-    margin = _margin(scale, req.delta, m)
-    return BoundResult(
-        value=_signed(req.estimate.value, margin, req.side),
-        defined=True,
-        method=method,
-        side=req.side,
-    )
-
-
-def hoeffding_is(req: BoundRequest) -> BoundResult:
-    """One-sided bound from the ordinary estimate over all n samples."""
-    return _bound(req, req.b, req.n, "IS-hoeffding")
-
-
-def hoeffding_us(req: BoundRequest, k: int) -> BoundResult:
-    """One-sided bound from the pruned estimate over its k in-C samples.
-
-    The k averaged variables have range c * b, giving margin
-    c b sqrt(ln(1/delta)/(2k)). With k = 0 there is nothing to bound;
-    the result is undefined and the caller may substitute a known
-    deterministic bound via :func:`truncate_bound`.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return BoundResult(
-            value=math.nan, defined=False, method="US-hoeffding", side=req.side
-        )
-    return _bound(req, req.c * req.b, k, "US-hoeffding")
-
-
-def truncate_bound(res: BoundResult, h_lo: float, h_hi: float) -> BoundResult:
-    """Clamp a bound into the deterministic range of the evaluation.
+def truncate_bound(lower, upper, h_lo: float, h_hi: float):
+    """(lower, upper) clamped into the deterministic range of the evaluation.
 
     Whatever the samples say, the target expectation lies in
     [h_lo, h_hi]; bounds outside that range are vacuous and are pulled
-    back to it. Undefined bounds become the conservative endpoint for
-    their side but keep defined = False so callers can still count them.
+    back to it. An undefined (NaN) bound becomes the conservative
+    endpoint for its side: fmax and fmin return the number when the
+    other operand is NaN.
     """
-    if h_lo > h_hi:
+    if not h_lo <= h_hi:
         raise ValueError("h_lo must be <= h_hi")
-    if not res.defined:
-        return replace(res, value=h_lo if res.side == "lower" else h_hi)
-    return replace(res, value=min(max(res.value, h_lo), h_hi))
+    return np.fmin(np.fmax(lower, h_lo), h_hi), np.fmax(np.fmin(upper, h_hi), h_lo)
 
 
 def confidence_interval(
-    estimate: EstimateResult,
-    b: float,
-    c: float,
-    n: int,
-    delta: float,
-    method: str = "IS",
-) -> tuple[BoundResult, BoundResult]:
-    """Two-sided 1 - delta interval, spending delta/2 per side."""
-    if method not in ("IS", "US"):
-        raise ValueError("method must be 'IS' or 'US'")
-    half = delta / 2.0
-    out = []
-    for side in SIDES:
-        req = BoundRequest(estimate=estimate, b=b, c=c, n=n, delta=half, side=side)
-        if method == "IS":
-            out.append(hoeffding_is(req))
-        else:
-            out.append(hoeffding_us(req, estimate.k))
-    return out[0], out[1]
+    estimate, b: float, c: float, n, k, delta: float, method: str = "IS"
+):
+    """Two-sided 1 - delta interval (lower, upper), spending delta/2 per
+    side; ``method`` "IS" bounds the ordinary estimate of n samples, "US"
+    the pruned estimate of k in-C samples."""
+    # Checked before halving: delta/2 lies in (0, 1] for delta up to 2.
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
+    if method == "IS":
+        return hoeffding_is(estimate, b, n, delta / 2.0)
+    if method == "US":
+        return hoeffding_us(estimate, b, c, k, delta / 2.0)
+    raise ValueError("method must be 'IS' or 'US'")
 
 
 def weighted_range(problem: EstimationProblem, t: float = 0.0) -> float:

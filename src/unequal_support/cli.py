@@ -22,7 +22,8 @@ moments
 Common flags: ``--seed <u64>``, ``--trials <int>``, ``--n <int>``,
 ``--out <path>``, ``--format csv|json``, ``--delta <real>``,
 ``--cv none|value:<real>|sampling-mean``. Tables print to stdout when
-``--out`` is omitted.
+``--out`` is omitted. A negative value may follow its flag written
+with an exponent or as -inf: ``--theta -1e3``, ``--theta -inf``.
 
 Configuration files
 -------------------
@@ -56,6 +57,7 @@ unchanged and returns a fresh namespace each time.
 
 import argparse
 import functools
+import re
 import sys
 
 import yaml
@@ -189,6 +191,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=_cmd_moments)
 
+    # argparse takes only -1 and -1.5 for negative numbers and reads
+    # "--theta -1e3" or "--theta -inf" as a flag missing its value. No
+    # flag here starts with '-' and a digit, '-.', or '-inf'.
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile(r"-(\.?\d|inf\b)", re.IGNORECASE)
     return parser
 
 

@@ -312,6 +312,9 @@ def _normal_quantile(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+_EXP_UNDERFLOW = math.log(np.finfo(float).tiny)
+
+
 class TruncatedNormal:
     """Normal(mean, stddev) truncated to [lower, upper] and renormalized.
 
@@ -348,6 +351,12 @@ class TruncatedNormal:
         # exact, and where it is not (|z| < 1e-154) exp rounds both to 1.
         z *= z
         z *= -0.5
+        # Below log(tiny), about -708.4, exp takes its slow underflow
+        # path. Far outside a narrow support z falls there, and only then
+        # is z masked (the min costs a fraction of the mask); exp(0) in
+        # its place is zeroed again below.
+        if z.min(initial=0.0) < _EXP_UNDERFLOW:
+            zero_outside(z, inside)
         dens = np.exp(z, out=z)
         dens /= self.stddev * np.sqrt(2.0 * np.pi) * self._z
         return zero_outside(dens, inside)

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import batch_estimates, cell_estimates, out_array
-from .bounds import _margin, weighted_range
+from .bounds import hoeffding_margin, weighted_range
 from .densities import (
     EstimationProblem,
     EvaluationFunction,
@@ -138,6 +138,8 @@ def illustrative_problem(f_max: float, theta: float = 0.0) -> EstimationProblem:
     """
     if not 0.0 < f_max <= 2.0:
         raise ValueError("f_max must lie in (0, 2]")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     target = PiecewiseUniform.uniform(0.0, f_max)
     sampling = PiecewiseUniform.uniform(0.0, 2.0)
     evaluation = EvaluationFunction.piecewise_constant(
@@ -809,8 +811,8 @@ def _bound_trials(
 ):
     """Per n of the two-uniform example: the fields every bound row shares
     (n, delta, theta, c, b, seed), the simulation, the IS margin and the
-    US margin of each simulation row's k, each margin for one 1 - delta
-    side."""
+    US margin of each simulation row's k (NaN where k = 0), each margin
+    for one 1 - delta side."""
     n_grid = list(n_grid)
     if not n_grid:
         raise ValueError("n grid must be nonempty")
@@ -821,17 +823,25 @@ def _bound_trials(
         point_seed = derive_seed(seed, index)
         sim = simulate_estimates(problem, n, trials, point_seed)
         shared = dict(n=n, delta=delta, theta=theta, c=c, b=b, seed=point_seed)
-        us_margin = _margin(c * b, delta, np.maximum(sim.k, 1))
-        yield shared, sim, _margin(b, delta, n), us_margin
+        us_margin = hoeffding_margin(c * b, sim.k, delta)
+        yield shared, sim, hoeffding_margin(b, n, delta), us_margin
 
 
-def _weighted_mean(values: np.ndarray, count: np.ndarray) -> float:
-    """Mean of ``values`` over the trials each row stands for ``count``
-    times; NaN, without a division warning, when no trial counts. The
-    sum is taken in float64, exact for whole-number values up to 2**53,
-    as a per-trial mean's is."""
-    total = int(count.sum())
-    return float(np.dot(values, count.astype(float))) / total if total else math.nan
+def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
+    """Mean of ``values`` over the trials each row stands for, given the
+    rows' trial counts as float ``weights``; NaN, without a division
+    warning, when no trial counts. Rows of weight zero are skipped, so an
+    undefined (NaN) bound there does not reach the mean. The sums are
+    taken in float64, exact for whole-number values up to 2**53, as a
+    per-trial mean's are."""
+    total = float(weights.sum())
+    if not total:
+        return math.nan
+    mean = float(np.dot(values, weights)) / total
+    if math.isnan(mean):
+        # Only now mask: the select costs more than the dot itself.
+        mean = float(np.dot(np.where(weights > 0, values, 0.0), weights)) / total
+    return mean
 
 
 @dataclass(frozen=True)
@@ -876,16 +886,16 @@ def sweep_bounds(
     for shared, sim, is_margin, us_margin in _bound_trials(
         f_max, n_grid, delta, trials, seed, theta
     ):
-        count, defined = sim.count, sim.us_defined
-        us_count = count * defined
+        weights = sim.count.astype(float)
+        us_weights = weights * sim.us_defined
         rows.append(
             BoundsSweepRow(
                 **shared,
-                mean_is_lower=_weighted_mean(sim.is_values - is_margin, count),
-                mean_is_upper=_weighted_mean(sim.is_values + is_margin, count),
-                mean_us_lower=_weighted_mean(sim.us_values - us_margin, us_count),
-                mean_us_upper=_weighted_mean(sim.us_values + us_margin, us_count),
-                empirical_rho=_weighted_mean(defined, count),
+                mean_is_lower=_weighted_mean(sim.is_values - is_margin, weights),
+                mean_is_upper=_weighted_mean(sim.is_values + is_margin, weights),
+                mean_us_lower=_weighted_mean(sim.us_values - us_margin, us_weights),
+                mean_us_upper=_weighted_mean(sim.us_values + us_margin, us_weights),
+                empirical_rho=_weighted_mean(sim.us_defined, weights),
                 analytic_rho=rho(shared["n"], shared["c"]),
             )
         )
@@ -934,12 +944,12 @@ def coverage_experiment(
     for shared, sim, is_margin, us_margin in _bound_trials(
         f_max, n_grid, delta, trials, seed, theta
     ):
-        count, defined = sim.count, sim.us_defined
-        us_count = count * defined
-        cover_is = _weighted_mean(sim.is_values - is_margin <= theta, count)
-        cover_us = _weighted_mean(sim.us_values - us_margin <= theta, us_count)
-        mean_k = _weighted_mean(sim.k, count)
-        mean_margin_us = _weighted_mean(us_margin, us_count)
+        weights = sim.count.astype(float)
+        us_weights = weights * sim.us_defined
+        cover_is = _weighted_mean(sim.is_values - is_margin <= theta, weights)
+        cover_us = _weighted_mean(sim.us_values - us_margin <= theta, us_weights)
+        mean_k = _weighted_mean(sim.k, weights)
+        mean_margin_us = _weighted_mean(us_margin, us_weights)
         # mean_k is 0 exactly when no trial has k > 0.
         predicted = math.nan
         if mean_k:
@@ -954,7 +964,7 @@ def coverage_experiment(
                 margin_ratio=mean_margin_us / is_margin,
                 predicted_ratio=predicted,
                 mean_k=mean_k,
-                undefined_rate=1.0 - _weighted_mean(defined, count),
+                undefined_rate=1.0 - _weighted_mean(sim.us_defined, weights),
             )
         )
     return rows

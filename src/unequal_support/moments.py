@@ -243,14 +243,19 @@ def moment_report(estimator: str, regime: str, inputs: MomentInputs) -> MomentRe
     else:
         if estimator == "IS":
             mean = theta / r
+            # The theta^2 term over c, and divided by one r before the
+            # other, so that c n r^2 cannot underflow to zero at tiny c.
             variance = v * c / (n * r) + theta * theta * (
-                c * r * (n - 1) + r - c * n
-            ) / (c * n * r * r)
+                _property3_over_c(n, c, r) / r / (n * r)
+            )
         else:
             mean = theta
             variance = c * c * v * inputs.inv_moment
     bias = mean - theta
-    return MomentReport(estimator, regime, mean, bias, variance, variance + bias * bias)
+    mse = variance + bias * bias
+    if not (math.isfinite(mean) and math.isfinite(variance) and math.isfinite(mse)):
+        raise ValueError(f"the {estimator} {regime} moments overflow the double range")
+    return MomentReport(estimator, regime, mean, bias, variance, mse)
 
 
 def us_beats_is(n: int, c: float) -> bool:
@@ -276,11 +281,31 @@ def illustrative_params(f_max: float, theta: float = 0.0) -> tuple[float, float]
     return f_max / 2.0, 4.0 / (f_max * f_max)
 
 
+def _property3_over_c(n: int, c: float, r: float) -> float:
+    """property3_margin(n, c) / c = r (n - 1) - (n - r / c), r = rho(n, c).
+
+    The difference n - r/c = (n c - r)/c cancels when n c is small: at
+    n = 10 it costs the IS conditioned-positive variance 2e-9 relative
+    at c = 1e-8 and every digit by c = 1e-20. For n c <= 1/2 it is
+    summed instead as the alternating series sum over j >= 2 of
+    (-1)^j C(n, j) c^(j-1), whose terms shrink by (n - j) c / (j + 1)
+    <= 1/6 each. Above, the difference is at least a fifth of n and
+    loses at most a few bits.
+    """
+    if n * c > 0.5:
+        return r * (n - 1) - (n - r / c)
+    gap, term, j = 0.0, 0.5 * n * (n - 1) * c, 2
+    while term > 1e-17 * gap:
+        gap += term if j % 2 == 0 else -term
+        term *= (n - j) * c / (j + 1)
+        j += 1
+    return r * (n - 1) - gap
+
+
 def property3_margin(n: int, c: float) -> float:
     """c rho (n-1) + rho - c n, the theta^2 coefficient's numerator.
 
     Nonnegative for all valid (n, c); tests assert this, which
     guarantees the conditioned-positive IS variance grows with theta^2.
     """
-    r = rho(n, c)
-    return c * r * (n - 1) + r - c * n
+    return c * _property3_over_c(n, c, rho(n, c))

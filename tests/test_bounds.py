@@ -2,138 +2,139 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from unequal_support.bounds import (
-    BoundRequest,
-    BoundResult,
     confidence_interval,
     hoeffding_is,
+    hoeffding_margin,
     hoeffding_us,
     truncate_bound,
     weighted_range,
 )
-from unequal_support.estimators import EstimateResult
 from unequal_support.experiments import illustrative_problem
-
-
-def request(estimate=1.0, b=2.0, c=0.5, n=100, delta=0.1, side="lower", k=25):
-    return BoundRequest(
-        estimate=EstimateResult(value=estimate, k=k, defined=True),
-        b=b, c=c, n=n, delta=delta, side=side,
-    )
 
 
 class TestHoeffdingIs:
     def test_degenerate_zero_range(self):
-        res = hoeffding_is(request(estimate=3.0, b=0.0))
-        assert res.value == 3.0 and res.defined and res.method == "IS-hoeffding"
+        assert hoeffding_is(3.0, b=0.0, n=100, delta=0.1) == (3.0, 3.0)
 
     def test_margin_formula(self):
-        res = hoeffding_is(request(estimate=0.0, b=2.0, n=100, delta=0.1))
-        assert res.value == pytest.approx(-2.0 * math.sqrt(math.log(10.0) / 200.0), rel=1e-14)
+        lower, _ = hoeffding_is(0.0, b=2.0, n=100, delta=0.1)
+        want = 2.0 * math.sqrt(math.log(10.0) / 200.0)
+        assert lower == pytest.approx(-want, rel=1e-14)
+        assert hoeffding_margin(2.0, 100, 0.1) == pytest.approx(want, rel=1e-14)
 
     def test_margin_vanishes_at_delta_one(self):
-        res = hoeffding_is(request(estimate=1.5, delta=1.0))
-        assert res.value == 1.5
+        assert hoeffding_is(1.5, b=2.0, n=100, delta=1.0) == (1.5, 1.5)
 
     def test_sides_symmetric_about_estimate(self):
-        lo = hoeffding_is(request(estimate=2.0, side="lower"))
-        hi = hoeffding_is(request(estimate=2.0, side="upper"))
-        assert hi.value - 2.0 == pytest.approx(2.0 - lo.value, rel=1e-12)
+        lower, upper = hoeffding_is(2.0, b=2.0, n=100, delta=0.1)
+        assert upper - 2.0 == pytest.approx(2.0 - lower, rel=1e-12)
 
     def test_margin_monotone(self):
-        margin = lambda n, delta: 2.0 - hoeffding_is(
-            request(estimate=2.0, n=n, delta=delta)
-        ).value
+        margin = lambda n, delta: 2.0 - hoeffding_is(2.0, 2.0, n, delta)[0]
         assert margin(200, 0.1) < margin(100, 0.1)
         assert margin(100, 0.01) > margin(100, 0.1)
+
+    def test_arrays_broadcast(self):
+        estimates = np.array([0.0, 1.0, 2.0])
+        lower, upper = hoeffding_is(estimates, b=2.0, n=np.array([10, 10, 40]), delta=0.1)
+        margin = hoeffding_margin(2.0, np.array([10, 10, 40]), 0.1)
+        assert np.array_equal(lower, estimates - margin)
+        assert np.array_equal(upper, estimates + margin)
+        assert margin[2] == hoeffding_margin(2.0, 40, 0.1)
 
 
 class TestHoeffdingUs:
     def test_undefined_when_k_zero(self):
-        res = hoeffding_us(request(), k=0)
-        assert not res.defined and math.isnan(res.value)
-        assert res.method == "US-hoeffding"
+        lower, upper = hoeffding_us(1.0, b=2.0, c=0.5, k=0, delta=0.1)
+        assert math.isnan(lower) and math.isnan(upper)
+        assert math.isnan(hoeffding_margin(2.0, 0, 0.1))
+        # Only the k = 0 entries of an array are undefined, and no
+        # division warning is raised for them.
+        with np.errstate(all="raise"):
+            lower, _ = hoeffding_us(np.ones(3), b=2.0, c=0.5, k=np.array([0, 4, 0]), delta=0.1)
+        assert np.array_equal(np.isnan(lower), [True, False, True])
+        assert lower[1] == hoeffding_us(1.0, 2.0, 0.5, 4, 0.1)[0]
 
     def test_full_coverage_matches_is(self):
-        req = request(estimate=1.0, b=3.0, c=1.0, n=40, delta=0.05)
-        assert hoeffding_us(req, k=40).value == hoeffding_is(req).value
+        us = hoeffding_us(1.0, b=3.0, c=1.0, k=40, delta=0.05)
+        assert us == hoeffding_is(1.0, b=3.0, n=40, delta=0.05)
 
     def test_margin_ratio_at_k_equal_cn(self):
-        req_us = request(estimate=0.0, b=2.0, c=0.25, n=100, delta=0.1)
-        us = hoeffding_us(req_us, k=25)
-        is_ = hoeffding_is(req_us)
+        us_lower, _ = hoeffding_us(0.0, b=2.0, c=0.25, k=25, delta=0.1)
+        is_lower, _ = hoeffding_is(0.0, b=2.0, n=100, delta=0.1)
         # ratio of margins = c * sqrt(n / k) = 0.25 * 2 = 0.5
-        assert us.value == pytest.approx(0.5 * is_.value, rel=1e-12)
+        assert us_lower == pytest.approx(0.5 * is_lower, rel=1e-12)
 
     def test_margin_monotone_in_k(self):
-        req = request(estimate=0.0)
-        m = lambda k: -hoeffding_us(req, k=k).value
+        m = lambda k: -hoeffding_us(0.0, b=2.0, c=0.5, k=k, delta=0.1)[0]
         assert m(50) < m(10)
 
 
 class TestTruncateBound:
     def test_inside_unchanged(self):
-        res = BoundResult(0.4, True, "IS-hoeffding", "lower")
-        assert truncate_bound(res, 0.0, 1.0) == res
+        assert truncate_bound(0.4, 0.6, 0.0, 1.0) == (0.4, 0.6)
 
     def test_below_clamped(self):
-        res = BoundResult(-0.7, True, "IS-hoeffding", "lower")
-        assert truncate_bound(res, 0.0, 1.0).value == 0.0
+        assert truncate_bound(-0.7, -0.2, 0.0, 1.0) == (0.0, 0.0)
 
     def test_above_clamped(self):
-        res = BoundResult(1.9, True, "US-hoeffding", "upper")
-        assert truncate_bound(res, 0.0, 1.0).value == 1.0
+        assert truncate_bound(1.2, 1.9, 0.0, 1.0) == (1.0, 1.0)
 
     def test_undefined_takes_conservative_endpoint(self):
-        lo = BoundResult(math.nan, False, "US-hoeffding", "lower")
-        hi = BoundResult(math.nan, False, "US-hoeffding", "upper")
-        t_lo = truncate_bound(lo, 0.25, 0.75)
-        t_hi = truncate_bound(hi, 0.25, 0.75)
-        assert t_lo.value == 0.25 and not t_lo.defined
-        assert t_hi.value == 0.75 and not t_hi.defined
+        assert truncate_bound(math.nan, math.nan, 0.25, 0.75) == (0.25, 0.75)
+        lower, upper = truncate_bound(
+            np.array([math.nan, 0.5]), np.array([math.nan, 0.6]), 0.25, 0.75
+        )
+        assert np.array_equal(lower, [0.25, 0.5]) and np.array_equal(upper, [0.75, 0.6])
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
-            truncate_bound(BoundResult(0.0, True, "IS-hoeffding", "lower"), 1.0, 0.0)
+            truncate_bound(0.0, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            truncate_bound(0.0, 0.0, math.nan, 1.0)
 
 
 class TestConfidenceInterval:
     def test_splits_delta_per_side(self):
-        est = EstimateResult(value=1.0, k=50, defined=True)
-        lo, hi = confidence_interval(est, b=2.0, c=1.0, n=50, delta=0.1, method="IS")
-        one_sided = hoeffding_is(request(estimate=1.0, b=2.0, c=1.0, n=50, delta=0.05))
-        assert lo.value == one_sided.value
-        assert hi.value - 1.0 == 1.0 - lo.value
+        lower, upper = confidence_interval(1.0, b=2.0, c=1.0, n=50, k=50, delta=0.1)
+        assert (lower, upper) == hoeffding_is(1.0, b=2.0, n=50, delta=0.05)
+        assert upper - 1.0 == 1.0 - lower
+        us = confidence_interval(1.0, b=2.0, c=0.5, n=50, k=20, delta=0.1, method="US")
+        assert us == hoeffding_us(1.0, b=2.0, c=0.5, k=20, delta=0.05)
 
     def test_us_variant_uses_k(self):
-        est = EstimateResult(value=1.0, k=0, defined=False)
-        lo, hi = confidence_interval(est, b=2.0, c=0.5, n=50, delta=0.1, method="US")
-        assert not lo.defined and not hi.defined
+        lower, upper = confidence_interval(1.0, b=2.0, c=0.5, n=50, k=0, delta=0.1, method="US")
+        assert math.isnan(lower) and math.isnan(upper)
 
     def test_method_validated(self):
-        est = EstimateResult(value=1.0, k=5, defined=True)
         with pytest.raises(ValueError):
-            confidence_interval(est, 1.0, 0.5, 10, 0.1, method="WIS")
+            confidence_interval(1.0, 1.0, 0.5, 10, 5, 0.1, method="WIS")
 
 
-class TestRequestValidation:
+class TestInputValidation:
     def test_bounds_on_fields(self):
-        with pytest.raises(ValueError):
-            request(b=-1.0)
-        with pytest.raises(ValueError):
-            request(delta=0.0)
-        with pytest.raises(ValueError):
-            request(delta=1.0001)
-        with pytest.raises(ValueError):
-            request(c=0.0)
-        with pytest.raises(ValueError):
-            BoundRequest(EstimateResult(1.0, 1, True), 1.0, 0.5, 10, 0.1, "sideways")
+        with pytest.raises(ValueError, match="b must"):
+            hoeffding_is(1.0, b=-1.0, n=10, delta=0.1)
+        for delta in (0.0, 1.0001, math.nan):
+            with pytest.raises(ValueError, match="delta must"):
+                hoeffding_is(1.0, b=1.0, n=10, delta=delta)
+        with pytest.raises(ValueError, match="delta must"):
+            confidence_interval(1.0, b=1.0, c=0.5, n=10, k=5, delta=1.5)
+        for c in (0.0, 1.5):
+            with pytest.raises(ValueError, match="c must"):
+                hoeffding_us(1.0, b=1.0, c=c, k=10, delta=0.1)
+        with pytest.raises(ValueError, match="m must"):
+            hoeffding_us(np.ones(2), b=1.0, c=0.5, k=np.array([3, -1]), delta=0.1)
 
     def test_nan_range_rejected(self):
         with pytest.raises(ValueError, match="b must be nonnegative"):
-            request(b=math.nan)
+            hoeffding_is(1.0, b=math.nan, n=10, delta=0.1)
+        with pytest.raises(ValueError, match="b must be nonnegative"):
+            hoeffding_us(1.0, b=math.nan, c=0.5, k=10, delta=0.1)
 
 
 class TestWeightedRange:

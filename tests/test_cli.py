@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -251,6 +252,7 @@ class TestMoments:
             ("--v", "inf", "v must be finite"),
             ("--theta", "nan", "theta must be finite"),
             ("--theta", "inf", "theta must be finite"),
+            ("--theta", "-inf", "theta must be finite"),
         ],
     )
     def test_non_finite_input_is_a_user_error(self, flag, value, message, capsys):
@@ -260,6 +262,22 @@ class TestMoments:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_tiny_c_gives_a_finite_row_or_an_error(self, capsys):
+        # At c = 1e-150 every moment is a double: the IS k > 0 variance is
+        # (n - 1) / (2 n^2 c) theta^2 to leading order.
+        out = run(["moments", "--n", "10", "--c", "1e-150", "--v", "1", "--theta", "1"], capsys)
+        rows = {(r["estimator"], r["regime"]): r for r in csv.DictReader(io.StringIO(out))}
+        assert float(rows["IS", "conditioned-positive"]["variance"]) == pytest.approx(
+            4.5e148, rel=1e-12
+        )
+        assert all(math.isfinite(float(r[k])) for r in rows.values() for k in ("variance", "mse"))
+        # At c = 1e-300 the IS k > 0 squared bias, 1e598, is not.
+        code = main(["moments", "--n", "10", "--c", "1e-300", "--v", "1", "--theta", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: the IS conditioned-positive moments")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("kappa", [[], ["--kappa", "13"]])
     def test_one_inverse_moment_per_call(self, monkeypatch, kappa, capsys):
@@ -285,6 +303,41 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["moments", "--n", "10", "--c", "0.25", "--v", "16"], "--theta", "-1e3"),
+            (["estimate", "--n", "20"], "--theta", "-1E3"),
+            (["estimate", "--example", "treatment"], "--cr-min", "-1e0"),
+            (
+                ["sweep-illustrative", "--f-max-grid", "1", "--n-grid", "5", "--trials", "200"],
+                "--theta-grid",
+                "-1e1,-2.5e-1",
+            ),
+        ],
+    )
+    def test_exponent_reads_as_with_equals_sign(self, argv, flag, value, capsys):
+        """argparse alone reads -1e3 as an unknown flag."""
+        code = main([*argv, flag, value])
+        split = capsys.readouterr()
+        assert code == main([*argv, f"{flag}={value}"])
+        assert split == capsys.readouterr()
+        assert split.out or split.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--theta", "-inf"],
+            ["bounds", "--theta", "-inf"],
+            ["sweep-illustrative", "--theta-grid", "1,-inf"],
+        ],
+    )
+    def test_negative_infinity_reaches_the_finite_check(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: theta must be finite\n"
 
 
 class TestParserReuse:

@@ -25,7 +25,7 @@ from unequal_support.densities import (
     _normal_quantile,
     draw,
 )
-from unequal_support.experiments import run_trials
+from unequal_support.experiments import run_trials, treatment_problem
 
 
 class _FixedUniforms:
@@ -193,6 +193,20 @@ class TestTruncatedNormal:
         expected = unnorm(11.0) / z
         assert abs(float(d.pdf(11.0)) - expected) <= 1e-9 * expected
         assert float(d.pdf(11.0)) == pytest.approx(1.8699794152218137, rel=1e-12)
+
+    def test_pdf_runs_no_exp_below_the_support(self):
+        """At cr_min = 10.99 (sigma = 0.01) z reaches -31 250 below the
+        support, where exp underflows on its slow path. Inside the support
+        the values keep the bits of the formula without the zeroing."""
+        d = treatment_problem(10.99).target
+        x = np.concatenate([np.linspace(8.5, 11.0, 50_001), [10.99, 11.0]])
+        with np.errstate(under="raise"):
+            dens = d.pdf(x)
+        inside = d.support.contains(x)
+        z = (x[inside] - d.mean) / d.stddev
+        want = np.exp(z * z * -0.5) / (d.stddev * np.sqrt(2.0 * np.pi) * d._z)
+        assert dens[inside].tobytes() == want.tobytes()
+        assert inside.sum() > 200 and not dens[~inside].any()
 
     def test_full_mass_is_one(self):
         d = TruncatedNormal(-1.0, 3.0, 0.5, 1.2)

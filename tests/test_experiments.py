@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from unequal_support import experiments
 from unequal_support._kernels import batch_estimates
-from unequal_support.bounds import _margin, weighted_range
+from unequal_support.bounds import hoeffding_is, hoeffding_margin, hoeffding_us, weighted_range
 from unequal_support.cli import DEFAULT_F_MAX_GRID, DEFAULT_THETA_GRID
 from unequal_support.config import load_problem
 from unequal_support.densities import (
@@ -395,33 +395,53 @@ class TestCountWeightedSummaries:
 
     @pytest.mark.parametrize("n, trials", [(10, 20_000), (200, 2000)])
     def test_bound_rows_match_per_trial_formulas(self, n, trials):
-        """n = 10 takes the outcome table, n = 200 per-trial counts. The
-        shares and mean k are exact sums of whole numbers, so they match
-        bit for bit."""
-        f_max, delta, theta, seed = 0.5, 0.1, 1.0, 9
-        problem = illustrative_problem(f_max, theta)
-        c, b = problem.c, weighted_range(problem)
-        sim = simulate_estimates(problem, n, trials, derive_seed(seed, 0))
+        """n = 10 takes the outcome table, n = 200 per-trial counts."""
+        check_bound_rows(0.5, [n], 0.1, trials, 9, 1.0)
+
+    @pytest.mark.parametrize("f_max, theta", [(0.1, 0.0), (1.0, 10.0), (2.0, 1.0)])
+    def test_each_row_recomputed_through_the_bound_functions(self, f_max, theta):
+        """Several rows per sweep, each at its own point seed; at n = 1
+        and 2 most trials have k = 0 and undefined US bounds."""
+        check_bound_rows(f_max, [1, 2, 10, 128], 0.05, 3000, 7, theta)
+
+
+def check_bound_rows(f_max, n_grid, delta, trials, seed, theta):
+    """Every sweep_bounds and coverage_experiment row against its
+    simulation, expanded to one entry per trial, with each bound and
+    margin taken from the public functions of ``bounds``. The shares and
+    mean k are exact sums of whole numbers, so they match bit for bit."""
+    problem = illustrative_problem(f_max, theta)
+    c, b = problem.c, weighted_range(problem)
+    bound_rows = sweep_bounds(f_max, n_grid, delta, trials, seed, theta)
+    coverage_rows = coverage_experiment(f_max, n_grid, delta, trials, theta, seed)
+    for index, (n, row, cov) in enumerate(zip(n_grid, bound_rows, coverage_rows, strict=True)):
+        sim = simulate_estimates(problem, n, trials, derive_seed(seed, index))
         is_v, us_v, _, k, _ = per_trial(sim)
         defined = k > 0
-        is_margin = _margin(b, delta, n)
-        us_margin = _margin(c * b, delta, np.maximum(k, 1))
+        is_lower, is_upper = hoeffding_is(is_v, b, n, delta)
+        us_lower, us_upper = (bound[defined] for bound in hoeffding_us(us_v, b, c, k, delta))
+        is_margin = hoeffding_margin(b, n, delta)
+        us_margin = hoeffding_margin(c * b, k[defined], delta)
+        mean = lambda values: float(np.mean(values)) if values.size else math.nan
 
-        (row,) = sweep_bounds(f_max, [n], delta, trials, seed, theta)
-        assert_close(row.mean_is_lower, float(np.mean(is_v - is_margin)))
-        assert_close(row.mean_is_upper, float(np.mean(is_v + is_margin)))
-        assert_close(row.mean_us_lower, float(np.mean((us_v - us_margin)[defined])))
-        assert_close(row.mean_us_upper, float(np.mean((us_v + us_margin)[defined])))
+        assert row.seed == cov.seed == derive_seed(seed, index)
+        assert_close(row.mean_is_lower, mean(is_lower))
+        assert_close(row.mean_is_upper, mean(is_upper))
+        assert_close(row.mean_us_lower, mean(us_lower))
+        assert_close(row.mean_us_upper, mean(us_upper))
         assert row.empirical_rho == float(np.mean(defined))
 
-        (cov,) = coverage_experiment(f_max, [n], delta, trials, theta, seed)
-        assert cov.coverage_is == float(np.mean(is_v - is_margin <= theta))
-        assert cov.coverage_us == float(np.mean((us_v - us_margin)[defined] <= theta))
+        assert cov.coverage_is == float(np.mean(is_lower <= theta))
+        assert cov.coverage_us == mean(us_lower <= theta)
         assert cov.mean_k == float(k.mean())
         assert cov.undefined_rate == float(1.0 - np.mean(defined))
-        assert_close(cov.mean_margin_us, float(np.mean(us_margin[defined])))
-        assert_close(cov.margin_ratio, float(np.mean(us_margin[defined])) / is_margin)
-        assert_close(cov.predicted_ratio, c * math.sqrt(n / float(k.mean())))
+        assert cov.mean_margin_is == is_margin
+        assert_close(cov.mean_margin_us, mean(us_margin))
+        assert_close(cov.margin_ratio, mean(us_margin) / is_margin)
+        if k.any():
+            assert_close(cov.predicted_ratio, c * math.sqrt(n / float(k.mean())))
+        else:
+            assert math.isnan(cov.predicted_ratio)
 
 
 class TestRunTrials:

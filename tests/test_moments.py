@@ -193,6 +193,17 @@ class TestMomentReport:
         with pytest.raises(ValueError, match="kappa"):
             moment_report("IS", "unconditional", MomentInputs(10, 0.5, 1.0, 3.0, kappa=3))
 
+    @pytest.mark.parametrize(
+        "inputs",
+        [MomentInputs(10, 1e-300, 1.0, 1.0), MomentInputs(10, 1.0, 1.0, 1e200)],
+    )
+    def test_overflow_is_an_error(self, inputs):
+        """1e598 and 1e400 are not doubles; at c = 1 the second once gave
+        inf * 0 = NaN."""
+        regime = "conditioned-positive" if inputs.c < 1 else "unconditional"
+        with pytest.raises(ValueError, match="overflow the double range"):
+            moment_report("IS", regime, inputs)
+
     def test_unknown_labels_rejected(self):
         with pytest.raises(ValueError):
             moment_report("WIS", "unconditional", MomentInputs(10, 0.5, 1.0, 3.0))
@@ -333,6 +344,21 @@ class TestProperty3:
 
     def test_positive_interior_point(self):
         assert property3_margin(10, 0.3) > 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000])
+    @pytest.mark.parametrize("c", [0.9, 0.3, 1e-3, 1e-8, 1e-20, 1e-150])
+    def test_is_positive_variance_exact_at_any_c(self, n, c):
+        """Against exact rational arithmetic on the same double c. The
+        direct difference rho - c n lost every digit of the variance by
+        c = 1e-20, and its denominator c n rho^2 underflowed below
+        c = 1e-103."""
+        cq = Fraction(c)
+        r = 1 - (1 - cq) ** n
+        margin = cq * r * (n - 1) + r - cq * n
+        want = cq / (n * r) + 9 * margin / (cq * n * r * r)
+        got = moment_report("IS", "conditioned-positive", MomentInputs(n, c, 1.0, 3.0))
+        assert got.variance == pytest.approx(float(want), rel=1e-13)
+        assert property3_margin(n, c) == pytest.approx(float(margin), rel=1e-13)
 
 
 class TestConvergenceRates:
