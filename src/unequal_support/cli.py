@@ -193,9 +193,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # argparse takes only -1 and -1.5 for negative numbers and reads
     # "--theta -1e3" or "--theta -inf" as a flag missing its value. No
-    # flag here starts with '-' and a digit, '-.', or '-inf'.
+    # flag here starts with '-' and a digit, '-.', '-inf' or '-infinity'
+    # (tests/test_cli.py checks this).
     for each in (parser, *sub.choices.values()):
-        each._negative_number_matcher = re.compile(r"-(\.?\d|inf\b)", re.IGNORECASE)
+        each._negative_number_matcher = re.compile(r"-(\.?\d|inf(inity)?\b)", re.IGNORECASE)
     return parser
 
 

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import batch_estimates, cell_estimates, out_array
-from .bounds import hoeffding_margin, weighted_range
+from .bounds import hoeffding_is, hoeffding_us, weighted_range
 from .densities import (
     EstimationProblem,
     EvaluationFunction,
@@ -810,9 +810,9 @@ def _bound_trials(
     f_max: float, n_grid, delta: float, trials: int, seed: int, theta: float
 ):
     """Per n of the two-uniform example: the fields every bound row shares
-    (n, delta, theta, c, b, seed), the simulation, the IS margin and the
-    US margin of each simulation row's k (NaN where k = 0), each margin
-    for one 1 - delta side."""
+    (n, delta, theta, c, b, seed), the simulation, and the (lower, upper)
+    one-sided 1 - delta IS and US bounds of each simulation row, the US
+    pair NaN where k = 0."""
     n_grid = list(n_grid)
     if not n_grid:
         raise ValueError("n grid must be nonempty")
@@ -823,8 +823,8 @@ def _bound_trials(
         point_seed = derive_seed(seed, index)
         sim = simulate_estimates(problem, n, trials, point_seed)
         shared = dict(n=n, delta=delta, theta=theta, c=c, b=b, seed=point_seed)
-        us_margin = hoeffding_margin(c * b, sim.k, delta)
-        yield shared, sim, hoeffding_margin(b, n, delta), us_margin
+        is_bounds = hoeffding_is(sim.is_values, b, n, delta)
+        yield shared, sim, is_bounds, hoeffding_us(sim.us_values, b, c, sim.k, delta)
 
 
 def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
@@ -837,11 +837,7 @@ def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     total = float(weights.sum())
     if not total:
         return math.nan
-    mean = float(np.dot(values, weights)) / total
-    if math.isnan(mean):
-        # Only now mask: the select costs more than the dot itself.
-        mean = float(np.dot(np.where(weights > 0, values, 0.0), weights)) / total
-    return mean
+    return float(np.dot(np.where(weights > 0, values, 0.0), weights)) / total
 
 
 @dataclass(frozen=True)
@@ -883,7 +879,7 @@ def sweep_bounds(
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     rows = []
-    for shared, sim, is_margin, us_margin in _bound_trials(
+    for shared, sim, (is_lower, is_upper), (us_lower, us_upper) in _bound_trials(
         f_max, n_grid, delta, trials, seed, theta
     ):
         weights = sim.count.astype(float)
@@ -891,10 +887,10 @@ def sweep_bounds(
         rows.append(
             BoundsSweepRow(
                 **shared,
-                mean_is_lower=_weighted_mean(sim.is_values - is_margin, weights),
-                mean_is_upper=_weighted_mean(sim.is_values + is_margin, weights),
-                mean_us_lower=_weighted_mean(sim.us_values - us_margin, us_weights),
-                mean_us_upper=_weighted_mean(sim.us_values + us_margin, us_weights),
+                mean_is_lower=_weighted_mean(is_lower, weights),
+                mean_is_upper=_weighted_mean(is_upper, weights),
+                mean_us_lower=_weighted_mean(us_lower, us_weights),
+                mean_us_upper=_weighted_mean(us_upper, us_weights),
                 empirical_rho=_weighted_mean(sim.us_defined, weights),
                 analytic_rho=rho(shared["n"], shared["c"]),
             )
@@ -941,19 +937,23 @@ def coverage_experiment(
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     rows = []
-    for shared, sim, is_margin, us_margin in _bound_trials(
+    for shared, sim, (is_lower, _), (us_lower, _) in _bound_trials(
         f_max, n_grid, delta, trials, seed, theta
     ):
         weights = sim.count.astype(float)
         us_weights = weights * sim.us_defined
-        cover_is = _weighted_mean(sim.is_values - is_margin <= theta, weights)
-        cover_us = _weighted_mean(sim.us_values - us_margin <= theta, us_weights)
+        cover_is = _weighted_mean(is_lower <= theta, weights)
+        cover_us = _weighted_mean(us_lower <= theta, us_weights)
+        n, c, b = shared["n"], shared["c"], shared["b"]
+        # The upper bound around a zero estimate is the margin, exactly.
+        _, is_margin = hoeffding_is(0.0, b, n, delta)
+        _, us_margin = hoeffding_us(0.0, b, c, sim.k, delta)
         mean_k = _weighted_mean(sim.k, weights)
         mean_margin_us = _weighted_mean(us_margin, us_weights)
         # mean_k is 0 exactly when no trial has k > 0.
         predicted = math.nan
         if mean_k:
-            predicted = shared["c"] * math.sqrt(shared["n"] / mean_k)
+            predicted = c * math.sqrt(n / mean_k)
         rows.append(
             CoverageRow(
                 **shared,

@@ -331,13 +331,23 @@ class TestNegativeValues:
         "argv",
         [
             ["estimate", "--theta", "-inf"],
+            ["estimate", "--theta", "-Infinity"],
             ["bounds", "--theta", "-inf"],
+            ["coverage", "--theta", "-infinity"],
             ["sweep-illustrative", "--theta-grid", "1,-inf"],
         ],
     )
     def test_negative_infinity_reaches_the_finite_check(self, argv, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: theta must be finite\n"
+
+    def test_no_flag_reads_as_a_negative_number(self):
+        """The widened matcher would turn such a flag into a value."""
+        parser = cli._build_parser()
+        subparsers = parser._subparsers._group_actions[0].choices.values()
+        for each in (parser, *subparsers):
+            for flag in each._option_string_actions:
+                assert not each._negative_number_matcher.match(flag), flag
 
 
 class TestParserReuse:
