@@ -45,9 +45,9 @@ def hoeffding_margin(b: float, m, delta: float):
     ``m`` may be an array of counts. Where m = 0 there is nothing to
     average and the margin is NaN, the mark of an undefined bound.
     """
-    # Not b < 0: NaN must fail too.
-    if not b >= 0.0:
-        raise ValueError("b must be nonnegative")
+    # Not b < 0 or b == inf: NaN must fail too.
+    if not 0.0 <= b < math.inf:
+        raise ValueError("b must be nonnegative and finite")
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     m = np.asarray(m)

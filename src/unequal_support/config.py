@@ -66,13 +66,14 @@ _SHAPES = ("a real number", "a list of reals", "a list of lists of reals")
 
 def _reals(block, key: str, context: str, ndim: int = 0):
     """``block[key]`` as a float, or as a float array of ``ndim`` 1
-    (weights) or 2 (intervals, pieces); ValueError for anything else."""
+    (weights) or 2 (intervals, pieces); ValueError for anything else,
+    NaN and +-inf included."""
     value = _require(block, key, context)
     try:
         out = np.array(value, dtype=float)  # null reads as NaN
     except (TypeError, ValueError):
         out = np.array(np.nan)
-    if out.ndim != ndim or np.isnan(out).any():
+    if out.ndim != ndim or not np.isfinite(out).all():
         raise ValueError(f"{context}: '{key}' must be {_SHAPES[ndim]}, got {value!r}")
     return float(out) if ndim == 0 else out
 

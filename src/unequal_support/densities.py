@@ -14,12 +14,15 @@ evaluation is constant between finitely many breakpoints;
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from functools import cache, cached_property
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from ._kernels import out_array, zero_outside
+
+if TYPE_CHECKING:
+    from .experiments import SyntheticReturnSurface
 
 __all__ = [
     "UnequalSupportError",
@@ -475,12 +478,17 @@ class EstimationProblem:
     estimators, on the samples it holds: any sample with f(x)h(x) != 0
     outside C raises :class:`PruningCoverageError`. With a nonzero
     control variate C must cover all of F; see :func:`check_coverage`.
+
+    ``surface``, when set, is a return surface (``treatment_problem``
+    sets one): a simulation observes its noisy returns in place of h,
+    and its ``extra_variance`` adds to the analytic v.
     """
 
     target: Density
     sampling: Density
     evaluation: EvaluationFunction
     pruning: PruningSet
+    surface: "SyntheticReturnSurface | None" = None
 
     def __post_init__(self):
         f_set, g_set, h = self.target.support, self.sampling.support, self.evaluation
@@ -503,6 +511,19 @@ class EstimationProblem:
     def cells(self) -> "CellTable | None":
         """The problem's :class:`CellTable`, built once, or None."""
         return CellTable.from_problem(self)
+
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, ...]:
+        """(p, w, h, in_c), built once: sum p phi(w, h, in_c) is the
+        integral of g phi(f/g, h, [x in C]). They are the cell table's
+        exact terms if there is one, else :meth:`node_terms` at
+        ``_QUAD_NODES`` Gauss-Legendre nodes on each :meth:`support_cells`
+        cell, where each integrand is analytic (the rule converges
+        geometrically) and the interior nodes read one-sided limits."""
+        table = self.cells
+        if table is not None:
+            return table.p, table.w, table.h, table.in_c
+        return self.node_terms(*place_rule(*self.support_cells(), *_gauss_legendre()))
 
     def support_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(lows, highs) of the cells between the breakpoints of f, g, h
@@ -585,6 +606,24 @@ def place_rule(lows, highs, z, weights) -> tuple[np.ndarray, np.ndarray]:
     mid, length = 0.5 * (lows + highs), highs - lows
     x = mid[:, None] + length[:, None] * (0.5 * np.asarray(z))
     return x.ravel(), (length[:, None] * (0.5 * np.asarray(weights))).ravel()
+
+
+# Gauss-Legendre nodes per support cell of a problem with no cell table.
+# Against adaptive quadrature at cr_min = 10.99 (target stddev 0.01) the
+# treatment v is 1.7e-14 off with 32 nodes and 1.3e-13 off with 16.
+_QUAD_NODES = 32
+
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # Imported here, once per process, so that importing the package
+    # does not load numpy.polynomial.
+    from numpy.polynomial.legendre import leggauss
+
+    z, weights = leggauss(_QUAD_NODES)
+    # Every caller shares these arrays.
+    z.flags.writeable = weights.flags.writeable = False
+    return z, weights
 
 
 def check_coverage(w, fh, in_c, t: float) -> None:

@@ -6,12 +6,12 @@ width and coverage sweeps, and a treatment-policy example over a fully
 declared synthetic return surface (its numbers characterize the
 surrogate itself, not any real system).
 
-Every sweep's analytic inputs come from its problem: ``sampling_mean``
-(E_g[h]) and ``moment_inputs`` ((theta, v)) sum over the problem's
-terms, its cell table or 32 Gauss-Legendre nodes on each of its support
-cells. The two analytic-vs-empirical sweeps share one loop over
-(coordinate, problem, theta) points, and the bound and coverage sweeps
-one bound-trial loop.
+Every sweep's inputs come from its problem alone: ``sampling_mean``
+(E_g[h]) and ``moment_inputs`` ((theta, v)) sum over its ``terms``,
+built once, and its return surface, if any, gives the simulated
+observations and v's extra variance. The two analytic-vs-empirical
+sweeps share one loop over (coordinate, problem, theta) points, and the
+bound and coverage sweeps one bound-trial loop.
 
 Reproducibility contract: every sweep derives one sub-seed per grid
 point from the master seed, and each point's trials are generated in
@@ -25,7 +25,7 @@ A point takes one of three paths, chosen from its problem, n and trial
 count alone:
 
 - **Outcome table.** A piecewise-constant problem (one with a
-  :class:`CellTable`, simulated without a return surface) whose m cells
+  :class:`CellTable` and no return surface) whose m cells
   admit at most ``trials`` count vectors, math.comb(n + m - 1, m - 1),
   enumerates them once with their Multinomial(n, p) probabilities and
   estimates (:func:`outcome_table`). Each chunk of 4096 trials then
@@ -52,7 +52,6 @@ count 1, and every summary (:func:`summarize_trials`, the bound and
 coverage rows) is one count-weighted sum over the rows on all paths.
 """
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -67,7 +66,6 @@ from .densities import (
     PiecewiseUniform,
     PruningSet,
     TruncatedNormal,
-    place_rule,
 )
 from .estimators import ControlVariate
 from .moments import MomentInputs, MomentReport, moment_report, rho
@@ -236,7 +234,8 @@ def treatment_problem(
     The sampling policy draws CR uniformly over [8.5, 11]; the target
     policy draws from a normal with mean 11 and standard deviation
     11 - cr_min truncated to [cr_min, 11]. Pruning to the target support
-    gives c = (11 - cr_min)/2.5 exactly.
+    gives c = (11 - cr_min)/2.5 exactly. The problem carries ``surface``,
+    the default one when None is given, and h is its marginal return.
     """
     surface = surface or SyntheticReturnSurface()
     lo, hi = surface.cr_low, surface.cr_high
@@ -246,79 +245,34 @@ def treatment_problem(
     target = TruncatedNormal(cr_min, hi, mean=hi, stddev=hi - cr_min)
     evaluation = EvaluationFunction(surface.marginal_return, [(lo, hi)])
     pruning = PruningSet.from_intervals([(cr_min, hi)], sampling)
-    return EstimationProblem(target, sampling, evaluation, pruning)
-
-
-# Gauss-Legendre nodes per support cell of a problem with no cell table.
-# Against adaptive quadrature at cr_min = 10.99 (target stddev 0.01) the
-# treatment v is 1.7e-14 off with 32 nodes and 1.3e-13 off with 16.
-_QUAD_NODES = 32
-
-
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    # Imported here, once per process, so that importing the package
-    # does not load numpy.polynomial.
-    from numpy.polynomial.legendre import leggauss
-
-    z, weights = leggauss(_QUAD_NODES)
-    # Every caller shares these arrays.
-    z.flags.writeable = weights.flags.writeable = False
-    return z, weights
-
-
-def _terms(problem: EstimationProblem):
-    """(p, w, h, in_c) arrays: sum p phi(w, h, in_c) is the integral of
-    g phi(f/g, h, [x in C]), exact when the problem has a cell table.
-
-    Without one, the terms are read at the ``_QUAD_NODES`` Gauss-Legendre
-    nodes of each of the problem's support cells. Each integrand is
-    analytic inside a cell, where the rule converges geometrically, and
-    its nodes are interior, so each cell reads its own one-sided limits.
-    """
-    table = problem.cells
-    if table is not None:
-        return table.p, table.w, table.h, table.in_c
-    return problem.node_terms(*place_rule(*problem.support_cells(), *_gauss_legendre()))
-
-
-def _mean_h(terms) -> float:
-    p, _, h, _ = terms
-    return float((p * h).sum())
-
-
-def _theta_v(terms, c: float, t: float, surface) -> tuple[float, float]:
-    p, w, h, in_c = terms
-    theta = float((p * w * h).sum())
-    p_c, w_c = p[in_c], w[in_c]
-    wh = w_c * (h[in_c] - t)
-    m = (p_c * wh).sum() / c
-    v = (p_c * (wh - m) ** 2).sum() / c
-    if surface is not None:
-        v += surface.extra_variance * (p_c * w_c * w_c).sum() / c
-    return theta, float(v)
+    return EstimationProblem(target, sampling, evaluation, pruning, surface)
 
 
 def sampling_mean(problem: EstimationProblem) -> float:
-    """E_g[h], the natural constant control variate: sum p h over the
-    problem's terms, its cell table or its Gauss-Legendre nodes."""
-    return _mean_h(_terms(problem))
+    """E_g[h], the natural constant control variate: sum p h over
+    ``problem.terms``, its cell table or its Gauss-Legendre nodes."""
+    p, _, h, _ = problem.terms
+    return float((p * h).sum())
 
 
-def moment_inputs(
-    problem: EstimationProblem,
-    t: float = 0.0,
-    surface: SyntheticReturnSurface | None = None,
-) -> tuple[float, float]:
-    """(theta, v) for the analytic catalog, from the problem's terms.
+def moment_inputs(problem: EstimationProblem, t: float = 0.0) -> tuple[float, float]:
+    """(theta, v) for the analytic catalog, from ``problem.terms``.
 
     theta = E_f[h] = sum p w h, whatever t is. v is the variance of one
     centered term w (h - t) given X in C, summed about its mean
     m = sum_C p w (h - t) / c, so it is no difference of nearly equal
-    integrals. A return surface adds its CF tilt and day noise as
-    extra_variance * sum_C p w^2 / c.
+    integrals. The problem's return surface, when it has one, adds its
+    CF tilt and day noise as extra_variance * sum_C p w^2 / c.
     """
-    return _theta_v(_terms(problem), problem.c, t, surface)
+    p, w, h, in_c = problem.terms
+    theta = float((p * w * h).sum())
+    p_c, w_c = p[in_c], w[in_c]
+    wh = w_c * (h[in_c] - t)
+    m = (p_c * wh).sum() / problem.c
+    v = (p_c * (wh - m) ** 2).sum() / problem.c
+    if problem.surface is not None:
+        v += problem.surface.extra_variance * (p_c * w_c * w_c).sum() / problem.c
+    return theta, float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -448,33 +402,33 @@ def simulate_estimates(
     trials: int,
     seed: int,
     t: float = 0.0,
-    surface: SyntheticReturnSurface | None = None,
 ) -> SimulationResult:
     """All three estimators over ``trials`` independent batches of size n.
 
-    A piecewise-constant problem is simulated from its outcome table
-    when it has at most ``trials`` outcomes, and its trials come back as
-    a histogram of the same per-trial picks: one row per drawn outcome,
-    with ``count`` trials each. Otherwise it is simulated from per-trial
-    cell counts, and any other problem from its samples, one row per
-    trial with count 1 (see the module docstring). The sample path
-    allocates its workspace once per call: (rows, n) float64 arrays for
-    x, the observations, the weights and one scratch, with rows =
-    min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS // n)), and every chunk
-    writes into prefix views of it. Its peak memory
-    is therefore a few times CHUNK_ELEMENTS values plus O(trials) for the
-    results, whatever n is; for n > CHUNK_ELEMENTS a chunk is one row of
-    n samples. When a return surface is given, its noisy observations
-    take the place of the deterministic evaluation (the surrogate-study
-    path): each chunk draws x, then the surface's observations (CF, then
-    noise), and h is never evaluated. Weights and pruning membership
-    still come from the problem. A batch with f(x)h(x) != 0 outside C
+    A piecewise-constant problem without a return surface is simulated
+    from its outcome table when it has at most ``trials`` outcomes, and
+    its trials come back as a histogram of the same per-trial picks: one
+    row per drawn outcome, with ``count`` trials each. Otherwise it is
+    simulated from per-trial cell counts, and any other problem from its
+    samples, one row per trial with count 1 (see the module docstring).
+    The sample path allocates its workspace once per call: (rows, n)
+    float64 arrays for x, the observations, the weights and one scratch,
+    with rows = min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS // n)), and every
+    chunk writes into prefix views of it. Its peak memory is therefore a
+    few times CHUNK_ELEMENTS values plus O(trials) for the results,
+    whatever n is; for n > CHUNK_ELEMENTS a chunk is one row of n
+    samples. When the problem has a return surface, its noisy
+    observations take the place of the deterministic evaluation (the
+    surrogate-study path): each chunk draws x, then the surface's
+    observations (CF, then noise), and h is never evaluated. Weights and
+    pruning membership still come from the problem. A batch with f(x)h(x) != 0 outside C
     raises :class:`PruningCoverageError`; on the surface path the check
     reads f(x) times the observed value instead. With t != 0 a batch
     with f(x) != 0 outside C raises :class:`ControlVariateCoverageError`.
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
+    surface = problem.surface
     table = problem.cells if surface is None else None
     m = 0 if table is None else table.p.size
     if m and math.comb(n + m - 1, m - 1) <= trials:
@@ -605,10 +559,9 @@ def run_trials(
     theta_true: float,
     cv: ControlVariate = ControlVariate(0.0),
     seed: int = 0,
-    surface: SyntheticReturnSurface | None = None,
 ) -> dict[str, TrialStats]:
     """TrialStats for IS, US, and WIS over independent seeded batches."""
-    sim = simulate_estimates(problem, n, trials, seed, t=cv.t, surface=surface)
+    sim = simulate_estimates(problem, n, trials, seed, t=cv.t)
     positive = sim.us_defined
     weights = sim.count.astype(float)
     all_defined = np.ones(positive.size, dtype=bool)
@@ -721,31 +674,27 @@ class SweepRow:
         }
 
 
-def _sweep(
-    coord_name, points, n_grid, trials, seed, cv_mode, surface=None
-) -> list[SweepRow]:
+def _sweep(coord_name, points, n_grid, trials, seed, cv_mode) -> list[SweepRow]:
     """One SweepRow per (point, n), for (coordinate, problem, theta) points.
 
     Each point's control variate (``none``, ``value:<real>`` or
-    ``sampling-mean``, E_g[h]), conditional term variance v and, when the
-    point gives None, theta come from one build of its problem's terms;
+    ``sampling-mean``, E_g[h] by :func:`sampling_mean`), conditional term
+    variance v and, when the point gives None, theta (both by
+    :func:`moment_inputs`) come from its problem's terms, built once;
     grid points take sub-seeds in (point, n) order. Raises ValueError
     when there is no grid point.
     """
     rows = []
     index = 0
     for coord, problem, theta in points:
-        terms = _terms(problem)
-        cv = ControlVariate.from_spec(cv_mode, lambda: _mean_h(terms))
-        derived, v = _theta_v(terms, problem.c, cv.t, surface)
+        cv = ControlVariate.from_spec(cv_mode, lambda: sampling_mean(problem))
+        derived, v = moment_inputs(problem, cv.t)
         theta = derived if theta is None else theta
         for n in n_grid:
             point_seed = derive_seed(seed, index)
             index += 1
             analytic = analytic_reports(n, problem.c, v, theta, cv.t)
-            empirical = run_trials(
-                problem, n, trials, theta, cv, point_seed, surface=surface
-            )
+            empirical = run_trials(problem, n, trials, theta, cv, point_seed)
             rows.append(
                 SweepRow(
                     coord_name, coord, theta, n, problem.c, v, cv.t, point_seed,
@@ -787,9 +736,8 @@ def sweep_treatment_surrogate(
     trials: int = 200_000,
     cv_mode: str = "none",
     seed: int = 0,
-    surface: SyntheticReturnSurface | None = None,
 ) -> list[SweepRow]:
-    """One SweepRow per cr_min under the synthetic return surface.
+    """One SweepRow per cr_min under the default synthetic return surface.
 
     Ground truth theta and the conditional term variance come from
     32-node Gauss-Legendre quadrature on each support cell of the
@@ -797,9 +745,8 @@ def sweep_treatment_surrogate(
     (they describe no external system). ``cv_mode = sampling-mean`` uses the expected return under
     the sampling policy as the control variate.
     """
-    surface = surface or SyntheticReturnSurface()
-    points = ((cr, treatment_problem(cr, surface), None) for cr in cr_min_grid)
-    return _sweep("cr_min", points, [n], trials, seed, cv_mode, surface)
+    points = ((cr, treatment_problem(cr), None) for cr in cr_min_grid)
+    return _sweep("cr_min", points, [n], trials, seed, cv_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -975,8 +922,6 @@ def coverage_experiment(
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
     if value is None:

@@ -136,6 +136,17 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="b must be nonnegative"):
             hoeffding_us(1.0, b=math.nan, c=0.5, k=10, delta=0.1)
 
+    def test_infinite_range_rejected(self):
+        """An overflowed range would give inf margins and NaN bounds."""
+        for b in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="b must be nonnegative and finite"):
+                hoeffding_margin(b, 10, 0.1)
+        with pytest.raises(ValueError, match="b must be nonnegative and finite"):
+            hoeffding_is(1.0, b=math.inf, n=10, delta=0.1)
+        with pytest.raises(ValueError, match="b must be nonnegative and finite"):
+            hoeffding_us(1.0, b=math.inf, c=0.5, k=10, delta=0.1)
+        assert math.isfinite(hoeffding_margin(1e308, 1, 0.5))
+
 
 class TestWeightedRange:
     def test_sign_changing_integrand_includes_zero(self):

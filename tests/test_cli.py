@@ -184,6 +184,17 @@ class TestBoundsAndCoverage:
         assert float(row[rho_column]) == 0.0  # no trial has k > 0
         assert [row[name] for name in us_columns] == ["nan"] * len(us_columns)
 
+    @pytest.mark.parametrize("command", ["bounds", "coverage"])
+    # The overflowing products warn before the error; that is not checked here.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_range_is_a_user_error(self, command, capsys):
+        """At theta = 1e308 the range b of f h / g overflows to inf."""
+        code = main([command, "--theta", "1e308", "--n-grid", "10", "--trials", "100"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "error: b must be nonnegative and finite"
+
 
 class TestMoments:
     def test_headline_catalog(self, capsys):
@@ -416,6 +427,7 @@ MALFORMED = {
     "problem-scalar": "problem: 5\n",
     "pieces-scalar": CONFIG.replace("[[0.0, 0.5, 1.0]]", "5"),
     "piece-null": CONFIG.replace("0.5, 1.0]", "0.5, null]"),
+    "piece-inf": CONFIG.replace("0.5, 1.0]", "0.5, -.inf]"),
     "pruning-null": CONFIG.replace("{intervals: [[0.0, 0.5]]}", "null"),
     "low-list": CONFIG.replace("low: 0.0, high: 1.0", "low: [0], high: 1.0"),
     "c-list": CONFIG.replace("[[0.0, 0.5]]}", "[[0.0, 0.5]], c: [0.3]}"),

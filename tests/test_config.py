@@ -1,5 +1,6 @@
 """YAML problem-description loading."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,12 @@ class TestBuildDensity:
         with pytest.raises(ValueError, match="must be a mapping"):
             build_density(["uniform"])
 
+    def test_infinite_density_parameter_rejected(self):
+        block = {"kind": "truncated-normal", "lower": 0.0, "upper": 1.0,
+                 "mean": math.inf, "stddev": 1.0}
+        with pytest.raises(ValueError, match="target: 'mean' must be a real number"):
+            build_density(block, "target")
+
 
 class TestBuildProblem:
     def test_good_document(self):
@@ -109,6 +116,13 @@ class TestBuildProblem:
     def test_missing_pruning(self):
         doc = {"problem": {k: v for k, v in GOOD_DOC["problem"].items() if k != "pruning"}}
         with pytest.raises(ValueError, match="missing required key 'pruning'"):
+            build_problem(doc)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_non_finite_piece_value_rejected(self, value):
+        pieces = [[0.0, 0.25, value], [0.25, 2.0, 1.0]]
+        doc = {"problem": {**GOOD_DOC["problem"], "evaluation": {"pieces": pieces}}}
+        with pytest.raises(ValueError, match="'pieces' must be a list of lists of reals"):
             build_problem(doc)
 
 

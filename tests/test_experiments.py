@@ -1,5 +1,6 @@
 """Monte Carlo harness: problems, simulation, sweeps, and emission."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from unequal_support import experiments
+from unequal_support import densities, experiments
 from unequal_support._kernels import batch_estimates
 from unequal_support.bounds import hoeffding_is, hoeffding_margin, hoeffding_us, weighted_range
 from unequal_support.cli import DEFAULT_F_MAX_GRID, DEFAULT_THETA_GRID
@@ -122,18 +123,16 @@ class HEvaluated(Exception):
 
 
 def _surrogate_with(surface, evaluation=None, pruning=None):
-    """The surrogate problem at cr_min = 9.5, with parts swapped in."""
+    """The surrogate problem at cr_min = 9.5 under ``surface``, with parts
+    swapped in."""
     base = treatment_problem(9.5, surface)
-    return EstimationProblem(
-        base.target,
-        base.sampling,
-        evaluation or base.evaluation,
-        pruning or base.pruning,
+    return dataclasses.replace(
+        base, evaluation=evaluation or base.evaluation, pruning=pruning or base.pruning
     )
 
 
 class TestSurfacePath:
-    """With a return surface, observations stand in for h(x)."""
+    """With a return surface on the problem, observations stand in for h(x)."""
 
     def test_h_is_not_evaluated(self):
         surface = SyntheticReturnSurface()
@@ -147,11 +146,12 @@ class TestSurfacePath:
         base = treatment_problem(9.5, surface).evaluation
         evaluation = EvaluationFunction(fn, base.support)
         problem = _surrogate_with(surface, evaluation=evaluation)
+        plain = dataclasses.replace(problem, surface=None)
         armed.append(True)  # construction checks h once; batches must not
-        sim = simulate_estimates(problem, 6, 300, seed=3, surface=surface)
+        sim = simulate_estimates(problem, 6, 300, seed=3)
         assert np.isfinite(sim.is_values).all()
         with pytest.raises(HEvaluated):
-            simulate_estimates(problem, 6, 300, seed=3)
+            simulate_estimates(plain, 6, 300, seed=3)
 
     def test_pruning_check_reads_observed_values(self):
         surface = SyntheticReturnSurface()
@@ -160,20 +160,20 @@ class TestSurfacePath:
         problem = _surrogate_with(surface, pruning=narrow)
         for t in (0.0, 0.3):
             with pytest.raises(PruningCoverageError):
-                simulate_estimates(problem, 6, 300, seed=3, t=t, surface=surface)
+                simulate_estimates(problem, 6, 300, seed=3, t=t)
         # Observations of 0 give f(x) R = 0 outside C although h != 0
         # there, so only the control-variate check, which reads f alone,
         # can fail.
         flat = SyntheticReturnSurface(
             base_level=0.0, base_gain=0.0, tilt_amplitude=0.0, noise_scale=0.0
         )
-        simulate_estimates(problem, 6, 300, seed=3, surface=flat)
+        problem = dataclasses.replace(problem, surface=flat)
+        simulate_estimates(problem, 6, 300, seed=3)
         with pytest.raises(ControlVariateCoverageError):
-            simulate_estimates(problem, 6, 300, seed=3, t=0.3, surface=flat)
+            simulate_estimates(problem, 6, 300, seed=3, t=0.3)
 
     def test_matches_terms_rebuilt_in_draw_order(self):
-        surface = SyntheticReturnSurface()
-        assert_matches_rebuilt(treatment_problem(9.75, surface), 123, 0.3, surface)
+        assert_matches_rebuilt(treatment_problem(9.75), 123, 0.3)
 
 
 # (n, rows of each chunk): n = 7 keeps 4096-row chunks; n = 100 takes
@@ -181,9 +181,11 @@ class TestSurfacePath:
 CHUNKINGS = [(7, [4096, 50]), (100, [1310, 1310, 50])]
 
 
-def rebuilt_estimates(problem, n, chunk_rows, seed, t, surface=None):
+def rebuilt_estimates(problem, n, chunk_rows, seed, t):
     """simulate_estimates rebuilt in plain allocating NumPy: each chunk
-    draws x, then, with a surface, CF and then the day noise."""
+    draws x, then, with a surface on the problem, CF and then the day
+    noise."""
+    surface = problem.surface
     parts = []
     for chunk, rows in enumerate(chunk_rows):
         rng = experiments._chunk_rng(seed, chunk)
@@ -200,10 +202,10 @@ def rebuilt_estimates(problem, n, chunk_rows, seed, t, surface=None):
     return [np.concatenate([p[i] for p in parts]) for i in range(5)]
 
 
-def assert_matches_rebuilt(problem, seed, t, surface=None):
+def assert_matches_rebuilt(problem, seed, t):
     for n, chunk_rows in CHUNKINGS:
-        sim = simulate_estimates(problem, n, sum(chunk_rows), seed, t=t, surface=surface)
-        want = rebuilt_estimates(problem, n, chunk_rows, seed, t, surface)
+        sim = simulate_estimates(problem, n, sum(chunk_rows), seed, t=t)
+        want = rebuilt_estimates(problem, n, chunk_rows, seed, t)
         got = (sim.is_values, sim.us_values, sim.wis_values, sim.k, sim.wis_defined)
         for column, expected in zip(got, want):
             assert np.array_equal(column, expected)
@@ -235,11 +237,10 @@ class TestSamplePathMemory:
         values, plus O(trials) for the per-trial results. Only n > 2**17
         holds more: one row of n samples.
         """
-        surface = SyntheticReturnSurface()
-        problem = treatment_problem(9.5, surface)
+        problem = treatment_problem(9.5)
         trials = 40
         tracemalloc.start()
-        sim = simulate_estimates(problem, n, trials, seed=8, surface=surface)
+        sim = simulate_estimates(problem, n, trials, seed=8)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 8 * experiments.CHUNK_ELEMENTS * 8 + 1024 * trials
@@ -325,29 +326,27 @@ def assert_close(got, want, what=None):
 
 
 def _summary_points():
-    """(name, problem, n, theta, surface): the acceptance grid on the
+    """(name, problem, n, theta): the acceptance grid on the
     outcome table, then two per-trial-count and two sample-path points."""
     for f_max in (0.2, 0.5, 1.0, 2.0):
         for theta in (0.0, 1.0, 10.0):
             for n in (5, 10, 50):
                 problem = illustrative_problem(f_max, theta)
-                yield f"table-{f_max}-{theta}-{n}", problem, n, theta, None
-    surface = SyntheticReturnSurface()
+                yield f"table-{f_max}-{theta}-{n}", problem, n, theta
     two_cells = EstimationProblem(
         PiecewiseUniform([(0.0, 0.5), (0.5, 1.0)], [0.8, 0.2]),
         PiecewiseUniform.uniform(0.0, 2.0),
         EvaluationFunction.piecewise_constant([(0.0, 0.25, -1.0), (0.25, 1.0, 2.0)]),
         PruningSet.from_intervals([(0.0, 1.0)], PiecewiseUniform.uniform(0.0, 2.0)),
     )
-    yield "cell-counts-two-weights", two_cells, 120, 0.4, None
-    yield "cell-counts-illustrative", illustrative_problem(0.5, 10.0), 200, 10.0, None
-    treatment = treatment_problem(9.5, surface)
-    theta = moment_inputs(treatment, surface=surface)[0]
-    yield "samples-surface", treatment, 30, theta, surface
+    yield "cell-counts-two-weights", two_cells, 120, 0.4
+    yield "cell-counts-illustrative", illustrative_problem(0.5, 10.0), 200, 10.0
+    treatment = treatment_problem(9.5)
+    yield "samples-surface", treatment, 30, moment_inputs(treatment)[0]
     plain = illustrative_problem(1.0, 1.0)
     plain_h = EvaluationFunction(plain.evaluation.fn, plain.evaluation.support)
     plain = EstimationProblem(plain.target, plain.sampling, plain_h, plain.pruning)
-    yield "samples-plain-h", plain, 10, 1.0, None
+    yield "samples-plain-h", plain, 10, 1.0
 
 
 SUMMARY_POINTS = list(_summary_points())
@@ -359,11 +358,11 @@ class TestCountWeightedSummaries:
 
     @pytest.mark.parametrize("cv", [0.0, 0.75])
     def test_trial_stats_match_per_trial_summary(self, cv):
-        for name, problem, n, theta, surface in SUMMARY_POINTS:
+        for name, problem, n, theta in SUMMARY_POINTS:
             trials, seed = 20_000 if name.startswith("table") else 3000, 23
-            sim = simulate_estimates(problem, n, trials, seed, t=cv, surface=surface)
+            sim = simulate_estimates(problem, n, trials, seed, t=cv)
             assert (sim.count == 1).all() != name.startswith("table")
-            stats = run_trials(problem, n, trials, theta, ControlVariate(cv), seed, surface)
+            stats = run_trials(problem, n, trials, theta, ControlVariate(cv), seed)
             is_v, us_v, wis_v, k, wis_defined = per_trial(sim)
             positive = k > 0
             want = {
@@ -687,14 +686,13 @@ class TestTreatmentSurrogate:
         assert rec["analytic_is_var_u"] == pytest.approx(rec["analytic_us_var_u"], rel=1e-12)
 
     def test_ground_truth_quadrature_consistency(self):
-        surface = SyntheticReturnSurface()
-        problem = treatment_problem(10.375, surface)
-        theta, v = moment_inputs(problem, surface=surface)
+        problem = treatment_problem(10.375)
+        theta, v = moment_inputs(problem)
         assert 0.85 <= theta <= 0.91
         assert v > 0.0
         # with the control variate at the sampling mean, v shrinks a lot
         t = sampling_mean(problem)
-        theta_t, v_centered = moment_inputs(problem, t, surface)
+        theta_t, v_centered = moment_inputs(problem, t)
         assert theta_t == theta
         assert v_centered < v / 10.0
 
@@ -724,36 +722,64 @@ class TestTreatmentSurrogate:
             spread = integral(lambda x: g(x) * (f(x) / g(x) * (base(x) - t) - m) ** 2)
             weight_sq = integral(lambda x: f(x) ** 2 / g(x))
             v = (spread + surface.extra_variance * weight_sq) / c
-            assert moment_inputs(problem, t, surface) == close((theta, v))
+            assert moment_inputs(problem, t) == close((theta, v))
 
     def test_terms_hold_quad_nodes_per_support_cell(self):
         problem = treatment_problem(10.375)
         lows, _ = problem.support_cells()
         assert len(lows) == 2
-        for array in experiments._terms(problem):
-            assert array.shape == (len(lows) * experiments._QUAD_NODES,)
+        for array in problem.terms:
+            assert array.shape == (len(lows) * densities._QUAD_NODES,)
 
     def test_one_quadrature_pass_per_point(self, monkeypatch):
-        """One table build per sweep point, and E_g[h], theta and v of the
-        row all come from that same table."""
+        """One terms build per sweep point, and E_g[h], theta and v of the
+        row all come from those same terms."""
         built = []
-        original = experiments._terms
+        node_terms = EstimationProblem.node_terms
 
-        def counting(problem):
-            built.append(original(problem))
+        def counting(problem, x, q):
+            built.append(node_terms(problem, x, q))
             return built[-1]
 
-        monkeypatch.setattr(experiments, "_terms", counting)
+        monkeypatch.setattr(EstimationProblem, "node_terms", counting)
         grid = [9.0, 10.0, 10.5]
         rows = sweep_treatment_surrogate(grid, n=5, trials=100, cv_mode="sampling-mean")
         assert len(built) == len(grid)
-        surface = SyntheticReturnSurface()
-        for row, table in zip(rows, built):
-            p, w, h, in_c = table
+        for row, terms in zip(rows, list(built)):
+            p, w, h, in_c = terms
             assert row.t == float((p * h).sum())
             assert row.theta == float((p * w * h).sum())
-            problem = treatment_problem(row.coord, surface)
-            assert (row.theta, row.v) == moment_inputs(problem, row.t, surface)
+            problem = treatment_problem(row.coord)
+            assert (row.theta, row.v) == moment_inputs(problem, row.t)
+
+    def test_one_cell_table_build_per_illustrative_point(self, monkeypatch):
+        """A cell problem's terms are its cell table, built once per point
+        and shared by the analytic inputs and the simulation."""
+        built = []
+        node_terms = EstimationProblem.node_terms
+
+        def counting(problem, x, q):
+            built.append(x.size)
+            return node_terms(problem, x, q)
+
+        monkeypatch.setattr(EstimationProblem, "node_terms", counting)
+        sweep_illustrative([0.5, 2.0], [0.0, 1.0], [5, 200], 300, 3, "sampling-mean")
+        # One node per cell: [0, f_max/2], [f_max/2, f_max], and [f_max, 2]
+        # unless f_max = 2.
+        assert built == [3, 3, 2, 2]
+
+    @pytest.mark.parametrize("cr_min", [8.5, 10.375, 10.99])
+    def test_surface_adds_its_extra_variance_to_v(self, cr_min):
+        problem = treatment_problem(cr_min)
+        plain = dataclasses.replace(problem, surface=None)
+        p, w, _, in_c = problem.terms
+        p_c, w_c = p[in_c], w[in_c]
+        extra = problem.surface.extra_variance * (p_c * w_c * w_c).sum() / problem.c
+        for t in (0.0, sampling_mean(problem)):
+            theta, v = moment_inputs(problem, t)
+            theta_plain, v_plain = moment_inputs(plain, t)
+            assert theta == theta_plain
+            assert v == v_plain + float(extra)
 
     def test_sampling_mean_value(self):
         # mean of base + gain*(1 - rel^2) over the CR range: E[rel^2] = 1/3.
@@ -783,7 +809,7 @@ class TestTreatmentSurrogate:
             spread = integral(lambda x: g(x) * (f(x) / g(x) * (base(x) - t) - m) ** 2)
             weight_sq = integral(lambda x: f(x) ** 2 / g(x))
             v = (spread + surface.extra_variance * weight_sq) / c
-            assert moment_inputs(problem, t, surface)[1] == pytest.approx(v, rel=1e-10, abs=0.0)
+            assert moment_inputs(problem, t)[1] == pytest.approx(v, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("cr_min", [8.5, 9.5, 10.375])
     def test_v_unmoved_by_a_large_common_shift(self, cr_min):
@@ -793,8 +819,8 @@ class TestTreatmentSurrogate:
         shifted = SyntheticReturnSurface(base_level=surface.base_level + 1e3)
         problem = treatment_problem(cr_min, surface)
         t = sampling_mean(problem)
-        _, v = moment_inputs(problem, t, surface)
-        _, v_shifted = moment_inputs(treatment_problem(cr_min, shifted), t + 1e3, shifted)
+        _, v = moment_inputs(problem, t)
+        _, v_shifted = moment_inputs(treatment_problem(cr_min, shifted), t + 1e3)
         assert v_shifted == pytest.approx(v, rel=1e-12, abs=0.0)
 
     def test_surface_observation_brackets(self):
