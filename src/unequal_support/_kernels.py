@@ -8,21 +8,23 @@ IS/US/WIS values, in-C counts, and WIS definedness in one pass.
 ``cell_estimates`` returns the same from per-cell sample counts when
 every sample in a cell shares its weight, evaluation and membership.
 
-Both reduce their batches to four sums and hand them to one place,
-``_estimates_from_sums``, which holds the estimator formulas and the
-zero conventions (US is 0 when k = 0, WIS is 0 when every weight
-vanishes). The scalar estimator,
+Their inputs have passed :func:`unequal_support.densities.check_coverage`,
+so the centered term w (h - t) is 0 outside C and the US sum over C is
+the IS row sum. Both reduce their batches to three sums and hand them
+to one place, ``_estimates_from_sums``, which holds the estimator
+formulas and the zero conventions (US is 0 when k = 0, WIS is 0 when
+every weight vanishes). The scalar estimator,
 :func:`unequal_support.estimators.estimate_all`, is ``batch_estimates``
 on a single row.
 
 ``out_array`` checks the NumPy-style ``out=`` buffers that the
 sample-path layers accept, so that a caller can run every chunk in one
-reused workspace; ``zero_outside`` masks such a buffer in place.
+reused workspace.
 """
 
 import numpy as np
 
-__all__ = ["batch_estimates", "cell_estimates", "out_array", "zero_outside"]
+__all__ = ["batch_estimates", "cell_estimates", "out_array"]
 
 
 def out_array(shape, out=None) -> np.ndarray:
@@ -36,27 +38,17 @@ def out_array(shape, out=None) -> np.ndarray:
     return out
 
 
-def zero_outside(a: np.ndarray, mask) -> np.ndarray:
-    """``np.where(mask, a, 0.0)``, written over the float64 array ``a``.
-
-    The bit patterns are multiplied by 0 or 1 as int64, which is exact
-    for every value, NaN and inf included, and does not branch on the
-    mask (a masked copy does, and costs several times more on a random
-    mask).
-    """
-    bits = a.view(np.int64)
-    np.multiply(bits, mask, out=bits)
-    return a
-
-
-def _estimates_from_sums(row_sum, sum_c, sum_w, k, n, c, t):
-    """Per-trial estimates from the centered sums over all n samples and
-    over C, the weight sums and the in-C counts; US is 0 when k = 0 and
-    WIS is 0 when every weight vanishes."""
+def _estimates_from_sums(row_sum, sum_w, k, n, c, t):
+    """Per-trial estimates from the centered row sums, the weight sums
+    and the in-C counts; US is 0 when k = 0 and WIS is 0 when every
+    weight vanishes. Raises ValueError if any estimate is not finite,
+    so the outcome table checks every outcome it enumerates, drawn or not."""
     is_v = t + row_sum / n
-    us_v = np.where(k > 0, t + c * sum_c / np.maximum(k, 1), 0.0)
+    us_v = np.where(k > 0, t + c * row_sum / np.maximum(k, 1), 0.0)
     wis_def = sum_w > 0.0
     wis_v = np.where(wis_def, t + row_sum / np.where(wis_def, sum_w, 1.0), 0.0)
+    if not np.isfinite((is_v, us_v, wis_v)).all():
+        raise ValueError("the estimates overflow the double range")
     return is_v, us_v, wis_v, k, wis_def
 
 
@@ -79,10 +71,8 @@ def batch_estimates(w, hv, in_c, c: float, t: float = 0.0, out=None):
     t = float(t)
     wh = np.subtract(hv, t, out=out_array(w.shape, out))
     wh *= w
-    row_sum = wh.sum(axis=1)
     return _estimates_from_sums(
-        row_sum,
-        zero_outside(wh, in_c).sum(axis=1),
+        wh.sum(axis=1),
         w.sum(axis=1),
         in_c.sum(axis=1).astype(np.int64),
         w.shape[1], float(c), t,
@@ -96,9 +86,6 @@ def cell_estimates(counts, n: int, w, hv, in_c, c: float, t: float = 0.0):
     pruning-set membership; every row of ``counts`` sums to the batch
     size ``n``. Each batch sum is one count-weighted sum over the cells.
     """
-    wh = w * (hv - t)
-    cols = np.stack([wh, np.where(in_c, wh, 0.0), w, in_c], axis=1)
-    row_sum, sum_c, sum_w, k = (np.asarray(counts, dtype=np.float64) @ cols).T
-    return _estimates_from_sums(
-        row_sum, sum_c, sum_w, k.astype(np.int64), n, float(c), float(t)
-    )
+    cols = np.stack([w * (hv - t), w, in_c], axis=1)
+    row_sum, sum_w, k = (np.asarray(counts, dtype=np.float64) @ cols).T
+    return _estimates_from_sums(row_sum, sum_w, k.astype(np.int64), n, float(c), float(t))

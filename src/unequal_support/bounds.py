@@ -111,7 +111,7 @@ def weighted_range(problem: EstimationProblem, t: float = 0.0) -> float:
     evaluation function are supported; the integrand is then constant on
     each cell of the problem's :class:`CellTable`. Cells where f vanishes contribute the value 0,
     which widens the range of sign-changing integrands past any closed
-    form based on max |h| alone.
+    form based on max |h| alone; a range that is not finite raises ValueError.
     """
     table = problem.cells
     if table is None:
@@ -120,4 +120,7 @@ def weighted_range(problem: EstimationProblem, t: float = 0.0) -> float:
             "and a piecewise-constant evaluation"
         )
     values = table.w * (table.h - t)
-    return float(values.max() - values.min())
+    b = float(values.max() - values.min())
+    if not math.isfinite(b):
+        raise ValueError("b must be nonnegative and finite")
+    return b

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkabl
 
 import numpy as np
 
-from ._kernels import out_array, zero_outside
+from ._kernels import out_array
 
 if TYPE_CHECKING:
     from .experiments import SyntheticReturnSurface
@@ -45,6 +45,19 @@ __all__ = [
 _MASS_TOL = 1e-12
 
 
+def zero_outside(a: np.ndarray, mask) -> np.ndarray:
+    """``np.where(mask, a, 0.0)``, written over the float64 array ``a``.
+
+    The bit patterns are multiplied by 0 or 1 as int64, which is exact
+    for every value, NaN and inf included, and does not branch on the
+    mask (a masked copy does, and costs several times more on a random
+    mask).
+    """
+    bits = a.view(np.int64)
+    np.multiply(bits, mask, out=bits)
+    return a
+
+
 class UnequalSupportError(ValueError):
     """Base class for support/configuration violations."""
 
@@ -59,10 +72,10 @@ class SamplingSupportError(UnequalSupportError):
 
 
 class PruningCoverageError(UnequalSupportError):
-    """A sample with f(x)h(x) != 0 fell outside the pruning set C.
+    """A sample with w(x)h(x) != 0, w = f/g, fell outside the pruning set C.
 
     Where observed values stand in for h (see
-    :meth:`EstimationProblem.batch_terms`), f(x) times the observed
+    :meth:`EstimationProblem.batch_terms`), w(x) times the observed
     value is checked instead.
 
     Signals a violation of the standing assumption that the pruning set
@@ -475,8 +488,8 @@ class EstimationProblem:
     construction, at the midpoint of every cell between the breakpoints
     of f, g and h, and a violation raises :class:`SamplingSupportError`.
     C ⊇ F ∩ H is checked on every batch that flows through the
-    estimators, on the samples it holds: any sample with f(x)h(x) != 0
-    outside C raises :class:`PruningCoverageError`. With a nonzero
+    estimators, on the samples it holds: any sample with w(x)h(x) != 0
+    outside C, w = f/g, raises :class:`PruningCoverageError`. With a nonzero
     control variate C must cover all of F; see :func:`check_coverage`.
 
     ``surface``, when set, is a return surface (``treatment_problem``
@@ -563,8 +576,8 @@ class EstimationProblem:
         Accepts any array shape; trailing axis semantics are up to the
         caller. ``observed``, when given, holds one observed value per
         sample (a noisy return, say) and is returned in place of h(x):
-        h is then not evaluated, and the pruning spot-check reads f(x)
-        times the observed value, the terms the estimators sum. Raises
+        h is then not evaluated, and the pruning spot-check reads the
+        weight times the observed value, the term the estimators sum. Raises
         if a sample is impossible under g, and runs the coverage checks
         of :func:`check_coverage` for the control variate ``t``. The
         weights are written into ``out``, a float64 array of the batch's
@@ -586,7 +599,7 @@ class EstimationProblem:
             if hv.shape != values.shape:
                 raise ValueError("observed must hold one value per sample")
         in_c = self.pruning.contains(values)
-        check_coverage(w, np.multiply(fv, hv, out=fv), in_c, t)
+        check_coverage(w, np.multiply(w, hv, out=fv), in_c, t)
         return w, hv, in_c
 
 
@@ -626,19 +639,19 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return z, weights
 
 
-def check_coverage(w, fh, in_c, t: float) -> None:
+def check_coverage(w, wh, in_c, t: float) -> None:
     """The coverage checks of C on a batch's terms, in this order.
 
-    Raises :class:`PruningCoverageError` if any f(x)h(x) != 0 lies
-    outside C, then :class:`ControlVariateCoverageError` if t != 0 and
+    Raises :class:`PruningCoverageError` if any w(x)h(x) != 0 lies
+    outside C, w = f/g, then :class:`ControlVariateCoverageError` if t != 0 and
     any weight f(x)/g(x) != 0 does: with a nonzero control variate the
     centered term w (h - t) is nonzero wherever f is, so C must cover
     all of F.
     """
     outside = ~in_c
-    if np.any((fh != 0.0) & outside):
+    if np.any((wh != 0.0) & outside):
         raise PruningCoverageError(
-            "sample with f(x)h(x) != 0 lies outside the pruning set"
+            "sample with w(x)h(x) != 0 lies outside the pruning set"
         )
     if t != 0.0 and np.any((w != 0.0) & outside):
         raise ControlVariateCoverageError(

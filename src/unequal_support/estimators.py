@@ -15,7 +15,8 @@ single row, and its coverage checks are those of
 :meth:`~unequal_support.densities.EstimationProblem.batch_terms`, so the
 formulas, their zero conventions (US is 0 when k = 0, WIS is 0 when
 every weight vanishes) and the errors they raise exist once, and the
-scalar and batched paths agree by construction.
+scalar and batched paths agree by construction. The checks leave
+w (h − t) = 0 outside C, so the sum over C is the IS sum.
 ``us_estimate_empirical_c`` is the empirical-mass US variant.
 """
 

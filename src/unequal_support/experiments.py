@@ -262,7 +262,8 @@ def moment_inputs(problem: EstimationProblem, t: float = 0.0) -> tuple[float, fl
     centered term w (h - t) given X in C, summed about its mean
     m = sum_C p w (h - t) / c, so it is no difference of nearly equal
     integrals. The problem's return surface, when it has one, adds its
-    CF tilt and day noise as extra_variance * sum_C p w^2 / c.
+    CF tilt and day noise as extra_variance * sum_C p w^2 / c. Raises
+    ValueError if theta or v is not finite.
     """
     p, w, h, in_c = problem.terms
     theta = float((p * w * h).sum())
@@ -272,6 +273,8 @@ def moment_inputs(problem: EstimationProblem, t: float = 0.0) -> tuple[float, fl
     v = (p_c * (wh - m) ** 2).sum() / problem.c
     if problem.surface is not None:
         v += problem.surface.extra_variance * (p_c * w_c * w_c).sum() / problem.c
+    if not (math.isfinite(theta) and math.isfinite(v)):
+        raise ValueError("the analytic inputs overflow the double range")
     return theta, float(v)
 
 
@@ -421,9 +424,9 @@ def simulate_estimates(
     observations take the place of the deterministic evaluation (the
     surrogate-study path): each chunk draws x, then the surface's
     observations (CF, then noise), and h is never evaluated. Weights and
-    pruning membership still come from the problem. A batch with f(x)h(x) != 0 outside C
+    pruning membership still come from the problem. A batch with w(x)h(x) != 0 outside C
     raises :class:`PruningCoverageError`; on the surface path the check
-    reads f(x) times the observed value instead. With t != 0 a batch
+    reads w(x) times the observed value instead. With t != 0 a batch
     with f(x) != 0 outside C raises :class:`ControlVariateCoverageError`.
     """
     if n < 1 or trials < 1:

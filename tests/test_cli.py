@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from unequal_support import cli, moments
+from unequal_support import cli, experiments, moments
 from unequal_support.cli import main
 from unequal_support.densities import EstimationProblem
 from unequal_support.experiments import render
@@ -76,6 +76,18 @@ class TestEstimate:
         with pytest.raises(SystemExit):
             main(["estimate", "--cv", "median"])
 
+    # The overflowing products warn before the error; that is not checked here.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [["--theta", "1e308"], ["--example", "treatment", "--n", "5", "--cv", "value:1e308"]],
+    )
+    def test_overflowing_estimates_are_a_user_error(self, argv, capsys):
+        assert main(["estimate", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "error: the estimates overflow the double range"
+
 
 @pytest.mark.parametrize("command", ["sweep-illustrative", "sweep-treatment"])
 def test_sweeps_reject_bad_cv_alike(command, capsys):
@@ -125,6 +137,16 @@ class TestSweepIllustrative:
         reader = csv.DictReader(io.StringIO(out))
         for row in reader:
             assert float(row["emp_is_var"]) >= 0.0
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_analytic_inputs_are_a_user_error(self, capsys):
+        argv = ["--theta-grid", "1e308", "--f-max-grid", "1", "--n-grid", "5", "--trials", "100"]
+        assert main(["sweep-illustrative", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last == "error: the analytic inputs overflow the double range"
 
 
 class TestSweepTreatment:
@@ -194,6 +216,17 @@ class TestBoundsAndCoverage:
         assert code == 1
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == "error: b must be nonnegative and finite"
+
+    @pytest.mark.parametrize("command", ["bounds", "coverage"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_range_runs_no_trial(self, command, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("b must be checked before any trial runs")
+
+        monkeypatch.setattr(experiments, "simulate_estimates", fail)
+        assert main([command, "--theta", "1e308", "--n-grid", "10", "--trials", "100"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: b must be nonnegative and finite"
 
 
 class TestMoments:
