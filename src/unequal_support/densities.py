@@ -163,12 +163,13 @@ class Density(Protocol):
     returns the analytic probability of an interval union; ``sample``
     draws i.i.d. points inside the support from a caller-owned
     generator. ``pdf`` and ``sample`` write into ``out``, a float64
-    array of the result's shape, when one is given, and return it.
+    array of the result's shape, when one is given, and return it; ``pdf``
+    reads x's support membership from ``inside``, when one is given.
     """
 
     support: IntervalUnion
 
-    def pdf(self, x, out=None) -> np.ndarray: ...
+    def pdf(self, x, out=None, inside=None) -> np.ndarray: ...
 
     def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray: ...
 
@@ -189,8 +190,8 @@ class PiecewiseUniform:
     place, so the draw count per seed is deterministic. A density of one
     piece skips the interval search: ``pdf`` through the support's
     one-interval ``locate``, and ``sample`` by dropping the CDF offset,
-    which is 0 for piece 0, so the draws are bit-equal to the general
-    path's.
+    which is 0 for piece 0, and a divide by a weight of 1, so the draws
+    are bit-equal to the general path's.
     """
 
     def __init__(self, intervals, weights: Sequence[float] | None = None):
@@ -216,24 +217,26 @@ class PiecewiseUniform:
     def uniform(cls, low: float, high: float) -> "PiecewiseUniform":
         return cls([(low, high)])
 
-    def pdf(self, x, out=None) -> np.ndarray:
+    def pdf(self, x, out=None, inside=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        idx, inside = self.support.locate(x)
+        # A lone piece needs no index from locate.
+        one = inside is not None and len(self.weights) == 1
+        idx, inside = (0, inside) if one else self.support.locate(x)
         # Heights are finite and positive, so the mask multiply is exact.
         return np.multiply(self.heights[idx], inside, out=out_array(x.shape, out))
 
     def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
         # random() fills the same doubles as uniform(0, 1).
         u = rng.random(size, out=out)
-        if len(self.weights) == 1:
-            j = 0
-        else:
+        j = 0
+        if len(self.weights) > 1:
             j = np.clip(
                 np.searchsorted(self._cum, u, side="right") - 1, 0, len(self.weights) - 1
             )
             u -= self._cum[j]
+        if len(self.weights) > 1 or self.weights[0] != 1.0:
+            u /= self.weights[j]
         lo, hi = self.support.lows[j], self.support.highs[j]
-        u /= self.weights[j]
         u *= hi - lo
         u += lo
         return u
@@ -358,9 +361,9 @@ class TruncatedNormal:
         if not self._z > 0:
             raise ValueError("truncation interval has no normal mass")
 
-    def pdf(self, x, out=None) -> np.ndarray:
+    def pdf(self, x, out=None, inside=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        inside = self.support.contains(x)
+        inside = self.support.contains(x) if inside is None else inside
         z = np.subtract(x, self.mean, out=out_array(x.shape, out))
         z /= self.stddev
         # z * z * -0.5 equals -0.5 * z * z: scaling by a power of two is
@@ -414,14 +417,13 @@ class EvaluationFunction:
         self.pieces: tuple | None = None  # set for piecewise-constant maps
         self._steps: np.ndarray | None = None  # their values, in support order
 
-    def __call__(self, x) -> np.ndarray:
+    def __call__(self, x, out=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         # One search of the support gives a step function's piece index
         # and the inside mask.
         index, inside = self.support.locate(x)
-        # A fresh float64 copy of the values, broadcast to x: fn may
-        # return x itself, or a scalar.
-        hv = np.empty(x.shape)
+        # A copy of the values, broadcast: fn may return x, or a scalar.
+        hv = out_array(x.shape, out)
         hv[...] = self.fn(x) if self._steps is None else self._steps[index]
         return zero_outside(hv, inside)
 
@@ -521,6 +523,11 @@ class EstimationProblem:
         return self.pruning.c
 
     @cached_property
+    def _c_is_f(self) -> bool:
+        """Whether C is f's support, so that one mask is both."""
+        return list(self.pruning.intervals) == list(self.target.support)
+
+    @cached_property
     def cells(self) -> "CellTable | None":
         """The problem's :class:`CellTable`, built once, or None."""
         return CellTable.from_problem(self)
@@ -570,6 +577,7 @@ class EstimationProblem:
         out=None,
         *,
         t: float = 0.0,
+        scratch=None,
     ):
         """Per-sample (weight, evaluation, in-C) arrays for a batch.
 
@@ -580,26 +588,34 @@ class EstimationProblem:
         weight times the observed value, the term the estimators sum. Raises
         if a sample is impossible under g, and runs the coverage checks
         of :func:`check_coverage` for the control variate ``t``. The
-        weights are written into ``out``, a float64 array of the batch's
-        shape, when one is given; g(x) is held there until f(x)/g(x)
-        replaces it.
+        weights go into ``out`` and g(x), then the checked products, into
+        ``scratch`` (float64, the batch's shape; fresh if None). A one-piece
+        g is read as its height; if C is f's support, one mask is both.
         """
         values = np.asarray(values, dtype=float)
-        w = self.sampling.pdf(values, out=out)
-        if np.any(w <= 0.0):
+        scratch = out_array(values.shape, scratch)
+        g = self.sampling
+        if isinstance(g, PiecewiseUniform) and len(g.weights) == 1:
+            # g is its height on [lo, hi]; min and max are NaN if any x is.
+            g_x, (lo, hi) = g.heights[0], next(iter(g.support))
+            possible = lo <= values.min(initial=np.inf) and values.max(initial=-np.inf) <= hi
+        else:
+            g_x = g.pdf(values, out=scratch)
+            possible = not np.any(g_x <= 0.0)
+        if not possible:
             raise SamplingSupportError(
                 "sample has zero density under the sampling distribution"
             )
-        fv = self.target.pdf(values)
-        np.divide(fv, w, out=w)
+        in_c = self.pruning.contains(values)
+        w = self.target.pdf(values, out=out, inside=in_c if self._c_is_f else None)
+        w /= g_x
         if observed is None:
             hv = self.evaluation(values)
         else:
             hv = np.asarray(observed, dtype=float)
             if hv.shape != values.shape:
                 raise ValueError("observed must hold one value per sample")
-        in_c = self.pruning.contains(values)
-        check_coverage(w, np.multiply(w, hv, out=fv), in_c, t)
+        check_coverage(w, np.multiply(w, hv, out=scratch), in_c, t)
         return w, hv, in_c
 
 

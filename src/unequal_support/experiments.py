@@ -41,9 +41,9 @@ count alone:
   time and memory whatever n is.
 - **Samples.** Every other problem draws the samples of min(4096,
   CHUNK_ELEMENTS // n) trials per chunk, at least one, into a workspace
-  allocated once per call, so its memory is bounded by a few arrays of
-  CHUNK_ELEMENTS = 2**17 float64 values whatever n is; only n > 2**17
-  holds more, one row of n samples.
+  allocated once per call: four arrays of at most CHUNK_ELEMENTS = 2**17
+  float64 values (x, h or the observations, the weights, one scratch)
+  whatever n is; only n > 2**17 holds more, one row of n samples.
 
 Both cell paths give each count vector the same estimates, through
 :func:`cell_estimates`, and run the same coverage checks on the cells
@@ -114,14 +114,6 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
-def _uniform_into(rng: np.random.Generator, low: float, high: float, out) -> np.ndarray:
-    """``rng.uniform(low, high, out.shape)``, bit for bit, drawn into ``out``."""
-    rng.random(out=out)
-    out *= high - low
-    out += low
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Built-in problems
 
@@ -165,8 +157,7 @@ class SyntheticReturnSurface:
     base(CR), and the CF and noise terms only add a constant
     ``extra_variance`` to the per-sample conditional variance.
 
-    ``marginal_return`` and ``observe`` compute their chains in place, in
-    ``out`` when one is given and in a fresh array otherwise.
+    ``marginal_return`` and ``observe`` compute in place in ``out``, if given.
     """
 
     cr_low: float = 8.5
@@ -189,29 +180,26 @@ class SyntheticReturnSurface:
         base += self.base_level
         return base
 
-    def _tilt(self, cf: np.ndarray) -> np.ndarray:
-        """tilt(CF), computed over the array ``cf`` in place."""
-        cf -= 0.5 * (self.cf_low + self.cf_high)
-        cf *= self.tilt_amplitude
-        cf /= 0.5 * (self.cf_high - self.cf_low)
-        return cf
-
-    def expected_return(self, cr, cf) -> np.ndarray:
-        base = self.marginal_return(cr)
-        base += self._tilt(np.array(cf, dtype=float))
-        return base
-
-    def observe(self, rng: np.random.Generator, cr: np.ndarray, out=None) -> np.ndarray:
-        """Noisy per-day returns; draw order (CF, noise) is fixed.
-
-        The same floating-point operations, in the same order, as
-        ``expected_return(cr, cf) + eps`` with CF and eps drawn by
-        ``rng.uniform``, so the values are bit-equal to that expression.
+    def observe(self, rng: np.random.Generator, cr, out=None, scratch=None) -> np.ndarray:
+        """Noisy per-day returns base(CR) + tilt(CF) + noise, from uniforms
+        u_CF, then u_noise, one each per sample, drawn into ``scratch`` (a
+        fresh array when None). CF = cf_low + (cf_high - cf_low) u_CF and
+        the noise is noise_scale (2 u_noise - 1), so the terms fold into
+        one affine map, equal to their sum up to roundoff: a - base_gain
+        (CR - cr_high)^2 / span^2 + 2 tilt_amplitude u_CF + 2 noise_scale
+        u_noise, a = base_level + base_gain - tilt_amplitude - noise_scale.
         """
-        obs = self.marginal_return(cr, out=out)
-        draws = np.empty_like(obs)
-        obs += self._tilt(_uniform_into(rng, self.cf_low, self.cf_high, draws))
-        obs += _uniform_into(rng, -self.noise_scale, self.noise_scale, draws)
+        cr = np.asarray(cr, dtype=float)
+        span = self.cr_high - self.cr_low
+        obs = np.subtract(cr, self.cr_high, out=out_array(cr.shape, out))
+        obs *= obs
+        obs *= -self.base_gain / (span * span)
+        obs += self.base_level + self.base_gain - self.tilt_amplitude - self.noise_scale
+        draws = out_array(cr.shape, scratch)
+        for amplitude in (self.tilt_amplitude, self.noise_scale):
+            rng.random(out=draws)
+            draws *= 2.0 * amplitude
+            obs += draws
         return obs
 
     @property
@@ -406,28 +394,20 @@ def simulate_estimates(
     seed: int,
     t: float = 0.0,
 ) -> SimulationResult:
-    """All three estimators over ``trials`` independent batches of size n.
+    """All three estimators over ``trials`` independent batches of size n,
+    on the path the module docstring describes: one row per drawn
+    outcome, with its ``count`` of trials, on the outcome table, else one
+    row per trial with count 1.
 
-    A piecewise-constant problem without a return surface is simulated
-    from its outcome table when it has at most ``trials`` outcomes, and
-    its trials come back as a histogram of the same per-trial picks: one
-    row per drawn outcome, with ``count`` trials each. Otherwise it is
-    simulated from per-trial cell counts, and any other problem from its
-    samples, one row per trial with count 1 (see the module docstring).
-    The sample path allocates its workspace once per call: (rows, n)
-    float64 arrays for x, the observations, the weights and one scratch,
-    with rows = min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS // n)), and every
-    chunk writes into prefix views of it. Its peak memory is therefore a
-    few times CHUNK_ELEMENTS values plus O(trials) for the results,
-    whatever n is; for n > CHUNK_ELEMENTS a chunk is one row of n
-    samples. When the problem has a return surface, its noisy
-    observations take the place of the deterministic evaluation (the
-    surrogate-study path): each chunk draws x, then the surface's
-    observations (CF, then noise), and h is never evaluated. Weights and
-    pruning membership still come from the problem. A batch with w(x)h(x) != 0 outside C
-    raises :class:`PruningCoverageError`; on the surface path the check
-    reads w(x) times the observed value instead. With t != 0 a batch
-    with f(x) != 0 outside C raises :class:`ControlVariateCoverageError`.
+    The sample path's workspace, allocated once per call, is four
+    (rows, n) float64 arrays, rows = min(CHUNK_TRIALS, max(1,
+    CHUNK_ELEMENTS // n)), whose prefixes every chunk writes: x; h(x), or
+    the surface's observations in its place (CF, then noise, drawn after
+    x); the weights; and a scratch for the uniforms, then g(x) or the
+    checked w h, then the kernel's terms. A batch with w h != 0 outside
+    C (h observed on the surface path) raises :class:`PruningCoverageError`,
+    and with t != 0 one with f != 0 outside C raises
+    :class:`ControlVariateCoverageError`.
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
@@ -438,7 +418,7 @@ def simulate_estimates(
         return _draw_outcomes(problem, n, trials, seed, t)
     if table is None:
         chunk_rows = min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS // n), trials)
-        x_buf, obs_buf, w_buf, scratch = np.empty((4, chunk_rows, n))
+        workspace = np.empty((4, chunk_rows, n))
     else:
         chunk_rows = CHUNK_TRIALS
     parts = []
@@ -453,12 +433,14 @@ def simulate_estimates(
                 cell_estimates(counts, n, table.w, table.h, table.in_c, problem.c, t)
             )
             continue
-        x = problem.sampling.sample(rng, (rows, n), out=x_buf[:rows])
-        observed = (
-            None if surface is None else surface.observe(rng, x, out=obs_buf[:rows])
-        )
-        w, hv, in_c = problem.batch_terms(x, observed, out=w_buf[:rows], t=t)
-        parts.append(batch_estimates(w, hv, in_c, problem.c, t, out=scratch[:rows]))
+        x, hv, w, work = workspace[:, :rows]
+        problem.sampling.sample(rng, x.shape, out=x)
+        if surface is None:
+            problem.evaluation(x, out=hv)
+        else:
+            surface.observe(rng, x, out=hv, scratch=work)
+        w, hv, in_c = problem.batch_terms(x, hv, out=w, t=t, scratch=work)
+        parts.append(batch_estimates(w, hv, in_c, problem.c, t, out=work))
     return _unit_counts([np.concatenate([p[i] for p in parts]) for i in range(5)])
 
 
@@ -783,11 +765,14 @@ def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     warning, when no trial counts. Rows of weight zero are skipped, so an
     undefined (NaN) bound there does not reach the mean. The sums are
     taken in float64, exact for whole-number values up to 2**53, as a
-    per-trial mean's are."""
+    per-trial mean's are; one that overflows is taken over weights/total."""
     total = float(weights.sum())
     if not total:
         return math.nan
-    return float(np.dot(np.where(weights > 0, values, 0.0), weights)) / total
+    values = np.where(weights > 0, values, 0.0)
+    with np.errstate(over="ignore"):
+        mean = float(np.dot(values, weights)) / total
+    return float(np.dot(values, weights / total)) if math.isinf(mean) else mean
 
 
 @dataclass(frozen=True)

@@ -512,9 +512,23 @@ class TestEstimationProblem:
         assert abs(stats["IS"].mean - theta) <= 4.0 * stats["IS"].se_mean
 
     def test_sample_outside_g_rejected(self):
+        """g = U[0, 2] is one piece, read as its height: a sample outside
+        [0, 2], or NaN, is impossible under it."""
         problem = self._problem()
-        with pytest.raises(SamplingSupportError):
-            problem.batch_terms(np.array([0.5, 2.5]))
+        problem.batch_terms(np.array([[0.0, 2.0]]))
+        for x in (2.5, 2.0000000000000004, -0.5, -5e-324, np.nan, np.inf):
+            with pytest.raises(SamplingSupportError):
+                problem.batch_terms(np.array([[0.5, x], [1.0, 1.5]]))
+
+    def test_sample_in_a_gap_of_g_rejected(self):
+        g = PiecewiseUniform([(0.0, 1.0), (1.5, 2.0)])
+        f = PiecewiseUniform.uniform(0.0, 1.0)
+        h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0)])
+        problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 1.0)], g))
+        problem.batch_terms(np.array([0.0, 1.0, 1.5, 2.0]))
+        for x in (1.25, 2.5, np.nan):
+            with pytest.raises(SamplingSupportError):
+                problem.batch_terms(np.array([0.5, x]))
 
     def test_pruning_coverage_violation_detected(self):
         f = PiecewiseUniform.uniform(0.0, 1.0)

@@ -153,11 +153,20 @@ class TestSurfacePath:
         with pytest.raises(HEvaluated):
             simulate_estimates(plain, 6, 300, seed=3)
 
-    def test_pruning_check_reads_observed_values(self):
+    def test_pruning_check_reads_observed_values(self, monkeypatch):
         surface = SyntheticReturnSurface()
         sampling = treatment_problem(9.5, surface).sampling
         narrow = PruningSet.from_intervals([(10.0, 11.0)], sampling)
         problem = _surrogate_with(surface, pruning=narrow)
+        # C is not f's support, so f finds its own inside mask.
+        masks = []
+        pdf = TruncatedNormal.pdf
+
+        def spy(self, x, out=None, inside=None):
+            masks.append(inside)
+            return pdf(self, x, out=out, inside=inside)
+
+        monkeypatch.setattr(TruncatedNormal, "pdf", spy)
         for t in (0.0, 0.3):
             with pytest.raises(PruningCoverageError):
                 simulate_estimates(problem, 6, 300, seed=3, t=t)
@@ -171,14 +180,31 @@ class TestSurfacePath:
         simulate_estimates(problem, 6, 300, seed=3)
         with pytest.raises(ControlVariateCoverageError):
             simulate_estimates(problem, 6, 300, seed=3, t=0.3)
+        assert len(masks) == 4 and all(inside is None for inside in masks)
+        # Where C is f's support, its mask is f's inside mask.
+        same = _surrogate_with(surface)
+        x = sampling.sample(np.random.default_rng(0), (5, 6))
+        _, _, in_c = same.batch_terms(x, surface.observe(np.random.default_rng(1), x))
+        assert masks[-1] is in_c
 
     def test_matches_terms_rebuilt_in_draw_order(self):
-        assert_matches_rebuilt(treatment_problem(9.75), 123, 0.3)
+        # sigma = 0.05 and 0.01 at cr_min = 10.95 and 10.99: the target
+        # pdf zeroes z below its support, where exp would underflow.
+        for cr_min in (9.75, 10.95, 10.99):
+            problem = treatment_problem(cr_min)
+            for t in (0.3, sampling_mean(problem)):
+                assert_matches_rebuilt(problem, 123, t)
 
 
 # (n, rows of each chunk): n = 7 keeps 4096-row chunks; n = 100 takes
-# 2**17 // 100 = 1310 rows, two full chunks and a short last one.
-CHUNKINGS = [(7, [4096, 50]), (100, [1310, 1310, 50])]
+# 2**17 // 100 = 1310 rows, two full chunks and a short last one; n above
+# CHUNK_ELEMENTS takes one row per chunk.
+CHUNKINGS = [(7, [4096, 50]), (100, [1310, 1310, 50]), (2**17 + 1, [1, 1])]
+# observe folds the surface's constants into one affine map of its
+# uniforms, so its values, and the IS, US and WIS sums over them, differ
+# from the textbook expression by roundoff alone: a few ulp of each w h,
+# at most SURFACE_RTOL times |t| plus the estimate's sum of w |h|.
+SURFACE_RTOL = 1e-14
 
 
 def rebuilt_estimates(problem, n, chunk_rows, seed, t):
@@ -195,7 +221,10 @@ def rebuilt_estimates(problem, n, chunk_rows, seed, t):
         else:
             cf = rng.uniform(surface.cf_low, surface.cf_high, size=x.shape)
             noise = rng.uniform(-surface.noise_scale, surface.noise_scale, size=x.shape)
-            hv = surface.expected_return(x, cf) + noise
+            cf_mid = 0.5 * (surface.cf_low + surface.cf_high)
+            cf_half = 0.5 * (surface.cf_high - surface.cf_low)
+            tilt = surface.tilt_amplitude * (cf - cf_mid) / cf_half
+            hv = surface.marginal_return(x) + tilt + noise
         w = problem.target.pdf(x) / problem.sampling.pdf(x)
         in_c = problem.pruning.contains(x)
         parts.append(batch_estimates(w, hv, in_c, problem.c, t))
@@ -203,13 +232,23 @@ def rebuilt_estimates(problem, n, chunk_rows, seed, t):
 
 
 def assert_matches_rebuilt(problem, seed, t):
+    """k, WIS-defined and the counts bit for bit; IS, US and WIS bit for
+    bit without a surface, and within SURFACE_RTOL with one."""
     for n, chunk_rows in CHUNKINGS:
         sim = simulate_estimates(problem, n, sum(chunk_rows), seed, t=t)
         want = rebuilt_estimates(problem, n, chunk_rows, seed, t)
         got = (sim.is_values, sim.us_values, sim.wis_values, sim.k, sim.wis_defined)
-        for column, expected in zip(got, want):
+        for column, expected in zip(got[3:], want[3:]):
             assert np.array_equal(column, expected)
         assert sim.count.tolist() == [1] * sum(chunk_rows)
+        if problem.surface is None:
+            for column, expected in zip(got[:3], want[:3]):
+                assert np.array_equal(column, expected)
+            continue
+        # The returns are positive, so the t = 0 estimates sum w |h|.
+        scales = rebuilt_estimates(problem, n, chunk_rows, seed, 0.0)[:3]
+        for column, expected, scale in zip(got[:3], want[:3], scales):
+            assert np.all(np.abs(column - expected) <= SURFACE_RTOL * (abs(t) + scale))
 
 
 class TestSamplePathWithoutSurface:
@@ -245,6 +284,25 @@ class TestSamplePathMemory:
         tracemalloc.stop()
         assert peak < 8 * experiments.CHUNK_ELEMENTS * 8 + 1024 * trials
         assert np.isfinite(sim.is_values).all()
+
+    def test_one_workspace_per_call(self):
+        """Every chunk runs in the workspace of its call: four (4096, 30)
+        float64 arrays (x, the observations, the weights, one scratch),
+        8 bytes a sample each, beside one chunk's boolean masks, 1 byte a
+        sample each. The rest is the result columns, 74 bytes a trial:
+        33 (IS, US, WIS, k, WIS-defined) in each chunk's part, 33 as the
+        parts are joined, and the 8-byte counts."""
+        problem = treatment_problem(9.0)
+        samples = experiments.CHUNK_TRIALS * 30
+        workspace, masks, per_trial = 4 * 8 * samples, 4 * samples, 74
+        peaks = {}
+        for trials in (8192, 32768):
+            tracemalloc.start()
+            simulate_estimates(problem, 30, trials, seed=8)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peaks[trials] < workspace + masks + per_trial * trials
+        assert peaks[32768] - peaks[8192] <= per_trial * (32768 - 8192)
 
 
 class TestSummarize:
@@ -541,6 +599,14 @@ class TestSweepIllustrative:
 
 
 class TestSweepBounds:
+    def test_mean_bounds_stay_finite_near_the_double_range(self):
+        """b = 4e306: every per-row bound is finite, but their sum over
+        100 trials is not."""
+        (row,) = sweep_bounds(0.5, [10], delta=0.1, trials=100, seed=0, theta=1e306)
+        means = (row.mean_is_lower, row.mean_is_upper, row.mean_us_lower, row.mean_us_upper)
+        assert all(math.isfinite(m) for m in means)
+        assert row.mean_is_lower < row.theta < row.mean_is_upper
+
     def test_pruned_interval_narrower(self):
         rows = sweep_bounds(0.5, [10, 50, 100], delta=0.1, trials=4000, seed=2)
         for row in rows:

@@ -188,8 +188,3 @@ def test_in_place_chains_match_direct_formulas():
     rel = (s.cr_high - x) / (s.cr_high - s.cr_low)
     base = s.base_level + s.base_gain * (1.0 - rel * rel)
     assert _same_bits(s.marginal_return(x), base)
-    cf = np.random.default_rng(6).uniform(s.cf_low, s.cf_high, SHAPE)
-    cf_mid = 0.5 * (s.cf_low + s.cf_high)
-    cf_half = 0.5 * (s.cf_high - s.cf_low)
-    expected = base + s.tilt_amplitude * (cf - cf_mid) / cf_half
-    assert _same_bits(s.expected_return(x, cf), expected)
