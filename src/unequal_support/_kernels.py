@@ -71,11 +71,12 @@ def batch_estimates(w, hv, in_c, c: float, t: float = 0.0, out=None):
     t = float(t)
     wh = np.subtract(hv, t, out=out_array(w.shape, out))
     wh *= w
-    row_sum = wh.sum(axis=1)
-    # In-C counts: a float64 product with ones is exact, and faster.
-    np.copyto(wh, in_c)
-    k = (wh @ np.ones(w.shape[1])).astype(np.int64)
-    return _estimates_from_sums(row_sum, w.sum(axis=1), k, w.shape[1], float(c), t)
+    return _estimates_from_sums(
+        wh.sum(axis=1),
+        w.sum(axis=1),
+        in_c.sum(axis=1).astype(np.int64),
+        w.shape[1], float(c), t,
+    )
 
 
 def cell_estimates(counts, n: int, w, hv, in_c, c: float, t: float = 0.0):

@@ -164,7 +164,7 @@ class Density(Protocol):
     draws i.i.d. points inside the support from a caller-owned
     generator. ``pdf`` and ``sample`` write into ``out``, a float64
     array of the result's shape, when one is given, and return it; ``pdf``
-    reads x's support membership from ``inside``, when one is given.
+    may read x's support membership from ``inside``, when one is given.
     """
 
     support: IntervalUnion
@@ -219,9 +219,8 @@ class PiecewiseUniform:
 
     def pdf(self, x, out=None, inside=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        # A lone piece needs no index from locate.
-        one = inside is not None and len(self.weights) == 1
-        idx, inside = (0, inside) if one else self.support.locate(x)
+        # ``inside`` is not read: locate gives the piece index with the mask.
+        idx, inside = self.support.locate(x)
         # Heights are finite and positive, so the mask multiply is exact.
         return np.multiply(self.heights[idx], inside, out=out_array(x.shape, out))
 
