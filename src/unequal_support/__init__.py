@@ -50,6 +50,7 @@ from .experiments import (
     SweepRow,
     SyntheticReturnSurface,
     TrialStats,
+    TrialWeights,
     coverage_experiment,
     emit,
     illustrative_problem,

@@ -2,9 +2,9 @@
 
 The Monte Carlo harness evaluates hundreds of thousands of independent
 batches per grid point; doing that one estimator call at a time is the
-hot path. ``batch_estimates`` takes precomputed per-sample weights,
-evaluations, and in-C masks shaped (trials, n) and returns per-trial
-IS/US/WIS values, in-C counts, and WIS definedness in one pass.
+hot path. ``batch_estimates`` takes precomputed per-sample centered
+terms w (h - t), weights and in-C masks shaped (trials, n) and returns
+per-trial IS/US/WIS values, in-C counts, and WIS definedness in one pass.
 ``cell_estimates`` returns the same from per-cell sample counts when
 every sample in a cell shares its weight, evaluation and membership.
 
@@ -52,30 +52,26 @@ def _estimates_from_sums(row_sum, sum_w, k, n, c, t):
     return is_v, us_v, wis_v, k, wis_def
 
 
-def batch_estimates(w, hv, in_c, c: float, t: float = 0.0, out=None):
+def batch_estimates(wh, w, in_c, c: float, t: float = 0.0):
     """Per-trial (IS, US, WIS, k, WIS-defined) over a (trials, n) batch matrix.
 
-    ``w`` and ``hv`` are the importance weights and evaluations of each
-    sample; ``in_c`` marks pruning-set membership. ``t`` is the constant
-    control variate; undefined US and WIS rows take the value 0. The
-    centered terms w (h - t) are formed in ``out``, a (trials, n) float64
-    scratch array, or in a fresh one when ``out`` is None.
+    ``wh`` holds the centered terms w (h - t) that the caller formed,
+    ``w`` the importance weights and ``in_c`` pruning-set membership of
+    each sample. ``t`` is the constant control variate; undefined US and
+    WIS rows take the value 0.
     """
     # Contiguous rows make each row's summation order depend on its
     # values alone, not on the caller's memory layout.
+    wh = np.ascontiguousarray(wh, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
-    hv = np.ascontiguousarray(hv, dtype=np.float64)
     in_c = np.ascontiguousarray(in_c, dtype=np.bool_)
-    if w.ndim != 2 or w.shape != hv.shape or w.shape != in_c.shape:
-        raise ValueError("w, hv, in_c must share one (trials, n) shape")
-    t = float(t)
-    wh = np.subtract(hv, t, out=out_array(w.shape, out))
-    wh *= w
+    if w.ndim != 2 or w.shape != wh.shape or w.shape != in_c.shape:
+        raise ValueError("wh, w, in_c must share one (trials, n) shape")
     return _estimates_from_sums(
         wh.sum(axis=1),
         w.sum(axis=1),
         in_c.sum(axis=1).astype(np.int64),
-        w.shape[1], float(c), t,
+        w.shape[1], float(c), float(t),
     )
 
 

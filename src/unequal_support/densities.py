@@ -109,7 +109,7 @@ class IntervalUnion:
         if not ivs:
             raise ValueError("at least one interval required")
         for a, b in ivs:
-            if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
+            if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
                 raise ValueError(f"bad interval [{a}, {b}]")
         for (_, b0), (a1, _) in zip(ivs, ivs[1:]):
             if a1 < b0:
@@ -136,8 +136,10 @@ class IntervalUnion:
         x = np.asarray(x, dtype=float)
         if self._one:
             return 0, (x >= self.lows[0]) & (x <= self.highs[0])
+        # idx lies in [-1, len - 1], so only its lower end needs clipping;
+        # np.maximum skips the np.clip wrapper.
         idx = np.searchsorted(self.lows, x, side="right") - 1
-        idx_c = np.clip(idx, 0, len(self.lows) - 1)
+        idx_c = np.maximum(idx, 0)
         return idx_c, (idx >= 0) & (x <= self.highs[idx_c])
 
     def contains(self, x) -> np.ndarray:
@@ -210,8 +212,14 @@ class PiecewiseUniform:
                 raise ValueError("weights must sum to 1")
         self.weights = w
         self.heights = w / lengths
-        self._cum = np.concatenate([[0.0], np.cumsum(w)])
-        self._cum[-1] = 1.0
+
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        """The CDF at the pieces' ends, 0 first and exactly 1 last; read
+        only by the sampling of more than one piece."""
+        cum = np.concatenate([[0.0], np.cumsum(self.weights)])
+        cum[-1] = 1.0
+        return cum
 
     @classmethod
     def uniform(cls, low: float, high: float) -> "PiecewiseUniform":
@@ -487,7 +495,8 @@ class EstimationProblem:
 
     The standing assumption is F ∩ H ⊆ C ⊆ G. F ∩ H ⊆ G is checked on
     construction, at the midpoint of every cell between the breakpoints
-    of f, g and h, and a violation raises :class:`SamplingSupportError`.
+    of f, g, h and C that lies outside G, and a violation raises
+    :class:`SamplingSupportError`.
     C ⊇ F ∩ H is checked on every batch that flows through the
     estimators, on the samples it holds: any sample with w(x)h(x) != 0
     outside C, w = f/g, raises :class:`PruningCoverageError`. With a nonzero
@@ -505,13 +514,19 @@ class EstimationProblem:
     surface: "SyntheticReturnSurface | None" = None
 
     def __post_init__(self):
-        f_set, g_set, h = self.target.support, self.sampling.support, self.evaluation
-        lows, highs, mid = _breakpoint_cells(f_set, g_set, h.support)
+        _, _, mid, in_g = self._cells
+        if in_g.all():
+            return
         # Membership in each support is constant on a cell, and a
-        # density's support agrees with pdf > 0.
-        missed = f_set.contains(mid) & ~g_set.contains(mid) & (h(mid) != 0.0)
-        if np.any(missed):
-            j = np.flatnonzero(missed)[0]
+        # density's support agrees with pdf > 0: only the cells outside G
+        # can hold mass no sample reaches.
+        gaps = mid[~in_g]
+        f_set, h = self.target.support, self.evaluation
+        missed = f_set.contains(gaps) & (h(gaps) != 0.0)
+        if missed.any():
+            # Named by its cell between the breakpoints of f, g and h alone.
+            lows, highs, _ = _breakpoint_cells(f_set, self.sampling.support, h.support)
+            j = np.searchsorted(lows, gaps[missed.argmax()], side="right") - 1
             raise SamplingSupportError(
                 f"f(x)h(x) != 0 on [{lows[j]:g}, {highs[j]:g}], where the "
                 "sampling density is zero; no sample can reach that mass"
@@ -544,18 +559,24 @@ class EstimationProblem:
             return table.p, table.w, table.h, table.in_c
         return self.node_terms(*place_rule(*self.support_cells(), *_gauss_legendre()))
 
-    def support_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lows, highs) of the cells between the breakpoints of f, g, h
-        and C that lie inside the sampling support. Each support is
-        constant on a cell, so the cell's midpoint decides."""
+    @cached_property
+    def _cells(self) -> tuple[np.ndarray, ...]:
+        """(lows, highs, midpoints, in G) of the cells between the
+        breakpoints of f, g, h and C. Each support is constant on a
+        cell, so the cell's midpoint decides its membership in G."""
         lows, highs, mid = _breakpoint_cells(
             self.target.support,
             self.sampling.support,
             self.evaluation.support,
             self.pruning.intervals,
         )
-        keep = self.sampling.support.contains(mid)
-        return lows[keep], highs[keep]
+        return lows, highs, mid, self.sampling.support.contains(mid)
+
+    def support_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lows, highs) of the cells between the breakpoints of f, g, h
+        and C that lie inside the sampling support."""
+        lows, highs, _, in_g = self._cells
+        return lows[in_g], highs[in_g]
 
     def node_terms(self, x: np.ndarray, q: np.ndarray):
         """(p, w, h, in_c) at nodes x of a rule with weights q: p = q g(x),
@@ -619,8 +640,10 @@ class EstimationProblem:
 
 
 def _breakpoint_cells(*unions: IntervalUnion):
-    """(lows, highs, midpoints) of the cells between the unions' endpoints."""
-    edges = np.unique(np.concatenate([a for u in unions for a in (u.lows, u.highs)]))
+    """(lows, highs, midpoints) of the cells between the unions' endpoints,
+    sorted and each kept once, as its first occurrence."""
+    edges = dict.fromkeys(e for u in unions for a in (u.lows, u.highs) for e in a.tolist())
+    edges = np.array(sorted(edges))
     return edges[:-1], edges[1:], 0.5 * (edges[:-1] + edges[1:])
 
 
@@ -704,10 +727,11 @@ class CellTable:
         f, g, h = problem.target, problem.sampling, problem.evaluation
         if h.pieces is None or not all(isinstance(d, PiecewiseUniform) for d in (f, g)):
             return None
-        lows, highs = problem.support_cells()
-        # The one-node rule on [-1, 1]: node 0, weight 2.
-        x, q = place_rule(lows, highs, [0.0], [2.0])
-        return cls(lows, highs, *problem.node_terms(x, q))
+        lows, highs, mid, in_g = problem._cells
+        lows, highs = lows[in_g], highs[in_g]
+        # The midpoints and lengths: the one-node rule of place_rule (node
+        # 0, weight 2), bit for bit.
+        return cls(lows, highs, *problem.node_terms(mid[in_g], highs - lows))
 
     def check_coverage(self, counts: np.ndarray, t: float) -> None:
         """:func:`check_coverage` on the cells some trial hit."""

@@ -95,7 +95,7 @@ def estimate_all(
     t = cv.t
     w, hv, in_c = problem.batch_terms(batch.values[None, :], t=t)
     is_value, us_value, wis_value, k, wis_defined = (
-        x[0].item() for x in batch_estimates(w, hv, in_c, problem.c, t)
+        x[0].item() for x in batch_estimates(w * (hv - t), w, in_c, problem.c, t)
     )
     return {
         "IS": EstimateResult(value=is_value, k=k, defined=True),

@@ -27,8 +27,12 @@ count alone:
 - **Outcome table.** A piecewise-constant problem (one with a
   :class:`CellTable` and no return surface) whose m cells
   admit at most ``trials`` count vectors, math.comb(n + m - 1, m - 1),
-  enumerates them once with their Multinomial(n, p) probabilities and
-  estimates (:func:`outcome_table`). Each chunk of 4096 trials then
+  lists them with their Multinomial(n, p) probabilities and estimates
+  (:func:`outcome_table`). The count vectors and their log multinomial
+  coefficients depend on (n, m) alone: they are enumerated once per
+  (n, m) per process and kept, read-only, while all kept tables total
+  at most 4 MiB (the least recently used go first, and a larger table
+  is enumerated at every call). Each chunk of 4096 trials then
   draws one uniform per trial, maps it through the outcome CDF and bins
   the picks, so the trials are kept as a histogram of the outcomes they
   drew: one :class:`SimulationResult` row per drawn outcome, with its
@@ -49,7 +53,9 @@ Both cell paths give each count vector the same estimates, through
 :func:`cell_estimates`, and run the same coverage checks on the cells
 their trials hit. The two per-trial paths keep one row per trial, with
 count 1, and every summary (:func:`summarize_trials`, the bound and
-coverage rows) is one count-weighted sum over the rows on all paths.
+coverage rows) is one count-weighted sum over the rows on all paths;
+:func:`run_trials` forms the weights and their sums once
+(:class:`TrialWeights`) for the summaries of all three estimators.
 """
 
 import json
@@ -76,6 +82,7 @@ __all__ = [
     "SimulationResult",
     "OutcomeTable",
     "TrialStats",
+    "TrialWeights",
     "SweepRow",
     "BoundsSweepRow",
     "CoverageRow",
@@ -314,12 +321,64 @@ def _compositions(n: int, m: int) -> np.ndarray:
     return np.column_stack([counts, left])
 
 
+def _count_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, coefficients), read-only: :func:`_compositions` (n, m)
+    and each row's log multinomial coefficient log n! - sum_j log c_j!,
+    read off one table of log k! for k <= n; one cell has one outcome,
+    whose coefficient is 0 and which needs no table."""
+    counts = _compositions(n, m)
+    if m > 1:
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+        coefficients = log_fact[n] - log_fact[counts].sum(axis=1)
+    else:
+        coefficients = np.zeros(1)
+    counts.flags.writeable = coefficients.flags.writeable = False
+    return counts, coefficients
+
+
+def _nbytes(table: tuple[np.ndarray, np.ndarray]) -> int:
+    return table[0].nbytes + table[1].nbytes
+
+
+class _CountTables:
+    """:func:`_count_table` per (n, m), built once and kept while the
+    kept tables total at most ``max_bytes``: the least recently used go
+    first, and a table larger than the bound is built at every call."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        # From least to most recently used.
+        self._tables: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def __call__(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        key = (n, m)
+        table = self._tables.pop(key, None)
+        if table is None:
+            table = _count_table(n, m)
+        else:
+            self.nbytes -= _nbytes(table)
+        if _nbytes(table) <= self.max_bytes:
+            self._tables[key] = table
+            self.nbytes += _nbytes(table)
+            while self.nbytes > self.max_bytes:
+                self.nbytes -= _nbytes(self._tables.pop(next(iter(self._tables))))
+        return table
+
+
+# The process's count tables: a sweep's points share their (n, m), and
+# 4 MiB holds every table of the default grids many times over.
+_COUNT_TABLE_BYTES = 2**22
+_count_tables = _CountTables(_COUNT_TABLE_BYTES)
+
+
 @dataclass(frozen=True)
 class OutcomeTable:
     """Every outcome of one batch of n samples on a cell problem.
 
     ``counts`` holds the per-cell count vectors in lexicographic order,
-    ``pmf`` the Multinomial(n, p) probability of each, and ``values``
+    read-only and shared by every table of the same (n, cells), ``pmf``
+    the Multinomial(n, p) probability of each, and ``values``
     each one's (IS, US, WIS, k, WIS-defined), one row per outcome with
     count 1, computed by :func:`cell_estimates` exactly as for a drawn
     count vector.
@@ -336,16 +395,11 @@ def outcome_table(problem: EstimationProblem, n: int, t: float = 0.0) -> Outcome
     table = problem.cells
     if table is None:
         raise ValueError("an outcome table needs a piecewise-constant problem")
-    m = table.p.size
-    counts = _compositions(n, m)
+    counts, coefficients = _count_tables(n, table.p.size)
     log_pmf = counts @ np.log(table.p)
-    if m > 1:
-        # log n! - sum_j log c_j!, read off one table of log k! for k <= n
-        # (one cell has one outcome, whose coefficient is 1).
-        log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-        log_pmf += log_fact[n] - log_fact[counts].sum(axis=1)
+    log_pmf += coefficients
     values = cell_estimates(counts, n, table.w, table.h, table.in_c, problem.c, t)
-    return OutcomeTable(counts, np.exp(log_pmf), _unit_counts(values))
+    return OutcomeTable(counts, np.exp(log_pmf, out=log_pmf), _unit_counts(values))
 
 
 def _outcome_histogram(pmf: np.ndarray, trials: int, seed: int) -> np.ndarray:
@@ -366,7 +420,10 @@ def _outcome_histogram(pmf: np.ndarray, trials: int, seed: int) -> np.ndarray:
         y *= cdf[-1]
         y.sort()
         below += np.searchsorted(y, cdf, side="left")
-    hist = np.diff(below, prepend=0)
+    # The differences of ``below``; np.diff(below, prepend=0) costs five
+    # times more.
+    hist = below.copy()
+    hist[1:] -= below[:-1]
     hist[np.flatnonzero(pmf)[-1]] += trials - below[-1]
     return hist
 
@@ -379,7 +436,9 @@ def _draw_outcomes(
     table = outcome_table(problem, n, t)
     hist = _outcome_histogram(table.pmf, trials, seed)
     drawn = np.flatnonzero(hist)
-    problem.cells.check_coverage(table.counts[drawn], t)
+    # The trials' samples per cell, as one row: a cell is hit when its
+    # total is positive.
+    problem.cells.check_coverage((hist @ table.counts)[None, :], t)
     v = table.values
     return SimulationResult(
         v.is_values[drawn], v.us_values[drawn], v.wis_values[drawn],
@@ -403,8 +462,9 @@ def simulate_estimates(
     (rows, n) float64 arrays, rows = min(CHUNK_TRIALS, max(1,
     CHUNK_ELEMENTS // n)), whose prefixes every chunk writes: x; h(x), or
     the surface's observations in its place (CF, then noise, drawn after
-    x); the weights; and a scratch for the uniforms, then g(x) or the
-    checked w h, then the kernel's terms. A batch with w h != 0 outside
+    x); the weights; and a scratch for the uniforms, then g(x), then the
+    checked w h, which are the kernel's centered terms w (h - t) at t = 0
+    and are overwritten by them at t != 0. A batch with w h != 0 outside
     C (h observed on the surface path) raises :class:`PruningCoverageError`,
     and with t != 0 one with f != 0 outside C raises
     :class:`ControlVariateCoverageError`.
@@ -440,7 +500,12 @@ def simulate_estimates(
         else:
             surface.observe(rng, x, out=hv, scratch=work)
         w, hv, in_c = problem.batch_terms(x, hv, out=w, t=t, scratch=work)
-        parts.append(batch_estimates(w, hv, in_c, problem.c, t, out=work))
+        # The kernel's centered terms w (h - t): at t = 0, the w h that
+        # batch_terms checked, in ``work``.
+        if t:
+            np.subtract(hv, t, out=work)
+            work *= w
+        parts.append(batch_estimates(work, w, in_c, problem.c, t))
     return _unit_counts([np.concatenate([p[i] for p in parts]) for i in range(5)])
 
 
@@ -477,13 +542,29 @@ class TrialStats:
         return dict(self.__dict__)
 
 
+class TrialWeights:
+    """How many trials each row of a run stands for, as float64 whole
+    numbers, over every row (``weights``) and over the rows with k > 0
+    (``positive_weights``), with both sums (``trials`` and
+    ``positive_trials``): formed once per run from the rows' ``count``
+    and whether each has k > 0, and read by the summary of each of its
+    estimators."""
+
+    __slots__ = ("weights", "positive_weights", "trials", "positive_trials")
+
+    def __init__(self, count: np.ndarray, positive: np.ndarray):
+        self.weights = np.asarray(count, dtype=float)
+        self.positive_weights = self.weights * positive
+        self.trials = float(self.weights.sum())
+        self.positive_trials = float(self.positive_weights.sum())
+
+
 def _moment_block(
-    values: np.ndarray, weights: np.ndarray, theta: float
+    values: np.ndarray, weights: np.ndarray, count: float, theta: float
 ) -> tuple[float, ...]:
-    """(mean, variance, MSE, and their standard errors) of the trials that
-    ``values`` holds ``weights`` times each; ``weights`` are float64
-    whole numbers, and zero leaves a value out."""
-    count = float(weights.sum())
+    """(mean, variance, MSE, and their standard errors) of the ``count``
+    trials that ``values`` holds ``weights`` times each; ``weights`` are
+    float64 whole numbers, and zero leaves a value out."""
     if count < 2:
         only = float(values[np.flatnonzero(weights)[0]]) if count else math.nan
         return only, math.nan, (only - theta) ** 2 if count else math.nan, *(math.nan,) * 3
@@ -512,25 +593,22 @@ def summarize_trials(
     values: np.ndarray,
     theta: float,
     defined: np.ndarray,
-    positive: np.ndarray,
-    count: np.ndarray,
+    weights: TrialWeights,
 ) -> TrialStats:
     """Mean/variance/MSE with standard errors, plus the k > 0 restriction,
-    over the trials that each row of ``values`` stands for ``count``
-    times (one row per trial when every count is 1)."""
+    over the trials that each row of ``values`` stands for, as
+    ``weights`` counts them (one row per trial when every count is 1)."""
     values = np.asarray(values, dtype=float)
-    weights = np.asarray(count, dtype=float)
-    positive_weights = weights * positive
-    trials = float(weights.sum())
-    uncond = _moment_block(values, weights, theta)
-    cond = _moment_block(values, positive_weights, theta)
-    p_undef = 1.0 - float(weights.dot(defined)) / trials
+    trials = weights.trials
+    uncond = _moment_block(values, weights.weights, trials, theta)
+    cond = _moment_block(values, weights.positive_weights, weights.positive_trials, theta)
+    p_undef = 1.0 - float(weights.weights.dot(defined)) / trials
     se_undef = math.sqrt(max(p_undef * (1.0 - p_undef), 0.0) / trials)
     return TrialStats(
         label,
         int(trials),
         *uncond,
-        int(positive_weights.sum()),
+        int(weights.positive_trials),
         *cond,
         p_undef,
         se_undef,
@@ -545,21 +623,16 @@ def run_trials(
     cv: ControlVariate = ControlVariate(0.0),
     seed: int = 0,
 ) -> dict[str, TrialStats]:
-    """TrialStats for IS, US, and WIS over independent seeded batches."""
+    """TrialStats for IS, US, and WIS over independent seeded batches,
+    whose three summaries share one :class:`TrialWeights`."""
     sim = simulate_estimates(problem, n, trials, seed, t=cv.t)
     positive = sim.us_defined
-    weights = sim.count.astype(float)
+    weights = TrialWeights(sim.count, positive)
     all_defined = np.ones(positive.size, dtype=bool)
     return {
-        "IS": summarize_trials(
-            "IS", sim.is_values, theta_true, all_defined, positive, weights
-        ),
-        "US": summarize_trials(
-            "US", sim.us_values, theta_true, positive, positive, weights
-        ),
-        "WIS": summarize_trials(
-            "WIS", sim.wis_values, theta_true, sim.wis_defined, positive, weights
-        ),
+        "IS": summarize_trials("IS", sim.is_values, theta_true, all_defined, weights),
+        "US": summarize_trials("US", sim.us_values, theta_true, positive, weights),
+        "WIS": summarize_trials("WIS", sim.wis_values, theta_true, sim.wis_defined, weights),
     }
 
 

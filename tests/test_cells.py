@@ -10,6 +10,7 @@ paths. The outcome table is also the exact distribution of a batch, so
 its pmf-weighted moments are checked against the analytic catalog.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -320,7 +321,9 @@ class TestCellEstimates:
         for t in (0.0, 1.5):
             got = cell_estimates(counts, n, w, hv, in_c, 0.4, t)
             rows = [np.repeat(np.arange(4), row) for row in counts]
-            want = batch_estimates(w[rows], hv[rows], in_c[rows], 0.4, t)
+            want = batch_estimates(
+                w[rows] * (hv[rows] - t), w[rows], in_c[rows], 0.4, t
+            )
             for a, b in zip(got, want):
                 np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
             # first row: no weight and no sample in C, both conventions apply
@@ -453,6 +456,90 @@ class TestOutcomeTable:
         sim = simulate_estimates(with_plain_h(problem), n, trials, seed=12)
         se = math.sqrt(variance / trials)
         assert abs(per_trial(sim).wis_values.mean() - mean) <= 4.0 * se
+
+    @pytest.mark.parametrize(
+        "problem, n",
+        [
+            (illustrative_problem(0.5, 10.0), 5),
+            (illustrative_problem(0.9, 1.0), 50),
+            (mixed_problem(), 4),
+            (zero_pmf_problem(), 2),
+        ],
+    )
+    def test_repeated_calls_keep_the_uncached_bits(self, problem, n):
+        """Twice in one process, and against the table built afresh by
+        the formula the cached count tables replace."""
+        cells = problem.cells
+        counts = experiments._compositions(n, cells.p.size)
+        log_pmf = counts @ np.log(cells.p)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+        log_pmf += log_fact[n] - log_fact[counts].sum(axis=1)
+        values = cell_estimates(counts, n, cells.w, cells.h, cells.in_c, problem.c)
+        first, second = outcome_table(problem, n), outcome_table(problem, n)
+        for table in (first, second):
+            assert table.pmf.tobytes() == np.exp(log_pmf).tobytes()
+            assert table.counts.tobytes() == counts.tobytes()
+            v = table.values
+            got = (v.is_values, v.us_values, v.wis_values, v.k, v.wis_defined)
+            for column, want in zip(got, values):
+                assert column.tobytes() == want.tobytes()
+
+
+def lexicographic_counts(n: int, m: int) -> list:
+    """Every count vector of n samples over m cells, sorted: the cell
+    multisets of itertools, each counted."""
+    return sorted(
+        tuple(np.bincount(cells, minlength=m).tolist())
+        for cells in itertools.combinations_with_replacement(range(m), n)
+    )
+
+
+class TestCountTables:
+    @pytest.mark.parametrize("n, m", [(5, 2), (10, 3), (50, 3), (4, 10)])
+    def test_rows_are_the_itertools_enumeration(self, n, m):
+        counts, coefficients = experiments._count_tables(n, m)
+        assert [tuple(row) for row in counts.tolist()] == lexicographic_counts(n, m)
+        want = [
+            math.lgamma(n + 1.0) - math.fsum(math.lgamma(c + 1.0) for c in row)
+            for row in counts.tolist()
+        ]
+        assert coefficients == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_one_cell_has_one_row_and_no_factorial_table(self, monkeypatch):
+        def no_lgamma(x):
+            raise AssertionError("one cell needs no log-factorial table")
+
+        monkeypatch.setattr(experiments.math, "lgamma", no_lgamma)
+        counts, coefficients = experiments._CountTables(2**10)(10**9, 1)
+        assert counts.tolist() == [[10**9]] and coefficients.tolist() == [0.0]
+
+    def test_cached_arrays_are_read_only(self):
+        table = outcome_table(illustrative_problem(0.5), 10)
+        for array in (table.counts, *experiments._count_tables(10, 3)):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_memory_stays_under_the_bound(self):
+        """40 sizes at m = 3, from 180 901 down to 136 rows (32 B each):
+        the larger ones are never kept, and the least recently used go
+        first."""
+        bound = experiments._COUNT_TABLE_BYTES
+        tables = experiments._CountTables(bound)
+        kept = []
+        for n in range(600, 0, -15):
+            counts, coefficients = tables(n, 3)
+            size = counts.nbytes + coefficients.nbytes
+            kept = [k for k in kept if k != n] + [n] * (size <= bound)
+            while sum(math.comb(k + 2, 2) * 32 for k in kept) > bound:
+                kept.pop(0)
+            assert tables.nbytes == sum(math.comb(k + 2, 2) * 32 for k in kept)
+            assert tables.nbytes <= bound
+            assert list(tables._tables) == [(k, 3) for k in kept]
+        assert 1 < len(kept) < 40
+        # A hit is the most recently used, and returns the kept arrays.
+        again = tables(kept[0], 3)
+        assert list(tables._tables)[-1] == (kept[0], 3)
+        assert again[0] is tables(kept[0], 3)[0]
 
 
 class TestCellPathMatchesSamplePath:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
+from unequal_support import densities
 from unequal_support.densities import (
     Density,
     EstimationProblem,
@@ -25,7 +26,7 @@ from unequal_support.densities import (
     _normal_quantile,
     draw,
 )
-from unequal_support.experiments import run_trials, treatment_problem
+from unequal_support.experiments import illustrative_problem, run_trials, treatment_problem
 
 
 class _FixedUniforms:
@@ -94,6 +95,27 @@ class TestIntervalUnion:
         assert np.array_equal(union.contains(x), inside)
         assert union.contains(low) and union.contains(high)
         assert not union.contains(np.nan)
+
+    def test_three_intervals_match_the_clipped_search(self):
+        """Below the first low, in each gap, on every endpoint, above the
+        last high, at +-inf and at NaN, array and scalar."""
+        union = IntervalUnion([(4.0, 5.0), (0.0, 1.0), (2.0, 3.0)])
+        x = np.array([
+            -1.0, 0.5, 1.5, 2.5, 3.5, 4.5, 6.0,
+            0.0, 1.0, 2.0, 3.0, 4.0, 5.0, -np.inf, np.inf, np.nan,
+        ])
+        idx = np.searchsorted(union.lows, x, side="right") - 1
+        idx_c = np.clip(idx, 0, len(union) - 1)
+        inside = (idx >= 0) & (x <= union.highs[idx_c])
+        got_idx, got_inside = union.locate(x)
+        assert got_idx.tolist() == idx_c.tolist()
+        assert idx_c.tolist() == [0, 0, 0, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2, 0, 2, 2]
+        assert got_inside.tolist() == inside.tolist()
+        between = [False, True, False, True, False, True, False]
+        assert inside.tolist() == between + [True] * 6 + [False] * 3
+        for point, want_idx, want_inside in zip(x, idx_c, inside):
+            got_idx, got_inside = union.locate(point)
+            assert (got_idx, got_inside) == (want_idx, want_inside)
 
 
 class TestPiecewiseUniform:
@@ -486,12 +508,31 @@ class TestEstimationProblem:
 
     def test_target_mass_outside_sampling_support_rejected(self):
         # theta = 1, but g = 0 on (1, 1.5) where f h = 1/1.8: every
-        # estimator would converge to sum p w h = 1.3/1.8 instead.
+        # estimator would converge to sum p w h = 1.3/1.8 instead. The
+        # error names the cell between the breakpoints of f, g and h,
+        # whether or not C's endpoints cut it.
         g = PiecewiseUniform([(0.0, 1.0), (1.5, 2.0)])
         f = PiecewiseUniform.uniform(0.2, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 2.0, 1.0)])
-        with pytest.raises(SamplingSupportError, match=r"\[1, 1.5\]"):
-            EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 2.0)], g))
+        for pruning in ([(0.0, 2.0)], [(0.0, 1.25), (1.4, 2.0)]):
+            with pytest.raises(SamplingSupportError, match=r"\[1, 1.5\]"):
+                EstimationProblem(f, g, h, PruningSet.from_intervals(pruning, g))
+
+    def test_one_breakpoint_pass_per_problem(self, monkeypatch):
+        """The construction check, the cell table and the terms share the
+        cells between the breakpoints of f, g, h and C."""
+        calls = []
+        original = densities._breakpoint_cells
+
+        def spy(*unions):
+            calls.append(len(unions))
+            return original(*unions)
+
+        monkeypatch.setattr(densities, "_breakpoint_cells", spy)
+        for problem in (illustrative_problem(0.5, 1.0), treatment_problem(9.5)):
+            problem.terms
+            problem.support_cells()
+        assert calls == [4, 4]
 
     def test_truncated_normal_target_outside_sampling_rejected(self):
         g = PiecewiseUniform.uniform(0.5, 2.0)

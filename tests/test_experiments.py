@@ -35,6 +35,7 @@ from unequal_support.estimators import ControlVariate
 from unequal_support.experiments import (
     SyntheticReturnSurface,
     TrialStats,
+    TrialWeights,
     analytic_reports,
     coverage_experiment,
     derive_seed,
@@ -227,7 +228,7 @@ def rebuilt_estimates(problem, n, chunk_rows, seed, t):
             hv = surface.marginal_return(x) + tilt + noise
         w = problem.target.pdf(x) / problem.sampling.pdf(x)
         in_c = problem.pruning.contains(x)
-        parts.append(batch_estimates(w, hv, in_c, problem.c, t))
+        parts.append(batch_estimates(w * (hv - t), w, in_c, problem.c, t))
     return [np.concatenate([p[i] for p in parts]) for i in range(5)]
 
 
@@ -311,7 +312,9 @@ class TestSummarize:
         theta = 2.0
         positive = np.array([True, True, False, True, True])
         defined = np.ones(5, dtype=bool)
-        stats = summarize_trials("IS", values, theta, defined, positive, np.ones(5))
+        stats = summarize_trials(
+            "IS", values, theta, defined, TrialWeights(np.ones(5), positive)
+        )
         assert stats.mean == pytest.approx(values.mean())
         assert stats.variance == pytest.approx(values.var(ddof=1))
         assert stats.mse == pytest.approx(((values - theta) ** 2).mean())
@@ -326,7 +329,9 @@ class TestSummarize:
     def test_undefined_rate(self):
         values = np.array([0.0, 1.0, 0.0, 1.0])
         defined = np.array([False, True, False, True])
-        stats = summarize_trials("US", values, 1.0, defined, defined, np.ones(4))
+        stats = summarize_trials(
+            "US", values, 1.0, defined, TrialWeights(np.ones(4), defined)
+        )
         assert stats.undefined_rate == 0.5
         assert stats.se_undefined_rate == pytest.approx(math.sqrt(0.25 / 4))
 
@@ -437,18 +442,44 @@ class TestCountWeightedSummaries:
         count = np.array([2, 1, 0, 5])
         positive = np.array([True, False, True, True])
         defined = np.array([True, True, False, True])
-        got = summarize_trials("US", values, 1.5, defined, positive, count)
+        got = summarize_trials("US", values, 1.5, defined, TrialWeights(count, positive))
         want = summarize_trials(
             "US",
             np.repeat(values, count),
             1.5,
             np.repeat(defined, count),
-            np.repeat(positive, count),
-            np.ones(count.sum()),
+            TrialWeights(np.ones(count.sum()), np.repeat(positive, count)),
         )
         assert got.trials == 8 and got.positive_trials == 7
         for field, value in want.to_record().items():
             assert_close(getattr(got, field), value, field)
+
+    @pytest.mark.parametrize("t", [0.0, 0.75])
+    @pytest.mark.parametrize(
+        "name", ["table-0.5-10.0-10", "cell-counts-illustrative", "samples-plain-h"]
+    )
+    def test_shared_weights_equal_independent_summaries(self, name, t):
+        """run_trials' three summaries share one TrialWeights and equal,
+        field by field, summaries that each form their own."""
+        _, problem, n, theta = next(p for p in SUMMARY_POINTS if p[0] == name)
+        trials, seed = 3000, 31
+        stats = run_trials(problem, n, trials, theta, ControlVariate(t), seed)
+        sim = simulate_estimates(problem, n, trials, seed, t=t)
+        assert (sim.count == 1).all() != name.startswith("table")
+        positive = sim.us_defined
+        columns = {
+            "IS": (sim.is_values, np.ones(positive.size, dtype=bool)),
+            "US": (sim.us_values, positive),
+            "WIS": (sim.wis_values, sim.wis_defined),
+        }
+        for label, (values, defined) in columns.items():
+            weights = TrialWeights(sim.count, positive)
+            want = summarize_trials(label, values, theta, defined, weights)
+            for field, value in want.to_record().items():
+                got = getattr(stats[label], field)
+                assert got == value or (math.isnan(got) and math.isnan(value)), (
+                    label, field, got, value,
+                )
 
     @pytest.mark.parametrize("n, trials", [(10, 20_000), (200, 2000)])
     def test_bound_rows_match_per_trial_formulas(self, n, trials):

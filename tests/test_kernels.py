@@ -70,7 +70,7 @@ class TestPathAgreement:
         else:
             hv[~in_c & (w > 0.0)] = 0.0
         check_coverage(w, w * hv, in_c, t)
-        got = batch_estimates(w, hv, in_c, 0.4, t)
+        got = batch_estimates(w * (hv - t), w, in_c, 0.4, t)
         ref = fsum_oracle(w, hv, in_c, 0.4, t)
         assert ref[3][0] == ref[3][1] == 0 and not ref[4][0]
         assert ref[4][1] == (~in_c & (w > 0.0)).any() == (t == 0.0)
@@ -84,7 +84,7 @@ class TestPathAgreement:
         w = np.array([[0.0, 0.0], [1.0, 0.0]])
         hv = np.array([[3.0, 3.0], [2.0, 1.0]])
         in_c = w > 0
-        is_v, us_v, wis_v, k, wis_def = batch_estimates(w, hv, in_c, 0.5, 0.0)
+        is_v, us_v, wis_v, k, wis_def = batch_estimates(w * hv, w, in_c, 0.5, 0.0)
         assert us_v[0] == 0.0 and k[0] == 0
         assert wis_v[0] == 0.0 and not wis_def[0]
         assert us_v[1] == pytest.approx(0.5 * 2.0, rel=1e-14)
@@ -103,7 +103,7 @@ class TestPathAgreement:
         w[0, 0], hv[0, 0] = w0, h0
         in_c = w > 0.0
         with pytest.raises(ValueError, match="overflow the double range"):
-            batch_estimates(w, hv, in_c, 1.0, t)
+            batch_estimates(w * (hv - t), w, in_c, 1.0, t)
         with pytest.raises(ValueError, match="overflow the double range"):
             cell_estimates([[1, 99]], 100, w[0, :2], hv[0, :2], in_c[0, :2], 1.0, t)
 
@@ -124,7 +124,7 @@ class TestAgainstScalarEstimators:
         trials, n = 300, 23
         x = problem.sampling.sample(rng, (trials, n))
         w, hv, in_c = problem.batch_terms(x)
-        is_v, us_v, wis_v, k, wis_def = batch_estimates(w, hv, in_c, problem.c, t)
+        is_v, us_v, wis_v, k, wis_def = batch_estimates(w * (hv - t), w, in_c, problem.c, t)
         cv = ControlVariate(t)
         for i in range(trials):
             batch = SampleBatch(x[i], seed=None, n=n)
