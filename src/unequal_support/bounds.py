@@ -119,8 +119,9 @@ def weighted_range(problem: EstimationProblem, t: float = 0.0) -> float:
             "weighted_range needs piecewise-uniform target and sampling "
             "and a piecewise-constant evaluation"
         )
-    values = table.w * (table.h - t)
-    b = float(values.max() - values.min())
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = table.w * (table.h - t)
+        b = float(values.max() - values.min())
     if not math.isfinite(b):
         raise ValueError("b must be nonnegative and finite")
     return b

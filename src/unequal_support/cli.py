@@ -60,8 +60,6 @@ import functools
 import re
 import sys
 
-import yaml
-
 from .config import load_problem
 from .densities import draw
 from .estimators import ControlVariate, estimate_all
@@ -275,7 +273,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, yaml.YAMLError) as exc:
+    except (OSError, ValueError) as exc:
         # Bad paths and bad problem descriptions are user input, not bugs.
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,7 +25,6 @@ Every block refuses a key it does not read.
 """
 
 import numpy as np
-import yaml
 
 from .densities import (
     EstimationProblem,
@@ -36,10 +35,6 @@ from .densities import (
 )
 
 __all__ = ["build_density", "build_problem", "load_problem"]
-
-# libyaml's parser when pyyaml was built with it. Both loaders share the
-# Python constructor and resolver, so they build the same document.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _require(mapping, key: str, context: str):
@@ -128,9 +123,16 @@ def build_problem(doc: dict) -> EstimationProblem:
 def load_problem(path) -> EstimationProblem:
     """Parse a YAML file and build the estimation problem it describes.
 
-    The file is parsed with libyaml when pyyaml has it (``CSafeLoader``),
-    else with the pure-Python ``SafeLoader``; both give the same document.
+    pyyaml is imported on the first call, not with the package. The file
+    is parsed with libyaml when pyyaml has it (``CSafeLoader``), else with
+    the pure-Python ``SafeLoader``; both give the same document. A file
+    pyyaml cannot parse raises ValueError with pyyaml's message.
     """
+    import yaml
+
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.load(fh, Loader=_YAML_LOADER)
+        try:
+            doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        except yaml.YAMLError as exc:
+            raise ValueError(str(exc)) from exc
     return build_problem(doc)

@@ -635,7 +635,11 @@ class EstimationProblem:
             hv = np.asarray(observed, dtype=float)
             if hv.shape != values.shape:
                 raise ValueError("observed must hold one value per sample")
-        check_coverage(w, np.multiply(w, hv, out=scratch), in_c, t)
+        # A w h that overflows fails check_coverage outside C and the
+        # kernel's finiteness check inside it; NumPy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            wh = np.multiply(w, hv, out=scratch)
+        check_coverage(w, wh, in_c, t)
         return w, hv, in_c
 
 

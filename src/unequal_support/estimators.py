@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from ._kernels import batch_estimates
 from .densities import EstimationProblem, SampleBatch
 
@@ -94,8 +96,11 @@ def estimate_all(
     """
     t = cv.t
     w, hv, in_c = problem.batch_terms(batch.values[None, :], t=t)
+    # The kernel, not NumPy, reports estimates that overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = w * (hv - t)
     is_value, us_value, wis_value, k, wis_defined = (
-        x[0].item() for x in batch_estimates(w * (hv - t), w, in_c, problem.c, t)
+        x[0].item() for x in batch_estimates(centered, w, in_c, problem.c, t)
     )
     return {
         "IS": EstimateResult(value=is_value, k=k, defined=True),

@@ -9,9 +9,10 @@ surrogate itself, not any real system).
 Every sweep's inputs come from its problem alone: ``sampling_mean``
 (E_g[h]) and ``moment_inputs`` ((theta, v)) sum over its ``terms``,
 built once, and its return surface, if any, gives the simulated
-observations and v's extra variance. The two analytic-vs-empirical
-sweeps share one loop over (coordinate, problem, theta) points, and the
-bound and coverage sweeps one bound-trial loop.
+observations and v's extra variance. All four sweeps walk their
+(point, n) grid through one function, which also numbers the grid
+points for their sub-seeds, and the bound and coverage sweeps share one
+bound-trial loop on the problem their caller builds.
 
 Reproducibility contract: every sweep derives one sub-seed per grid
 point from the master seed, and each point's trials are generated in
@@ -53,11 +54,11 @@ Both cell paths give each count vector the same estimates, through
 :func:`cell_estimates`, and run the same coverage checks on the cells
 their trials hit. The two per-trial paths keep one row per trial, with
 count 1, and every summary (:func:`summarize_trials`, the bound and
-coverage rows) is one count-weighted sum over the rows on all paths;
-:func:`run_trials` forms the weights and their sums once
-(:class:`TrialWeights`) for the summaries of all three estimators.
+coverage rows) is one count-weighted sum over the rows on all paths,
+read from the one :class:`TrialWeights` its point forms.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -263,9 +264,10 @@ def moment_inputs(problem: EstimationProblem, t: float = 0.0) -> tuple[float, fl
     p, w, h, in_c = problem.terms
     theta = float((p * w * h).sum())
     p_c, w_c = p[in_c], w[in_c]
-    wh = w_c * (h[in_c] - t)
-    m = (p_c * wh).sum() / problem.c
-    v = (p_c * (wh - m) ** 2).sum() / problem.c
+    with np.errstate(over="ignore", invalid="ignore"):
+        wh = w_c * (h[in_c] - t)
+        m = (p_c * wh).sum() / problem.c
+        v = (p_c * (wh - m) ** 2).sum() / problem.c
     if problem.surface is not None:
         v += problem.surface.extra_variance * (p_c * w_c * w_c).sum() / problem.c
     if not (math.isfinite(theta) and math.isfinite(v)):
@@ -605,13 +607,7 @@ def summarize_trials(
     p_undef = 1.0 - float(weights.weights.dot(defined)) / trials
     se_undef = math.sqrt(max(p_undef * (1.0 - p_undef), 0.0) / trials)
     return TrialStats(
-        label,
-        int(trials),
-        *uncond,
-        int(weights.positive_trials),
-        *cond,
-        p_undef,
-        se_undef,
+        label, int(trials), *uncond, int(weights.positive_trials), *cond, p_undef, se_undef
     )
 
 
@@ -691,14 +687,16 @@ class SweepRow:
     analytic: dict[str, MomentReport]
     empirical: dict[str, TrialStats]
 
+    def _point(self) -> dict:
+        return {
+            self.coord_name: self.coord, "theta": self.theta, "n": self.n,
+            "c": self.c, "v": self.v,
+        }
+
     def record(self) -> dict:
         a, e = self.analytic, self.empirical
         out = {
-            self.coord_name: self.coord,
-            "theta": self.theta,
-            "n": self.n,
-            "c": self.c,
-            "v": self.v,
+            **self._point(),
             "analytic_is_var_u": a["is_unconditional"].variance,
             "analytic_is_var_c": a["is_positive"].variance,
             "analytic_us_var_u": a["us_unconditional"].variance,
@@ -716,52 +714,48 @@ class SweepRow:
 
     def to_record(self) -> dict:
         return {
-            self.coord_name: self.coord,
-            "theta": self.theta,
-            "n": self.n,
-            "c": self.c,
-            "v": self.v,
+            **self._point(),
             "t": self.t,
             "seed": self.seed,
-            "analytic": {
-                key: dict(report.__dict__) for key, report in self.analytic.items()
-            },
-            "empirical": {
-                key: stats.to_record() for key, stats in self.empirical.items()
-            },
+            "analytic": {key: dict(report.__dict__) for key, report in self.analytic.items()},
+            "empirical": {key: stats.to_record() for key, stats in self.empirical.items()},
         }
 
 
+def _grid_points(points, n_grid, seed) -> list:
+    """Every (point, n, point seed) of a sweep's grid, points first, then
+    n: the i-th takes ``derive_seed(seed, i)``. Raises ValueError when
+    there is no grid point, before any point is simulated."""
+    grid = list(itertools.product(points, n_grid))
+    if not grid:
+        raise ValueError("grids must be nonempty")
+    return [(point, n, derive_seed(seed, i)) for i, (point, n) in enumerate(grid)]
+
+
 def _sweep(coord_name, points, n_grid, trials, seed, cv_mode) -> list[SweepRow]:
-    """One SweepRow per (point, n), for (coordinate, problem, theta) points.
+    """One SweepRow per (point, n) of :func:`_grid_points`, for
+    (coordinate, problem, theta) points.
 
     Each point's control variate (``none``, ``value:<real>`` or
     ``sampling-mean``, E_g[h] by :func:`sampling_mean`), conditional term
     variance v and, when the point gives None, theta (both by
-    :func:`moment_inputs`) come from its problem's terms, built once;
-    grid points take sub-seeds in (point, n) order. Raises ValueError
-    when there is no grid point.
+    :func:`moment_inputs`) come from its problem's terms, built once.
     """
-    rows = []
-    index = 0
-    for coord, problem, theta in points:
+    def inputs(coord, problem, theta):
         cv = ControlVariate.from_spec(cv_mode, lambda: sampling_mean(problem))
         derived, v = moment_inputs(problem, cv.t)
-        theta = derived if theta is None else theta
-        for n in n_grid:
-            point_seed = derive_seed(seed, index)
-            index += 1
-            analytic = analytic_reports(n, problem.c, v, theta, cv.t)
-            empirical = run_trials(problem, n, trials, theta, cv, point_seed)
-            rows.append(
-                SweepRow(
-                    coord_name, coord, theta, n, problem.c, v, cv.t, point_seed,
-                    analytic, empirical,
-                )
-            )
-    if not rows:
-        raise ValueError("grids must be nonempty")
-    return rows
+        return coord, problem, derived if theta is None else theta, cv, v
+
+    return [
+        SweepRow(
+            coord_name, coord, theta, n, problem.c, v, cv.t, point_seed,
+            analytic_reports(n, problem.c, v, theta, cv.t),
+            run_trials(problem, n, trials, theta, cv, point_seed),
+        )
+        for (coord, problem, theta, cv, v), n, point_seed in _grid_points(
+            (inputs(*point) for point in points), n_grid, seed
+        )
+    ]
 
 
 def sweep_illustrative(
@@ -779,7 +773,7 @@ def sweep_illustrative(
     the problem's true value by construction; c and the conditional
     variance v of the centered term come from the problem.
     """
-    theta_grid, n_grid = list(theta_grid), list(n_grid)
+    theta_grid = list(theta_grid)
     points = (
         (f_max, illustrative_problem(f_max, theta), theta)
         for f_max in f_max_grid
@@ -812,40 +806,42 @@ def sweep_treatment_surrogate(
 
 
 def _bound_trials(
-    f_max: float, n_grid, delta: float, trials: int, seed: int, theta: float
+    problem: EstimationProblem, theta: float, n_grid, delta: float, trials: int, seed: int
 ):
-    """Per n of the two-uniform example: the fields every bound row shares
-    (n, delta, theta, c, b, seed), the simulation, and the (lower, upper)
-    one-sided 1 - delta IS and US bounds of each simulation row, the US
-    pair NaN where k = 0."""
-    n_grid = list(n_grid)
-    if not n_grid:
-        raise ValueError("n grid must be nonempty")
-    problem = illustrative_problem(f_max, theta)
-    b = weighted_range(problem)
-    c = problem.c
-    for index, n in enumerate(n_grid):
-        point_seed = derive_seed(seed, index)
+    """Per n of :func:`_grid_points` on the one problem: the fields every
+    bound row shares (n, delta, theta, c, b, seed), the simulation, its
+    :class:`TrialWeights`, and the (lower, upper) one-sided 1 - delta IS
+    and US bounds of each simulation row, the US pair NaN where k = 0.
+    The range b is checked before any trial is drawn."""
+    b, c = weighted_range(problem), problem.c
+    for _, n, point_seed in _grid_points([problem], n_grid, seed):
         sim = simulate_estimates(problem, n, trials, point_seed)
         shared = dict(n=n, delta=delta, theta=theta, c=c, b=b, seed=point_seed)
-        is_bounds = hoeffding_is(sim.is_values, b, n, delta)
-        yield shared, sim, is_bounds, hoeffding_us(sim.us_values, b, c, sim.k, delta)
+        yield (
+            shared, sim, TrialWeights(sim.count, sim.us_defined),
+            hoeffding_is(sim.is_values, b, n, delta),
+            hoeffding_us(sim.us_values, b, c, sim.k, delta),
+        )
 
 
-def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
-    """Mean of ``values`` over the trials each row stands for, given the
-    rows' trial counts as float ``weights``; NaN, without a division
-    warning, when no trial counts. Rows of weight zero are skipped, so an
-    undefined (NaN) bound there does not reach the mean. The sums are
-    taken in float64, exact for whole-number values up to 2**53, as a
-    per-trial mean's are; one that overflows is taken over weights/total."""
-    total = float(weights.sum())
+def _weighted_mean(values: np.ndarray, weights: TrialWeights, positive: bool = False) -> float:
+    """Mean of ``values`` over the trials each row stands for, as
+    ``weights`` counts them: every trial, or with ``positive`` only those
+    with k > 0; NaN, without a division warning, when no trial counts.
+    Rows of weight zero are skipped, so an undefined (NaN) bound there
+    does not reach the mean. The sums are taken in float64, exact for
+    whole-number values up to 2**53, as a per-trial mean's are; one that
+    overflows is taken over weights/total."""
+    if positive:
+        rows, total = weights.positive_weights, weights.positive_trials
+    else:
+        rows, total = weights.weights, weights.trials
     if not total:
         return math.nan
-    values = np.where(weights > 0, values, 0.0)
+    values = np.where(rows > 0, values, 0.0)
     with np.errstate(over="ignore"):
-        mean = float(np.dot(values, weights)) / total
-    return float(np.dot(values, weights / total)) if math.isinf(mean) else mean
+        mean = float(np.dot(values, rows)) / total
+    return float(np.dot(values, rows / total)) if math.isinf(mean) else mean
 
 
 @dataclass(frozen=True)
@@ -886,24 +882,21 @@ def sweep_bounds(
     """Mean bound locations per n for the two-uniform example."""
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
-    rows = []
-    for shared, sim, (is_lower, is_upper), (us_lower, us_upper) in _bound_trials(
-        f_max, n_grid, delta, trials, seed, theta
-    ):
-        weights = sim.count.astype(float)
-        us_weights = weights * sim.us_defined
-        rows.append(
-            BoundsSweepRow(
-                **shared,
-                mean_is_lower=_weighted_mean(is_lower, weights),
-                mean_is_upper=_weighted_mean(is_upper, weights),
-                mean_us_lower=_weighted_mean(us_lower, us_weights),
-                mean_us_upper=_weighted_mean(us_upper, us_weights),
-                empirical_rho=_weighted_mean(sim.us_defined, weights),
-                analytic_rho=rho(shared["n"], shared["c"]),
-            )
+    problem = illustrative_problem(f_max, theta)
+    return [
+        BoundsSweepRow(
+            **shared,
+            mean_is_lower=_weighted_mean(is_lower, weights),
+            mean_is_upper=_weighted_mean(is_upper, weights),
+            mean_us_lower=_weighted_mean(us_lower, weights, positive=True),
+            mean_us_upper=_weighted_mean(us_upper, weights, positive=True),
+            empirical_rho=weights.positive_trials / weights.trials,
+            analytic_rho=rho(shared["n"], shared["c"]),
         )
-    return rows
+        for shared, _, weights, (is_lower, is_upper), (us_lower, us_upper) in _bound_trials(
+            problem, theta, n_grid, delta, trials, seed
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -944,35 +937,30 @@ def coverage_experiment(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    problem = illustrative_problem(f_max, theta)
     rows = []
-    for shared, sim, (is_lower, _), (us_lower, _) in _bound_trials(
-        f_max, n_grid, delta, trials, seed, theta
+    for shared, sim, weights, (is_lower, _), (us_lower, _) in _bound_trials(
+        problem, theta, n_grid, delta, trials, seed
     ):
-        weights = sim.count.astype(float)
-        us_weights = weights * sim.us_defined
-        cover_is = _weighted_mean(is_lower <= theta, weights)
-        cover_us = _weighted_mean(us_lower <= theta, us_weights)
         n, c, b = shared["n"], shared["c"], shared["b"]
         # The upper bound around a zero estimate is the margin, exactly.
         _, is_margin = hoeffding_is(0.0, b, n, delta)
         _, us_margin = hoeffding_us(0.0, b, c, sim.k, delta)
         mean_k = _weighted_mean(sim.k, weights)
-        mean_margin_us = _weighted_mean(us_margin, us_weights)
+        mean_margin_us = _weighted_mean(us_margin, weights, positive=True)
         # mean_k is 0 exactly when no trial has k > 0.
-        predicted = math.nan
-        if mean_k:
-            predicted = c * math.sqrt(n / mean_k)
+        predicted = c * math.sqrt(n / mean_k) if mean_k else math.nan
         rows.append(
             CoverageRow(
                 **shared,
-                coverage_is=cover_is,
-                coverage_us=cover_us,
+                coverage_is=_weighted_mean(is_lower <= theta, weights),
+                coverage_us=_weighted_mean(us_lower <= theta, weights, positive=True),
                 mean_margin_is=is_margin,
                 mean_margin_us=mean_margin_us,
                 margin_ratio=mean_margin_us / is_margin,
                 predicted_ratio=predicted,
                 mean_k=mean_k,
-                undefined_rate=1.0 - _weighted_mean(sim.us_defined, weights),
+                undefined_rate=1.0 - weights.positive_trials / weights.trials,
             )
         )
     return rows

@@ -5,8 +5,10 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
+import yaml
 
 from unequal_support import cli, experiments, moments
 from unequal_support.cli import main
@@ -76,8 +78,6 @@ class TestEstimate:
         with pytest.raises(SystemExit):
             main(["estimate", "--cv", "median"])
 
-    # The overflowing products warn before the error; that is not checked here.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "argv",
         [["--theta", "1e308"], ["--example", "treatment", "--n", "5", "--cv", "value:1e308"]],
@@ -139,7 +139,6 @@ class TestSweepIllustrative:
             assert float(row["emp_is_var"]) >= 0.0
 
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_analytic_inputs_are_a_user_error(self, capsys):
         argv = ["--theta-grid", "1e308", "--f-max-grid", "1", "--n-grid", "5", "--trials", "100"]
         assert main(["sweep-illustrative", *argv]) == 1
@@ -207,8 +206,6 @@ class TestBoundsAndCoverage:
         assert [row[name] for name in us_columns] == ["nan"] * len(us_columns)
 
     @pytest.mark.parametrize("command", ["bounds", "coverage"])
-    # The overflowing products warn before the error; that is not checked here.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_range_is_a_user_error(self, command, capsys):
         """At theta = 1e308 the range b of f h / g overflows to inf."""
         code = main([command, "--theta", "1e308", "--n-grid", "10", "--trials", "100"])
@@ -218,7 +215,6 @@ class TestBoundsAndCoverage:
         assert captured.err.splitlines()[-1] == "error: b must be nonnegative and finite"
 
     @pytest.mark.parametrize("command", ["bounds", "coverage"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_range_runs_no_trial(self, command, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise AssertionError("b must be checked before any trial runs")
@@ -440,12 +436,38 @@ class TestParserReuse:
 
 
 def test_malformed_yaml_is_a_user_error(tmp_path, capsys):
+    """The error line is pyyaml's own message for the file."""
     path = tmp_path / "bad.yaml"
     path.write_text("problem:\n  target: {kind: uniform\n  low: [1\n")
     assert main(["estimate", "--config", str(path)]) == 1
     captured = capsys.readouterr()
+    with open(path, encoding="utf-8") as fh, pytest.raises(yaml.YAMLError) as exc:
+        yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err == f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "--theta", "1e308"], "the estimates overflow the double range"),
+        (["estimate", "--example", "treatment", "--n", "5", "--cv", "value:1e308"],
+         "the estimates overflow the double range"),
+        (["bounds", "--theta", "1e308"], "b must be nonnegative and finite"),
+        (["coverage", "--theta", "1e308"], "b must be nonnegative and finite"),
+        (["sweep-illustrative", "--theta-grid", "1e308", "--f-max-grid", "1", "--n-grid", "5",
+          "--trials", "100"], "the analytic inputs overflow the double range"),
+    ],
+)
+def test_overflowing_inputs_end_with_one_error_line_and_no_warning(argv, message, capsys):
+    """Each overflowing product is left to the finiteness or coverage
+    check after it, so its ValueError is the one line on stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 CONFIG = (

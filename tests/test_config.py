@@ -217,17 +217,28 @@ problem:
 
 class TestYamlLoader:
     @staticmethod
-    def _document(path, monkeypatch, loader):
-        """The document ``load_problem`` hands to ``build_problem``."""
-        docs = []
-        monkeypatch.setattr(config, "_YAML_LOADER", loader)
+    def _document(path, monkeypatch, libyaml=True):
+        """(loader, document): the loader ``load_problem`` parses with and
+        the document it hands to ``build_problem``; without ``libyaml``,
+        as if pyyaml had been built without it."""
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader")
+        loaders, docs = [], []
+        load = yaml.load
+
+        def spy(stream, Loader):
+            loaders.append(Loader)
+            return load(stream, Loader)
+
+        monkeypatch.setattr(yaml, "load", spy)
         monkeypatch.setattr(config, "build_problem", docs.append)
         load_problem(path)
-        return docs[0]
+        return loaders[0], docs[0]
 
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml built without libyaml")
-    def test_libyaml_is_the_default(self):
-        assert config._YAML_LOADER is yaml.CSafeLoader
+    def test_libyaml_is_the_default(self, monkeypatch):
+        loader, _ = self._document(ILLUSTRATIVE_CONFIG, monkeypatch)
+        assert loader is yaml.CSafeLoader
 
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml built without libyaml")
     @pytest.mark.parametrize("source", ["illustrative", "good"])
@@ -237,15 +248,17 @@ class TestYamlLoader:
         else:
             path = tmp_path / "good.yaml"
             path.write_text(GOOD_YAML)
-        fast = self._document(path, monkeypatch, yaml.CSafeLoader)
-        slow = self._document(path, monkeypatch, yaml.SafeLoader)
+        c_loader = yaml.CSafeLoader  # before the second call hides it
+        fast_loader, fast = self._document(path, monkeypatch)
+        slow_loader, slow = self._document(path, monkeypatch, libyaml=False)
+        assert (fast_loader, slow_loader) == (c_loader, yaml.SafeLoader)
         assert fast == slow == yaml.safe_load(path.read_text())
 
     def test_python_loader_fallback_builds_the_problem(self, monkeypatch, tmp_path):
         path = tmp_path / "good.yaml"
         path.write_text(GOOD_YAML)
         default = load_problem(path)
-        monkeypatch.setattr(config, "_YAML_LOADER", yaml.SafeLoader)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         fallback = load_problem(path)
         assert fallback.c == default.c == pytest.approx(0.25)
         for field in ("p", "w", "h", "in_c"):
