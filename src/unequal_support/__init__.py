@@ -43,7 +43,6 @@ from .estimators import (
     ControlVariate,
     EstimateResult,
     estimate_all,
-    us_estimate_empirical_c,
 )
 from .experiments import (
     SimulationResult,
@@ -66,7 +65,6 @@ from .moments import (
     MomentInputs,
     MomentReport,
     binom_inv_moment,
-    illustrative_params,
     moment_report,
     property3_margin,
     rho,

@@ -67,9 +67,13 @@ def batch_estimates(wh, w, in_c, c: float, t: float = 0.0):
     in_c = np.ascontiguousarray(in_c, dtype=np.bool_)
     if w.ndim != 2 or w.shape != wh.shape or w.shape != in_c.shape:
         raise ValueError("wh, w, in_c must share one (trials, n) shape")
+    # Finite terms can sum past the double range; _estimates_from_sums,
+    # not NumPy, reports that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_sum, sum_w = wh.sum(axis=1), w.sum(axis=1)
     return _estimates_from_sums(
-        wh.sum(axis=1),
-        w.sum(axis=1),
+        row_sum,
+        sum_w,
         in_c.sum(axis=1).astype(np.int64),
         w.shape[1], float(c), float(t),
     )
@@ -83,5 +87,7 @@ def cell_estimates(counts, n: int, w, hv, in_c, c: float, t: float = 0.0):
     size ``n``. Each batch sum is one count-weighted sum over the cells.
     """
     cols = np.stack([w * (hv - t), w, in_c], axis=1)
-    row_sum, sum_w, k = (np.asarray(counts, dtype=np.float64) @ cols).T
+    # As in batch_estimates, an overflowing sum is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_sum, sum_w, k = (np.asarray(counts, dtype=np.float64) @ cols).T
     return _estimates_from_sums(row_sum, sum_w, k.astype(np.int64), n, float(c), float(t))

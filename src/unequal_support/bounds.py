@@ -18,7 +18,8 @@ spending delta/2 per side.
 ``b`` is caller-supplied because no library can bound an arbitrary h;
 :func:`weighted_range` computes it exactly for the built-in
 piecewise-uniform densities with step evaluation functions. It is the
-range (max minus min) of f(x)h(x)/g(x), not a magnitude bound; for
+range (max minus min) of f(x)h(x)/g(x), uncentered because the bound
+sweeps run without a control variate, and not a magnitude bound; for
 sign-changing integrands the two differ by up to a factor of two.
 """
 
@@ -104,8 +105,8 @@ def confidence_interval(
     raise ValueError("method must be 'IS' or 'US'")
 
 
-def weighted_range(problem: EstimationProblem, t: float = 0.0) -> float:
-    """Exact range of f(x)(h(x) - t)/g(x) over the sampling support.
+def weighted_range(problem: EstimationProblem) -> float:
+    """Exact range of f(x)h(x)/g(x) over the sampling support.
 
     Only piecewise-uniform target and sampling densities with a step
     evaluation function are supported; the integrand is then constant on
@@ -120,7 +121,7 @@ def weighted_range(problem: EstimationProblem, t: float = 0.0) -> float:
             "and a piecewise-constant evaluation"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        values = table.w * (table.h - t)
+        values = table.w * table.h
         b = float(values.max() - values.min())
     if not math.isfinite(b):
         raise ValueError("b must be nonnegative and finite")

@@ -124,10 +124,6 @@ class IntervalUnion:
     def __iter__(self):
         return iter(zip(self.lows, self.highs))
 
-    @property
-    def total_length(self) -> float:
-        return float(np.sum(self.highs - self.lows))
-
     def locate(self, x) -> tuple[np.ndarray | int, np.ndarray]:
         """(index, inside) per point: the interval that x would lie in,
         clipped to a valid index, and whether x lies in it. For a union
@@ -265,79 +261,6 @@ def _normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-# Wichura's AS241 (PPND16) rationals, numerator then denominator, each
-# highest power first, as ``statistics.NormalDist().inv_cdf`` evaluates
-# them: the central one in r = 0.180625 - q^2 (|q| <= 0.425, q = p - 0.5),
-# then the tails' in r = sqrt(-log(min(p, 1 - p))) less 1.6 (r <= 5) or 5.
-_AS241_CENTRAL = (
-    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-     1.3314166789178437745e2, 3.3871328727963666080e0),
-    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-     4.2313330701600911252e1, 1.0),
-)
-_AS241_NEAR = (
-    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-     1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
-     4.6303378461565452959e0, 1.4234371107496835773e0),
-    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
-     2.0531916266377588219e0, 1.0),
-)
-_AS241_FAR = (
-    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
-     5.4637849111641143699e0, 6.6579046435011037772e0),
-    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-     5.9983220655588793769e-1, 1.0),
-)
-
-
-def _poly(r: np.ndarray, coefficients) -> np.ndarray:
-    """Horner's rule in inv_cdf's order, highest power first."""
-    acc = np.full_like(r, coefficients[0])
-    for a in coefficients[1:]:
-        acc *= r
-        acc += a
-    return acc
-
-
-def _normal_quantile(p: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Standard normal quantile of each p, written into ``out``, which may
-    be p itself: the floating-point operations of
-    ``statistics.NormalDist().inv_cdf``, vectorised, and -inf at p <= 0
-    and +inf at p >= 1, where inv_cdf raises."""
-    q = p - 0.5
-    central = np.abs(q) <= 0.425
-    tail = ~central
-    # Gathered before out, which may be p, is written.
-    pt, qt = p[tail], q[tail]
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    num, den = _AS241_CENTRAL
-    out[central] = _poly(r, num) * qc / _poly(r, den)
-    # min(p, 1 - p), which is not positive where p lies outside (0, 1):
-    # those entries read log(1) and are set to inf below. math.log is the
-    # libm log that inv_cdf takes; np.log can be an ulp away from it.
-    r = np.where(qt <= 0.0, pt, 1.0 - pt)
-    edge = ~(r > 0.0)
-    r[edge] = 1.0
-    r = np.sqrt(-np.fromiter(map(math.log, r), float, r.size))
-    xt = np.empty_like(r)
-    for part, shift, (num, den) in (
-        (r <= 5.0, 1.6, _AS241_NEAR),
-        (r > 5.0, 5.0, _AS241_FAR),
-    ):
-        rp = r[part] - shift
-        xt[part] = _poly(rp, num) / _poly(rp, den)
-    xt[edge] = np.inf
-    np.negative(xt, out=xt, where=qt < 0.0)
-    out[tail] = xt
-    return out
-
-
 _EXP_UNDERFLOW = math.log(np.finfo(float).tiny)
 
 
@@ -347,7 +270,7 @@ class TruncatedNormal:
     Sampling uses the inverse CDF on the truncated quantile range, so a
     fixed seed always consumes exactly one uniform per draw. The normal
     CDF is :func:`_normal_cdf` (``math.erfc``) and its quantile is
-    :func:`_normal_quantile`, Wichura's AS241 over the whole array.
+    ``statistics.NormalDist().inv_cdf``, imported on the first draw.
     ``pdf`` and ``sample`` run their chains in place in one array.
     """
 
@@ -391,12 +314,21 @@ class TruncatedNormal:
         q = rng.random(size, out=out)
         q *= self._z
         q += self._cdf_lo
-        # q <= 0 (an underflowed _cdf_lo) and q >= 1 (a _cdf_hi of 1) map
-        # to -inf and +inf, which the clip turns into lower and upper.
-        x = _normal_quantile(q, out=q)
-        x *= self.stddev
-        x += self.mean
-        return np.clip(x, self.lower, self.upper, out=x)
+        # Imported here so that importing the package does not load
+        # statistics; no workload samples a truncated normal.
+        from statistics import NormalDist
+
+        inv_cdf = NormalDist().inv_cdf
+        # q <= 0 (an underflowed _cdf_lo) and q >= 1 (a _cdf_hi of 1), where
+        # inv_cdf raises, map to -inf and +inf, which the clip turns into
+        # lower and upper.
+        q.flat = [
+            inv_cdf(p) if 0.0 < p < 1.0 else (-math.inf if p <= 0.0 else math.inf)
+            for p in q.ravel().tolist()
+        ]
+        q *= self.stddev
+        q += self.mean
+        return np.clip(q, self.lower, self.upper, out=q)
 
     def interval_mass(self, intervals) -> float:
         query = _as_interval_union(intervals)

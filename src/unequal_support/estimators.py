@@ -16,8 +16,8 @@ single row, and its coverage checks are those of
 formulas, their zero conventions (US is 0 when k = 0, WIS is 0 when
 every weight vanishes) and the errors they raise exist once, and the
 scalar and batched paths agree by construction. The checks leave
-w (h − t) = 0 outside C, so the sum over C is the IS sum.
-``us_estimate_empirical_c`` is the empirical-mass US variant.
+w (h − t) = 0 outside C, so the sum over C is the IS sum; replacing c
+by its empirical estimate k/n therefore turns US back into IS.
 """
 
 import math
@@ -33,7 +33,6 @@ __all__ = [
     "ControlVariate",
     "EstimateResult",
     "estimate_all",
-    "us_estimate_empirical_c",
 ]
 
 
@@ -108,16 +107,3 @@ def estimate_all(
         "WIS": EstimateResult(value=wis_value, k=k, defined=wis_defined),
     }
 
-
-def us_estimate_empirical_c(
-    problem: EstimationProblem, batch: SampleBatch
-) -> EstimateResult:
-    """Unequal-support estimate with c replaced by its empirical estimate k/n.
-
-    Algebraically identical to ordinary importance sampling without a
-    control variate (the two rescalings cancel): the US estimate scaled
-    by k/(n c).
-    """
-    us = estimate_all(problem, batch)["US"]
-    value = us.k / (batch.n * problem.c) * us.value
-    return EstimateResult(value=value, k=us.k, defined=us.defined)

@@ -28,7 +28,6 @@ __all__ = [
     "binom_inv_moment",
     "moment_report",
     "us_beats_is",
-    "illustrative_params",
     "property3_margin",
 ]
 
@@ -266,19 +265,6 @@ def us_beats_is(n: int, c: float) -> bool:
     stripped away; computable before seeing any data.
     """
     return c * c * binom_inv_moment(n, c) <= c / (n * rho(n, c))
-
-
-def illustrative_params(f_max: float, theta: float = 0.0) -> tuple[float, float]:
-    """(c, v) for the two-uniform example with target width f_max.
-
-    Target uniform on [0, f_max], sampling uniform on [0, 2], evaluation
-    -1 + theta below f_max/2 and 1 + theta above, pruned to the target
-    support. Then c = f_max/2 and v = 4/f_max^2 regardless of theta: the
-    conditional term (f/g) h has two equally likely values 2/f_max apart.
-    """
-    if not 0.0 < f_max <= 2.0:
-        raise ValueError("f_max must lie in (0, 2]")
-    return f_max / 2.0, 4.0 / (f_max * f_max)
 
 
 def _property3_over_c(n: int, c: float, r: float) -> float:

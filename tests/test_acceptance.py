@@ -19,7 +19,7 @@ from unequal_support.densities import (
     PruningSet,
     draw,
 )
-from unequal_support.estimators import estimate_all, us_estimate_empirical_c
+from unequal_support.estimators import estimate_all
 from unequal_support.experiments import (
     coverage_experiment,
     illustrative_problem,
@@ -29,12 +29,13 @@ from unequal_support.experiments import (
 )
 from unequal_support.moments import (
     MomentInputs,
-    illustrative_params,
     moment_report,
     property3_margin,
     rho,
     us_beats_is,
 )
+
+from oracles import illustrative_params
 
 GRID_F_MAX = [0.2, 0.5, 1.0, 2.0]
 GRID_THETA = [0.0, 1.0, 10.0]
@@ -95,8 +96,9 @@ def test_criterion_03_exact_identities():
     pruned = illustrative_problem(0.5, theta=10.0)
     for batch_index in range(1000):
         batch = draw(pruned.sampling, seed=batch_index, count=25)
-        a = estimate_all(pruned, batch)["IS"].value
-        b = us_estimate_empirical_c(pruned, batch).value
+        results = estimate_all(pruned, batch)
+        a, us = results["IS"].value, results["US"]
+        b = us.k / (batch.n * pruned.c) * us.value
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-300)
 
 

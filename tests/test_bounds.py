@@ -164,11 +164,6 @@ class TestWeightedRange:
         # w = 4, h in {9, 11} on F; zero contributes the minimum
         assert weighted_range(problem) == pytest.approx(44.0, rel=1e-14)
 
-    def test_centering_shrinks_range(self):
-        problem = illustrative_problem(0.5, theta=10.0)
-        # centered at t = 10 the values are {-4, 4, 0}
-        assert weighted_range(problem, t=10.0) == pytest.approx(8.0, rel=1e-14)
-
     def test_requires_builtin_shapes(self):
         from unequal_support.densities import (
             EstimationProblem,

@@ -457,11 +457,18 @@ def test_malformed_yaml_is_a_user_error(tmp_path, capsys):
         (["coverage", "--theta", "1e308"], "b must be nonnegative and finite"),
         (["sweep-illustrative", "--theta-grid", "1e308", "--f-max-grid", "1", "--n-grid", "5",
           "--trials", "100"], "the analytic inputs overflow the double range"),
+        # Every term is finite here; their sums overflow.
+        (["bounds", "--theta", "5e306", "--f-max", "0.1", "--n-grid", "10,200",
+          "--trials", "100"], "the estimates overflow the double range"),
+        (["coverage", "--theta", "5e306", "--f-max", "0.1", "--n-grid", "10,200",
+          "--trials", "100"], "the estimates overflow the double range"),
+        (["estimate", "--theta", "5e306", "--f-max", "0.1"],
+         "the estimates overflow the double range"),
     ],
 )
 def test_overflowing_inputs_end_with_one_error_line_and_no_warning(argv, message, capsys):
-    """Each overflowing product is left to the finiteness or coverage
-    check after it, so its ValueError is the one line on stderr."""
+    """Each overflowing product or sum is left to the finiteness or
+    coverage check after it, so its ValueError is the one line on stderr."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 1

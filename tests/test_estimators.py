@@ -17,8 +17,8 @@ from unequal_support.densities import (
 )
 from unequal_support.estimators import (
     ControlVariate,
+    EstimateResult,
     estimate_all,
-    us_estimate_empirical_c,
 )
 
 
@@ -159,6 +159,13 @@ class TestUsEstimate:
         assert abs(us.value - is_.value) <= 1e-12 * max(1.0, abs(is_.value))
 
 
+def us_with_empirical_c(problem, batch):
+    """US with c replaced by its empirical estimate k/n: the US estimate
+    scaled by k/(n c)."""
+    us = estimate_all(problem, batch)["US"]
+    return EstimateResult(us.k / (batch.n * problem.c) * us.value, us.k, us.defined)
+
+
 class TestEmpiricalC:
     def test_recovers_is_on_any_pruning_set(self):
         rng = np.random.default_rng(77)
@@ -166,7 +173,7 @@ class TestEmpiricalC:
         for _ in range(1000):
             n = int(rng.integers(1, 80))
             batch = SampleBatch(rng.uniform(0.0, 2.0, n), seed=None, n=n)
-            emp = us_estimate_empirical_c(problem, batch)
+            emp = us_with_empirical_c(problem, batch)
             if emp.k == 0:
                 assert emp.value == 0.0 and not emp.defined
                 continue
@@ -176,7 +183,7 @@ class TestEmpiricalC:
     def test_recovers_is_at_a_million_samples(self):
         problem = signed_problem(0.5, theta=4.0)
         batch = draw(problem.sampling, 707, 1_000_000)
-        emp = us_estimate_empirical_c(problem, batch)
+        emp = us_with_empirical_c(problem, batch)
         ref = estimate_all(problem, batch)["IS"]
         assert emp.defined and 0 < emp.k < batch.n
         assert abs(emp.value - ref.value) <= 1e-12 * max(1.0, abs(ref.value))
@@ -184,7 +191,7 @@ class TestEmpiricalC:
     def test_counting_form(self):
         problem = basic_problem(1.0)
         batch = SampleBatch(np.array([0.2, 0.6, 1.4, 1.8]), seed=None, n=4)
-        res = us_estimate_empirical_c(problem, batch)
+        res = us_with_empirical_c(problem, batch)
         assert res.value == pytest.approx(2.0 * 2 / 4, rel=1e-14)
 
     def test_c_equals_g_all_three_agree(self):
@@ -195,7 +202,7 @@ class TestEmpiricalC:
         batch = draw(f, 12, 64)
         results = estimate_all(problem, batch)
         a, b = results["IS"].value, results["US"].value
-        c = us_estimate_empirical_c(problem, batch).value
+        c = us_with_empirical_c(problem, batch).value
         assert a == pytest.approx(b, rel=1e-14)
         assert a == pytest.approx(c, rel=1e-14)
 
@@ -246,7 +253,7 @@ class TestPermutationInvariance:
         shuffled = SampleBatch(rng.permutation(values), seed=None, n=n)
 
         def estimates(b):
-            return [*estimate_all(problem, b).values(), us_estimate_empirical_c(problem, b)]
+            return [*estimate_all(problem, b).values(), us_with_empirical_c(problem, b)]
 
         for a, b in zip(estimates(batch), estimates(shuffled)):
             assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(a.value))

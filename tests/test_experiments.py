@@ -52,7 +52,9 @@ from unequal_support.experiments import (
     sweep_treatment_surrogate,
     treatment_problem,
 )
-from unequal_support.moments import illustrative_params, rho
+from unequal_support.moments import rho
+
+from oracles import illustrative_params
 
 
 class TestIllustrativeProblem:
@@ -739,7 +741,7 @@ class TestDerivedInputs:
             problem = illustrative_problem(f_max, theta)
             mean = sampling_mean(problem)
             assert mean == pytest.approx(_pieces_mean(problem), rel=1e-14, abs=0.0)
-            _, v_closed = illustrative_params(f_max, theta)
+            _, v_closed = illustrative_params(f_max)
             for t in (0.0, mean):
                 derived_theta, v = moment_inputs(problem, t)
                 assert derived_theta == pytest.approx(theta, rel=1e-14, abs=0.0)
@@ -992,14 +994,14 @@ class TestSeedDerivation:
 
 class TestImportCost:
     def test_cli_import_loads_neither_scipy_nor_numpy_polynomial(self):
-        """The Gauss-Legendre nodes are computed on first use, and pyyaml is
-        imported by the first ``load_problem`` call, so importing the
-        package and its CLI loads numpy.polynomial and yaml no more than
-        scipy."""
+        """The Gauss-Legendre nodes are computed on first use, pyyaml is
+        imported by the first ``load_problem`` call and statistics by the
+        first truncated-normal draw, so importing the package and its CLI
+        loads numpy.polynomial, yaml and statistics no more than scipy."""
         probe = (
             "import sys, unequal_support, unequal_support.cli\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] in ('scipy', 'yaml', '_yaml')\n"
+            "             if m.split('.')[0] in ('scipy', 'yaml', '_yaml', 'statistics')\n"
             "             or m.startswith('numpy.polynomial')))"
         )
         out = subprocess.run(

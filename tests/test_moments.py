@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from unequal_support import moments
+from unequal_support.experiments import illustrative_problem
 from unequal_support.moments import (
     _INV_MOMENT_EPS,
     MomentInputs,
     _inv_moment_window,
     binom_inv_moment,
-    illustrative_params,
     moment_report,
     property3_margin,
     rho,
     us_beats_is,
 )
+
+from oracles import illustrative_params
 
 
 def exact_inv_moment(n: int, c: Fraction) -> Fraction:
@@ -320,16 +322,20 @@ class TestUsBeatsIs:
 
 
 class TestIllustrativeParams:
+    """The tests' closed-form oracle and the problem it describes."""
+
     def test_examples(self):
         assert illustrative_params(2.0) == (1.0, 1.0)
         assert illustrative_params(0.5) == (0.25, 16.0)
-        assert illustrative_params(1.0, theta=5.0) == (0.5, 4.0)
+        for f_max, theta in ((2.0, 0.0), (0.5, 0.0), (1.0, 5.0)):
+            c, _ = illustrative_params(f_max)
+            assert illustrative_problem(f_max, theta).c == c
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            illustrative_params(0.0)
+            illustrative_problem(0.0)
         with pytest.raises(ValueError):
-            illustrative_params(2.5)
+            illustrative_problem(2.5)
 
 
 class TestProperty3:
