@@ -8,8 +8,8 @@ set and rescales by that set's known probability mass, which can cut
 variance by orders of magnitude when the target's support is much
 smaller than the sampling distribution's.
 
-Modules: ``densities`` (distributions, evaluation functions, pruning
-sets), ``estimators`` (the three point estimators), ``moments``
+Modules: ``densities`` (distributions, evaluation functions, estimation
+problems), ``estimators`` (the three point estimators), ``moments``
 (closed-form bias/variance catalog), ``bounds`` (Hoeffding confidence
 bounds), ``experiments`` (seeded Monte Carlo harness and sweeps),
 ``config`` (YAML problem descriptions), ``cli`` (command line).
@@ -32,8 +32,6 @@ from .densities import (
     IntervalUnion,
     PiecewiseUniform,
     PruningCoverageError,
-    PruningSet,
-    SampleBatch,
     SamplingSupportError,
     TruncatedNormal,
     UnequalSupportError,

@@ -206,8 +206,8 @@ def _cmd_estimate(args) -> int:
     else:
         problem = treatment_problem(args.cr_min)
     cv = ControlVariate.from_spec(args.cv, lambda: sampling_mean(problem))
-    batch = draw(problem.sampling, args.seed, args.n)
-    results = estimate_all(problem, batch, cv)
+    values = draw(problem.sampling, args.seed, args.n)
+    results = estimate_all(problem, values, cv)
     k = results["US"].k
     for label, res in results.items():
         status = "defined" if res.defined else "undefined (value by convention)"

@@ -30,7 +30,6 @@ from .densities import (
     EstimationProblem,
     EvaluationFunction,
     PiecewiseUniform,
-    PruningSet,
     TruncatedNormal,
 )
 
@@ -116,8 +115,7 @@ def build_problem(doc: dict) -> EstimationProblem:
             "intervals under the sampling density, computed exactly"
         )
     _only(prune_block, ("intervals",), "pruning")
-    pruning = PruningSet.from_intervals(intervals, sampling)
-    return EstimationProblem(target, sampling, evaluation, pruning)
+    return EstimationProblem(target, sampling, evaluation, intervals)
 
 
 def load_problem(path) -> EstimationProblem:

@@ -1,11 +1,11 @@
-"""One-dimensional densities, evaluation functions, and pruning sets.
+"""One-dimensional densities, evaluation functions, and estimation problems.
 
 Two density families are built in: piecewise-uniform (disjoint intervals
 with probability weights) and truncated-normal. Both have an interval
 support, analytic interval masses and inverse-CDF sampling, so draws are
 deterministic per seed and masses are exact. Evaluation functions and
-pruning sets are interval-described too, so every problem's supports can
-be checked on construction.
+the pruning set C are interval-described too, so every problem's supports
+can be checked, and C's mass c derived, on construction.
 
 A problem built only from piecewise-uniform densities and a step
 evaluation is constant between finitely many breakpoints;
@@ -13,7 +13,7 @@ evaluation is constant between finitely many breakpoints;
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkable
 
@@ -34,11 +34,9 @@ __all__ = [
     "PiecewiseUniform",
     "TruncatedNormal",
     "EvaluationFunction",
-    "PruningSet",
     "EstimationProblem",
     "CellTable",
     "check_coverage",
-    "SampleBatch",
     "draw",
 ]
 
@@ -354,17 +352,13 @@ class EvaluationFunction:
         self.fn = fn
         self.support = _as_interval_union(support)
         self.pieces: tuple | None = None  # set for piecewise-constant maps
-        self._steps: np.ndarray | None = None  # their values, in support order
 
     def __call__(self, x, out=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        # One search of the support gives a step function's piece index
-        # and the inside mask.
-        index, inside = self.support.locate(x)
         # A copy of the values, broadcast: fn may return x, or a scalar.
         hv = out_array(x.shape, out)
-        hv[...] = self.fn(x) if self._steps is None else self._steps[index]
-        return zero_outside(hv, inside)
+        hv[...] = self.fn(x)
+        return zero_outside(hv, self.support.contains(x))
 
     @classmethod
     def piecewise_constant(cls, pieces: Sequence[Sequence[float]]) -> "EvaluationFunction":
@@ -378,57 +372,24 @@ class EvaluationFunction:
             return values[support.locate(x)[0]]
 
         obj = cls(fn, support)
-        obj.pieces, obj._steps = pieces, values
+        obj.pieces = pieces
         return obj
-
-
-@dataclass(frozen=True)
-class PruningSet:
-    """The interval union C kept by the unequal-support estimator.
-
-    ``c`` is the probability mass of C under the sampling density.
-    """
-
-    intervals: IntervalUnion
-    c: float
-
-    def __post_init__(self):
-        if not 0.0 < self.c <= 1.0:
-            raise ValueError("c must lie in (0, 1]")
-
-    @classmethod
-    def from_intervals(cls, intervals, sampling) -> "PruningSet":
-        """The union of these intervals, with c its analytic mass under g."""
-        union = _as_interval_union(intervals)
-        c = sampling.interval_mass(union)
-        return cls(union, c)
-
-    def contains(self, x) -> np.ndarray:
-        return self.intervals.contains(x)
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """n i.i.d. draws from the sampling density, tagged with their seed."""
-
-    values: np.ndarray
-    seed: int | None
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.n < 1 or self.values.shape != (self.n,):
-            raise ValueError("values must be a length-n vector with n >= 1")
 
 
 @dataclass(frozen=True)
 class EstimationProblem:
     """Target f, sampling g, evaluation h, and pruning set C with mass c.
 
+    ``pruning`` is the interval union C, given as an
+    :class:`IntervalUnion` or as (lo, hi) pairs. ``c`` is not an input:
+    it is C's analytic mass under g, computed once on construction and
+    capped at 1, which only the roundoff of weights that sum to 1 can
+    pass; a c outside (0, 1] raises ValueError.
+
     The standing assumption is F ∩ H ⊆ C ⊆ G. F ∩ H ⊆ G is checked on
-    construction, at the midpoint of every cell between the breakpoints
-    of f, g, h and C that lies outside G, and a violation raises
-    :class:`SamplingSupportError`.
+    construction, after c, at the midpoint of every cell between the
+    breakpoints of f, g, h and C that lies outside G, and a violation
+    raises :class:`SamplingSupportError`.
     C ⊇ F ∩ H is checked on every batch that flows through the
     estimators, on the samples it holds: any sample with w(x)h(x) != 0
     outside C, w = f/g, raises :class:`PruningCoverageError`. With a nonzero
@@ -442,10 +403,17 @@ class EstimationProblem:
     target: Density
     sampling: Density
     evaluation: EvaluationFunction
-    pruning: PruningSet
+    pruning: IntervalUnion
     surface: "SyntheticReturnSurface | None" = None
+    c: float = field(init=False)
 
     def __post_init__(self):
+        pruning = _as_interval_union(self.pruning)
+        c = min(self.sampling.interval_mass(pruning), 1.0)
+        if not 0.0 < c <= 1.0:
+            raise ValueError("c must lie in (0, 1]")
+        object.__setattr__(self, "pruning", pruning)
+        object.__setattr__(self, "c", c)
         _, _, mid, in_g = self._cells
         if in_g.all():
             return
@@ -464,14 +432,10 @@ class EstimationProblem:
                 "sampling density is zero; no sample can reach that mass"
             )
 
-    @property
-    def c(self) -> float:
-        return self.pruning.c
-
     @cached_property
     def _c_is_f(self) -> bool:
         """Whether C is f's support, so that one mask is both."""
-        return list(self.pruning.intervals) == list(self.target.support)
+        return list(self.pruning) == list(self.target.support)
 
     @cached_property
     def cells(self) -> "CellTable | None":
@@ -500,7 +464,7 @@ class EstimationProblem:
             self.target.support,
             self.sampling.support,
             self.evaluation.support,
-            self.pruning.intervals,
+            self.pruning,
         )
         return lows, highs, mid, self.sampling.support.contains(mid)
 
@@ -640,17 +604,15 @@ class CellTable:
 
     Between consecutive breakpoints of f, g, h and C all four are
     constant, so the count of samples in each cell is a sufficient
-    statistic for every estimator. Each cell ``[lows[j], highs[j]]``
-    carries its mass ``p`` under g, the weight ``w`` = f/g, the
-    evaluation ``h`` and membership ``in_c`` in C: the terms of
+    statistic for every estimator. Cell j of
+    :meth:`EstimationProblem.support_cells` carries its mass ``p[j]``
+    under g, the weight ``w[j]`` = f/g, the evaluation ``h[j]`` and
+    membership ``in_c[j]`` in C: the terms of
     :meth:`EstimationProblem.node_terms` under the midpoint rule, the
-    one-node case of :func:`place_rule` on the
-    :meth:`EstimationProblem.support_cells` cells. Cells outside the
-    sampling support are left out: no sample can land there.
+    one-node case of :func:`place_rule` on those cells. Cells outside
+    the sampling support are left out: no sample can land there.
     """
 
-    lows: np.ndarray
-    highs: np.ndarray
     p: np.ndarray
     w: np.ndarray
     h: np.ndarray
@@ -664,10 +626,9 @@ class CellTable:
         if h.pieces is None or not all(isinstance(d, PiecewiseUniform) for d in (f, g)):
             return None
         lows, highs, mid, in_g = problem._cells
-        lows, highs = lows[in_g], highs[in_g]
         # The midpoints and lengths: the one-node rule of place_rule (node
         # 0, weight 2), bit for bit.
-        return cls(lows, highs, *problem.node_terms(mid[in_g], highs - lows))
+        return cls(*problem.node_terms(mid[in_g], highs[in_g] - lows[in_g]))
 
     def check_coverage(self, counts: np.ndarray, t: float) -> None:
         """:func:`check_coverage` on the cells some trial hit."""
@@ -676,10 +637,9 @@ class CellTable:
         check_coverage(w, w * self.h[hit], self.in_c[hit], t)
 
 
-def draw(density, seed: int, count: int) -> SampleBatch:
-    """Draw ``count`` i.i.d. samples; bit-for-bit reproducible per seed."""
+def draw(density, seed: int, count: int) -> np.ndarray:
+    """``count`` i.i.d. samples, a 1-D array drawn from the
+    ``default_rng(seed)`` stream: bit-for-bit reproducible per seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    values = density.sample(rng, count)
-    return SampleBatch(values=values, seed=seed, n=count)
+    return density.sample(np.random.default_rng(seed), count)

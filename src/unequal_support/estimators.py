@@ -1,12 +1,14 @@
 """Point estimators of E_f[h(X)] from samples drawn under g.
 
-``estimate_all`` returns three estimates of one batch, with weights
-w_i = f(X_i)/g(X_i) and a constant control variate t:
+``estimate_all`` returns three estimates of one batch, the 1-D array
+of draws X_1..X_n from g, with weights w_i = f(X_i)/g(X_i) and a
+constant control variate t:
 
 * ``"IS"``: ordinary importance sampling, t + (1/n) Σ w_i (h(X_i) − t).
 * ``"US"``: importance sampling restricted to the pruning set C and
-  rescaled by its mass c: t + (c/k) Σ_{X_i ∈ C} w_i (h(X_i) − t),
-  defined only when k > 0 samples land in C.
+  rescaled by c, C's mass under g, which the problem derives:
+  t + (c/k) Σ_{X_i ∈ C} w_i (h(X_i) − t), defined only when k > 0
+  samples land in C.
 * ``"WIS"``: the self-normalized (weighted) variant,
   Σ w_i h(X_i) / Σ w_i.
 
@@ -27,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from ._kernels import batch_estimates
-from .densities import EstimationProblem, SampleBatch
+from .densities import EstimationProblem
 
 __all__ = [
     "ControlVariate",
@@ -82,10 +84,11 @@ class EstimateResult:
 
 def estimate_all(
     problem: EstimationProblem,
-    batch: SampleBatch,
+    values: np.ndarray,
     cv: ControlVariate = NO_CONTROL_VARIATE,
 ) -> dict[str, EstimateResult]:
-    """``{"IS", "US", "WIS"}`` of the batch as one (1, n) kernel row.
+    """``{"IS", "US", "WIS"}`` of one batch, the 1-D array ``values`` of
+    n >= 1 draws from g, as one (1, n) kernel row.
 
     The batch must pass the coverage checks of
     :meth:`EstimationProblem.batch_terms`. With a nonzero control
@@ -93,8 +96,11 @@ def estimate_all(
     so C must cover all of F, not just F ∩ H; a sample outside C with
     f(x) != 0 raises :class:`ControlVariateCoverageError`.
     """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size < 1:
+        raise ValueError("values must be a 1-D array of at least one sample")
     t = cv.t
-    w, hv, in_c = problem.batch_terms(batch.values[None, :], t=t)
+    w, hv, in_c = problem.batch_terms(values[None, :], t=t)
     # The kernel, not NumPy, reports estimates that overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         centered = w * (hv - t)
@@ -106,4 +112,3 @@ def estimate_all(
         "US": EstimateResult(value=us_value, k=k, defined=k > 0),
         "WIS": EstimateResult(value=wis_value, k=k, defined=wis_defined),
     }
-

@@ -71,7 +71,6 @@ from .densities import (
     EstimationProblem,
     EvaluationFunction,
     PiecewiseUniform,
-    PruningSet,
     TruncatedNormal,
 )
 from .estimators import ControlVariate
@@ -143,8 +142,7 @@ def illustrative_problem(f_max: float, theta: float = 0.0) -> EstimationProblem:
     evaluation = EvaluationFunction.piecewise_constant(
         [(0.0, f_max / 2.0, theta - 1.0), (f_max / 2.0, 2.0, theta + 1.0)]
     )
-    pruning = PruningSet.from_intervals([(0.0, f_max)], sampling)
-    return EstimationProblem(target, sampling, evaluation, pruning)
+    return EstimationProblem(target, sampling, evaluation, [(0.0, f_max)])
 
 
 @dataclass(frozen=True)
@@ -240,8 +238,7 @@ def treatment_problem(
     sampling = PiecewiseUniform.uniform(lo, hi)
     target = TruncatedNormal(cr_min, hi, mean=hi, stddev=hi - cr_min)
     evaluation = EvaluationFunction(surface.marginal_return, [(lo, hi)])
-    pruning = PruningSet.from_intervals([(cr_min, hi)], sampling)
-    return EstimationProblem(target, sampling, evaluation, pruning, surface)
+    return EstimationProblem(target, sampling, evaluation, [(cr_min, hi)], surface)
 
 
 def sampling_mean(problem: EstimationProblem) -> float:

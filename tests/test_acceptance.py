@@ -16,7 +16,6 @@ from unequal_support.densities import (
     EstimationProblem,
     EvaluationFunction,
     PiecewiseUniform,
-    PruningSet,
     draw,
 )
 from unequal_support.estimators import estimate_all
@@ -85,7 +84,7 @@ def test_criterion_03_exact_identities():
     f = PiecewiseUniform.uniform(0.0, 0.5)
     g = PiecewiseUniform.uniform(0.0, 2.0)
     h = EvaluationFunction.piecewise_constant([(0.0, 0.25, -1.0), (0.25, 2.0, 1.0)])
-    full = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 2.0)], g))
+    full = EstimationProblem(f, g, h, [(0.0, 2.0)])
     for batch_index in range(1000):
         batch = draw(full.sampling, seed=batch_index, count=25)
         results = estimate_all(full, batch)
@@ -98,7 +97,7 @@ def test_criterion_03_exact_identities():
         batch = draw(pruned.sampling, seed=batch_index, count=25)
         results = estimate_all(pruned, batch)
         a, us = results["IS"].value, results["US"]
-        b = us.k / (batch.n * pruned.c) * us.value
+        b = us.k / (len(batch) * pruned.c) * us.value
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-300)
 
 

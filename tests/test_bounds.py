@@ -169,13 +169,12 @@ class TestWeightedRange:
             EstimationProblem,
             EvaluationFunction,
             PiecewiseUniform,
-            PruningSet,
             TruncatedNormal,
         )
 
         g = PiecewiseUniform.uniform(0.0, 2.0)
         f = TruncatedNormal(0.0, 1.0, 1.0, 1.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0)])
-        problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 1.0)], g))
+        problem = EstimationProblem(f, g, h, [(0.0, 1.0)])
         with pytest.raises(TypeError):
             weighted_range(problem)

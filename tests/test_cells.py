@@ -30,8 +30,6 @@ from unequal_support.densities import (
     EvaluationFunction,
     PiecewiseUniform,
     PruningCoverageError,
-    PruningSet,
-    SampleBatch,
     TruncatedNormal,
     place_rule,
 )
@@ -79,7 +77,7 @@ def mixed_problem() -> EstimationProblem:
     h = EvaluationFunction.piecewise_constant(
         [(0.0, 0.5, -2.0), (0.5, 1.8, 1.0), (1.8, 3.0, 4.0)]
     )
-    return EstimationProblem(f, g, h, PruningSet.from_intervals([(0.1, 2.2)], g))
+    return EstimationProblem(f, g, h, [(0.1, 2.2)])
 
 
 def two_weight_problem() -> EstimationProblem:
@@ -89,7 +87,7 @@ def two_weight_problem() -> EstimationProblem:
     g = PiecewiseUniform.uniform(0.0, 2.0)
     f = PiecewiseUniform([(0.0, 0.5), (0.5, 1.0)], [0.8, 0.2])
     h = EvaluationFunction.piecewise_constant([(0.0, 0.25, -1.0), (0.25, 1.0, 2.0)])
-    return EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 1.0)], g))
+    return EstimationProblem(f, g, h, [(0.0, 1.0)])
 
 
 def outcome_table_calls(monkeypatch) -> list:
@@ -122,7 +120,7 @@ def zero_pmf_problem() -> EstimationProblem:
     h = EvaluationFunction.piecewise_constant(
         [(0.0, 1.0, 1.0), (1.0, 2.0, 10.0), (2.0, 3.0, 100.0)]
     )
-    return EstimationProblem(g, g, h, PruningSet.from_intervals([(0.0, 3.0)], g))
+    return EstimationProblem(g, g, h, [(0.0, 3.0)])
 
 
 class EdgeUniforms:
@@ -154,15 +152,17 @@ def uncovered_cv_problem(plain_h: bool) -> EstimationProblem:
     f = PiecewiseUniform.uniform(0.0, 1.0)
     g = PiecewiseUniform.uniform(0.0, 2.0)
     h = EvaluationFunction.piecewise_constant([(0.0, 0.5, 1.0)])
-    problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 0.5)], g))
+    problem = EstimationProblem(f, g, h, [(0.0, 0.5)])
     return with_plain_h(problem) if plain_h else problem
 
 
 class TestCellTable:
     def test_illustrative_cells(self):
-        table = CellTable.from_problem(illustrative_problem(0.5, theta=10.0))
-        assert table.lows.tolist() == [0.0, 0.25, 0.5]
-        assert table.highs.tolist() == [0.25, 0.5, 2.0]
+        problem = illustrative_problem(0.5, theta=10.0)
+        table = CellTable.from_problem(problem)
+        lows, highs = problem.support_cells()
+        assert lows.tolist() == [0.0, 0.25, 0.5]
+        assert highs.tolist() == [0.25, 0.5, 2.0]
         assert table.p.tolist() == [0.125, 0.125, 0.75]
         assert table.w.tolist() == [4.0, 4.0, 0.0]
         assert table.h.tolist() == [9.0, 11.0, 11.0]
@@ -179,17 +179,18 @@ class TestCellTable:
             problem.target.support,
             problem.sampling.support,
             problem.evaluation.support,
-            problem.pruning.intervals,
+            problem.pruning,
         )
         edges = sorted({float(e) for s in supports for iv in s for e in iv})
         cells = [
             (lo, hi) for lo, hi in zip(edges, edges[1:])
             if problem.sampling.support.contains(0.5 * (lo + hi))
         ]
-        assert list(zip(table.lows.tolist(), table.highs.tolist())) == cells
-        mid = 0.5 * (table.lows + table.highs)
+        lows, highs = problem.support_cells()
+        assert list(zip(lows.tolist(), highs.tolist())) == cells
+        mid = 0.5 * (lows + highs)
         gv = problem.sampling.pdf(mid)
-        assert table.p.tobytes() == (gv * (table.highs - table.lows)).tobytes()
+        assert table.p.tobytes() == (gv * (highs - lows)).tobytes()
         assert table.w.tobytes() == (problem.target.pdf(mid) / gv).tobytes()
         assert table.h.tobytes() == problem.evaluation(mid).tobytes()
         assert table.in_c.tolist() == problem.pruning.contains(mid).tolist()
@@ -238,20 +239,22 @@ class TestCellTable:
         h = EvaluationFunction.piecewise_constant(
             [(0.0, h_cut, values[0]), (h_cut, scale, values[1])]
         )
-        c_set = PruningSet.from_intervals([(scale * c_ends[0], scale * c_ends[1])], g)
+        c_set = [(scale * c_ends[0], scale * c_ends[1])]
         self.assert_one_node_rule_is_the_midpoint_rule(EstimationProblem(f, g, h, c_set))
 
     def test_cells_outside_sampling_support_left_out(self):
-        table = CellTable.from_problem(mixed_problem())
-        assert np.all(table.p > 0.0)
-        assert not np.any((table.lows >= 1.0) & (table.highs <= 1.5))
+        problem = mixed_problem()
+        table = CellTable.from_problem(problem)
+        lows, highs = problem.support_cells()
+        assert np.all(table.p > 0.0) and len(table.p) == len(lows)
+        assert not np.any((lows >= 1.0) & (highs <= 1.5))
         assert math.fsum(table.p) == pytest.approx(1.0, abs=1e-12)
 
     def test_none_unless_piecewise_with_interval_c(self):
         g = PiecewiseUniform.uniform(0.0, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0)])
         normal = TruncatedNormal(0.0, 1.0, 1.0, 1.0)
-        c_set = PruningSet.from_intervals([(0.0, 1.0)], g)
+        c_set = [(0.0, 1.0)]
         smooth_h = EvaluationFunction(lambda x: x, [(0.0, 2.0)])
         assert CellTable.from_problem(EstimationProblem(normal, g, h, c_set)) is None
         assert CellTable.from_problem(EstimationProblem(g, normal, h, c_set)) is None
@@ -292,8 +295,7 @@ class TestCellTable:
         def sums(g_spec, h_pieces):
             g = PiecewiseUniform(*g_spec)
             h = EvaluationFunction.piecewise_constant(h_pieces)
-            pruning = PruningSet.from_intervals([(0.1, 2.2)], g)
-            table = CellTable.from_problem(EstimationProblem(f, g, h, pruning))
+            table = CellTable.from_problem(EstimationProblem(f, g, h, [(0.1, 2.2)]))
             return (
                 math.fsum(table.p),
                 math.fsum(table.p * table.w * table.h),
@@ -356,7 +358,7 @@ class TestOutcomeTable:
     def test_one_cell_has_one_outcome_at_any_n(self):
         g = PiecewiseUniform.uniform(0.0, 1.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 3.0)])
-        problem = EstimationProblem(g, g, h, PruningSet.from_intervals([(0.0, 1.0)], g))
+        problem = EstimationProblem(g, g, h, [(0.0, 1.0)])
         table = outcome_table(problem, 10**9)
         assert table.counts.tolist() == [[10**9]] and table.pmf.tolist() == [1.0]
         sim = simulate_estimates(problem, 10**9, 5, seed=1)
@@ -439,10 +441,10 @@ class TestOutcomeTable:
         assert np.array_equal(values.wis_values, want[2])
         # The same batches as samples at the cell midpoints, through the
         # scalar estimators.
-        mid = 0.5 * (cells.lows + cells.highs)
+        lows, highs = problem.support_cells()
+        mid = 0.5 * (lows + highs)
         for row, wis in zip(table.counts, values.wis_values):
-            batch = SampleBatch(np.repeat(mid, row), seed=None, n=n)
-            assert estimate_all(problem, batch)["WIS"].value == pytest.approx(
+            assert estimate_all(problem, np.repeat(mid, row))["WIS"].value == pytest.approx(
                 wis, rel=1e-13, abs=1e-13
             )
 
@@ -616,9 +618,8 @@ class TestCoverageErrorsOnBothPaths:
     def test_control_variate_needs_c_to_cover_f(self, path, monkeypatch):
         plain_h, trials = self.PATHS[path]
         problem = uncovered_cv_problem(plain_h)
-        batch = SampleBatch(np.array([0.1, 0.7]), seed=None, n=2)
         with pytest.raises(ControlVariateCoverageError):
-            estimate_all(problem, batch, ControlVariate(1.0))
+            estimate_all(problem, np.array([0.1, 0.7]), ControlVariate(1.0))
         calls = outcome_table_calls(monkeypatch)
         with pytest.raises(ControlVariateCoverageError):
             simulate_estimates(problem, 10, trials, seed=1, t=1.0)
@@ -637,7 +638,7 @@ class TestCoverageErrorsOnBothPaths:
         g = PiecewiseUniform.uniform(0.0, 2.0)
         f = PiecewiseUniform.uniform(0.0, 1.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0)])
-        problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 0.6)], g))
+        problem = EstimationProblem(f, g, h, [(0.0, 0.6)])
         if plain_h:
             problem = with_plain_h(problem)
         calls = outcome_table_calls(monkeypatch)
@@ -652,7 +653,7 @@ class TestCoverageErrorsOnBothPaths:
         g = PiecewiseUniform([(0.0, 1.0), (2.0, 3.0)], [1.0 - 1e-12, 1e-12])
         f = PiecewiseUniform([(0.0, 1.0), (2.0, 3.0)], [0.5, 0.5])
         h = EvaluationFunction.piecewise_constant([(0.0, 3.0, 1.0)])
-        problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 1.0)], g))
+        problem = EstimationProblem(f, g, h, [(0.0, 1.0)])
         if plain_h:
             problem = with_plain_h(problem)
         sim = simulate_estimates(problem, 20, 1000, seed=2, t=0.5)

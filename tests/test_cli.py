@@ -57,6 +57,30 @@ class TestEstimate:
         assert "WIS = 1 " in out
         assert "c = 0.25" in out
 
+    @pytest.mark.parametrize("cv", ["none", "sampling-mean"])
+    def test_c_equal_to_g_with_weights_that_round_past_one(self, cv, capsys, tmp_path):
+        """C = G, whose mass under these weights rounds to
+        1.0000000000000002: c reads 1, and US is IS on every batch."""
+        path = tmp_path / "c_is_g.yaml"
+        path.write_text(
+            "problem:\n"
+            "  target: {kind: uniform, low: 0.0, high: 1.0}\n"
+            "  sampling:\n"
+            "    kind: piecewise-uniform\n"
+            "    intervals: [[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]\n"
+            "    weights: [0.33, 0.56, 0.11]\n"
+            "  evaluation: {pieces: [[0.0, 1.0, 1.0]]}\n"
+            "  pruning: {intervals: [[0.0, 3.0]]}\n"
+        )
+        for seed in ("0", "1", "7"):
+            code = main(["estimate", "--config", str(path), "--seed", seed, "--cv", cv])
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == ""
+            lines = captured.out.splitlines()
+            values = {line.split()[0]: line.split()[2] for line in lines[:3]}
+            assert values["US"] == values["IS"]
+            assert ", c = 1, " in lines[3]
+
     def test_control_variate_value(self, capsys):
         out = run(
             ["estimate", "--theta", "2.0", "--cv", "value:2.0", "--seed", "5"], capsys

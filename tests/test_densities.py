@@ -1,6 +1,7 @@
-"""Densities, evaluation functions, pruning sets, and batch plumbing."""
+"""Densities, evaluation functions, estimation problems, and batch plumbing."""
 
 import math
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -11,6 +12,8 @@ from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 from unequal_support import densities
+from unequal_support.cli import DEFAULT_F_MAX_GRID
+from unequal_support.config import load_problem
 from unequal_support.densities import (
     Density,
     EstimationProblem,
@@ -18,13 +21,12 @@ from unequal_support.densities import (
     IntervalUnion,
     PiecewiseUniform,
     PruningCoverageError,
-    PruningSet,
-    SampleBatch,
     SamplingSupportError,
     TruncatedNormal,
     _normal_cdf,
     draw,
 )
+from unequal_support.estimators import estimate_all
 from unequal_support.experiments import illustrative_problem, run_trials, treatment_problem
 
 
@@ -334,20 +336,21 @@ class TestDraw:
     def test_deterministic_per_seed(self):
         g = PiecewiseUniform.uniform(0.0, 2.0)
         a = draw(g, 17, 1000)
-        b = draw(g, 17, 1000)
-        assert np.array_equal(a.values, b.values)
-        assert a.seed == 17 and a.n == 1000
+        assert a.shape == (1000,) and a.dtype == np.float64
+        assert a.tobytes() == draw(g, 17, 1000).tobytes()
+        # The default_rng(seed) stream, one uniform per draw.
+        assert a.tobytes() == g.sample(np.random.default_rng(17), 1000).tobytes()
 
     def test_support_containment(self):
         g = PiecewiseUniform.uniform(0.0, 2.0)
-        batch = draw(g, 5, 1000)
-        assert ((batch.values >= 0.0) & (batch.values <= 2.0)).all()
+        values = draw(g, 5, 1000)
+        assert ((values >= 0.0) & (values <= 2.0)).all()
 
     def test_large_sample_mean(self):
         g = PiecewiseUniform.uniform(0.0, 2.0)
-        batch = draw(g, 99, 10**6)
+        values = draw(g, 99, 10**6)
         se = (2.0 / np.sqrt(12.0)) / 1000.0
-        assert abs(batch.values.mean() - 1.0) <= 3.0 * se
+        assert abs(values.mean() - 1.0) <= 3.0 * se
 
     def test_count_validated(self):
         g = PiecewiseUniform.uniform(0.0, 2.0)
@@ -414,29 +417,25 @@ class TestEvaluationFunction:
 
     @pytest.mark.parametrize("pieces", STEPS)
     def test_step_function_bits_match_its_lookup_as_a_plain_function(self, pieces):
-        """At piece endpoints, in gaps and outside the support, the step
-        function gives the bits of the generic path: its lookup ``fn``,
-        then the support's membership."""
+        """At piece endpoints, in gaps and outside the support (NaN and
+        +-inf included), the step function gives the bits of its pieces:
+        the value of the last piece holding x, and +0.0 outside every
+        piece. It is the generic path: its lookup ``fn``, then the
+        support's membership."""
         h = EvaluationFunction.piecewise_constant(pieces)
         plain = EvaluationFunction(h.fn, h.support)
         ends = sorted({e for lo, hi, _ in pieces for e in (lo, hi)})
         xs = [y for a in ends for y in (np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf))]
         xs += [1.25, -3.0, 7.0, -np.inf, np.inf, np.nan]
-        xs = np.array(xs + [0.0] * (-len(xs) % 3)).reshape(-1, 3)
+        want = [0.0] * len(xs)
+        for i, x in enumerate(xs):
+            for lo, hi, value in pieces:
+                if lo <= x <= hi:
+                    want[i] = value
+        pad = [0.0] * (-len(xs) % 3)
+        xs = np.array(xs + pad).reshape(-1, 3)
+        assert h(xs).tobytes() == np.array(want + pad).reshape(-1, 3).tobytes()
         assert h(xs).tobytes() == plain(xs).tobytes()
-
-    @pytest.mark.parametrize("pieces", STEPS)
-    def test_step_function_searches_its_support_once_per_call(self, pieces, monkeypatch):
-        h = EvaluationFunction.piecewise_constant(pieces)
-        calls, locate = [], h.support.locate
-
-        def spy(x):
-            calls.append(1)
-            return locate(x)
-
-        monkeypatch.setattr(h.support, "locate", spy)
-        h(np.linspace(-1.0, 3.0, 17))
-        assert len(calls) == 1
 
     def test_nan_and_inf_outside_support_become_zero(self):
         def fn(x):
@@ -474,18 +473,43 @@ class TestEvaluationFunction:
 
 class TestPruningSet:
     def test_analytic_mass_from_intervals(self):
+        """c is C's analytic mass under g, bit for bit: on a problem built
+        from pairs or from an IntervalUnion, on every built-in problem of
+        the default illustrative grid and the 25-point treatment grid of
+        the benchmark, and on the shipped config."""
         g = PiecewiseUniform.uniform(8.5, 11.0)
-        prune = PruningSet.from_intervals([(10.375, 11.0)], g)
-        assert abs(prune.c - 0.25) <= 1e-12
-        assert prune.contains(np.array([10.5]))[0]
-        assert not prune.contains(np.array([9.0]))[0]
+        f = TruncatedNormal(10.375, 11.0, mean=11.0, stddev=0.625)
+        h = EvaluationFunction(lambda x: x, [(8.5, 11.0)])
+        for pruning in ([(10.375, 11.0)], IntervalUnion([(10.375, 11.0)])):
+            problem = EstimationProblem(f, g, h, pruning)
+            assert isinstance(problem.pruning, IntervalUnion)
+            assert abs(problem.c - 0.25) <= 1e-12
+            assert problem.pruning.contains(np.array([10.5, 9.0])).tolist() == [True, False]
+        problems = [illustrative_problem(f_max) for f_max in DEFAULT_F_MAX_GRID]
+        problems += [treatment_problem(8.5 + 0.1 * i) for i in range(25)]
+        problems.append(load_problem(Path(__file__).parents[1] / "configs/illustrative.yaml"))
+        assert len(problems) == 46
+        for problem in problems:
+            mass = problem.sampling.interval_mass(problem.pruning)
+            assert 0.0 < mass <= 1.0 and problem.c == mass
 
     def test_mass_bounds_enforced(self):
-        union = IntervalUnion([(0.0, 1.0)])
-        with pytest.raises(ValueError):
-            PruningSet(union, 0.0)
-        with pytest.raises(ValueError):
-            PruningSet(union, 1.5)
+        """A C of zero mass under g raises, before the F ∩ H ⊆ G check
+        that the same problem also fails. A mass past 1 by the roundoff
+        of weights that sum to 1 within tolerance reads as c = 1."""
+        g = PiecewiseUniform([(0.0, 1.0), (1.5, 2.0)])
+        f = PiecewiseUniform.uniform(0.2, 2.0)
+        h = EvaluationFunction.piecewise_constant([(0.0, 2.0, 1.0)])
+        with pytest.raises(SamplingSupportError):
+            EstimationProblem(f, g, h, [(0.0, 2.0)])
+        for pruning in ([(1.1, 1.4)], [(-1.0, -0.5)], [(3.0, 4.0)]):
+            with pytest.raises(ValueError, match=r"^c must lie in \(0, 1\]$"):
+                EstimationProblem(f, g, h, pruning)
+        g = PiecewiseUniform([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], [0.33, 0.56, 0.11])
+        assert g.interval_mass([(0.0, 3.0)]) > 1.0
+        f = PiecewiseUniform.uniform(0.0, 1.0)
+        h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0)])
+        assert EstimationProblem(f, g, h, [(0.0, 3.0)]).c == 1.0
 
 
 class TestEstimationProblem:
@@ -493,8 +517,7 @@ class TestEstimationProblem:
         f = PiecewiseUniform.uniform(0.0, 1.0)
         g = PiecewiseUniform.uniform(0.0, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0)])
-        prune = PruningSet.from_intervals([(0.0, 1.0)], g)
-        return EstimationProblem(f, g, h, prune)
+        return EstimationProblem(f, g, h, [(0.0, 1.0)])
 
     def test_batch_terms_values(self):
         problem = self._problem()
@@ -514,7 +537,7 @@ class TestEstimationProblem:
         h = EvaluationFunction.piecewise_constant([(0.0, 2.0, 1.0)])
         for pruning in ([(0.0, 2.0)], [(0.0, 1.25), (1.4, 2.0)]):
             with pytest.raises(SamplingSupportError, match=r"\[1, 1.5\]"):
-                EstimationProblem(f, g, h, PruningSet.from_intervals(pruning, g))
+                EstimationProblem(f, g, h, pruning)
 
     def test_one_breakpoint_pass_per_problem(self, monkeypatch):
         """The construction check, the cell table and the terms share the
@@ -537,7 +560,7 @@ class TestEstimationProblem:
         f = TruncatedNormal(0.0, 1.0, mean=1.0, stddev=1.0)
         h = EvaluationFunction(lambda x: x + 1.0, [(0.0, 2.0)])
         with pytest.raises(SamplingSupportError):
-            EstimationProblem(f, g, h, PruningSet.from_intervals([(0.5, 2.0)], g))
+            EstimationProblem(f, g, h, [(0.5, 2.0)])
 
     def test_target_outside_sampling_where_h_vanishes_accepted(self):
         # f > 0 on the gap (1, 1.5) but h = 0 there, so theta = E_f[h]
@@ -545,7 +568,7 @@ class TestEstimationProblem:
         g = PiecewiseUniform([(0.0, 1.0), (1.5, 2.0)])
         f = PiecewiseUniform.uniform(0.2, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0), (1.5, 2.0, 1.0)])
-        problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 2.0)], g))
+        problem = EstimationProblem(f, g, h, [(0.0, 2.0)])
         theta = 1.3 / 1.8
         stats = run_trials(problem, 20, 20_000, theta, seed=5)
         assert abs(stats["IS"].mean - theta) <= 4.0 * stats["IS"].se_mean
@@ -563,7 +586,7 @@ class TestEstimationProblem:
         g = PiecewiseUniform([(0.0, 1.0), (1.5, 2.0)])
         f = PiecewiseUniform.uniform(0.0, 1.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0)])
-        problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 1.0)], g))
+        problem = EstimationProblem(f, g, h, [(0.0, 1.0)])
         problem.batch_terms(np.array([0.0, 1.0, 1.5, 2.0]))
         for x in (1.25, 2.5, np.nan):
             with pytest.raises(SamplingSupportError):
@@ -573,14 +596,19 @@ class TestEstimationProblem:
         f = PiecewiseUniform.uniform(0.0, 1.0)
         g = PiecewiseUniform.uniform(0.0, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0)])
-        bad = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 0.5)], g))
+        bad = EstimationProblem(f, g, h, [(0.0, 0.5)])
         with pytest.raises(PruningCoverageError):
             bad.batch_terms(np.array([0.75]))
 
 
 class TestSampleBatch:
     def test_shape_validated(self):
-        with pytest.raises(ValueError):
-            SampleBatch(values=np.zeros(3), seed=0, n=4)
-        with pytest.raises(ValueError):
-            SampleBatch(values=np.zeros(0), seed=0, n=0)
+        """A batch is a 1-D array of at least one sample."""
+        f = PiecewiseUniform.uniform(0.0, 1.0)
+        g = PiecewiseUniform.uniform(0.0, 2.0)
+        h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0)])
+        problem = EstimationProblem(f, g, h, [(0.0, 1.0)])
+        for values in (np.zeros((1, 3)), np.zeros((3, 1)), np.zeros(0), np.float64(0.5)):
+            with pytest.raises(ValueError, match="1-D array of at least one sample"):
+                estimate_all(problem, values)
+        assert estimate_all(problem, [0.5])["IS"].value == 2.0

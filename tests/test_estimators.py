@@ -10,8 +10,6 @@ from unequal_support.densities import (
     EstimationProblem,
     EvaluationFunction,
     PiecewiseUniform,
-    PruningSet,
-    SampleBatch,
     SamplingSupportError,
     draw,
 )
@@ -27,8 +25,7 @@ def basic_problem(f_max=1.0, h_value=1.0):
     f = PiecewiseUniform.uniform(0.0, f_max)
     g = PiecewiseUniform.uniform(0.0, 2.0)
     h = EvaluationFunction.piecewise_constant([(0.0, f_max, h_value)])
-    prune = PruningSet.from_intervals([(0.0, f_max)], g)
-    return EstimationProblem(f, g, h, prune)
+    return EstimationProblem(f, g, h, [(0.0, f_max)])
 
 
 def signed_problem(f_max=1.0, theta=0.0, c_intervals=None):
@@ -38,8 +35,7 @@ def signed_problem(f_max=1.0, theta=0.0, c_intervals=None):
     h = EvaluationFunction.piecewise_constant(
         [(0.0, f_max / 2.0, theta - 1.0), (f_max / 2.0, 2.0, theta + 1.0)]
     )
-    prune = PruningSet.from_intervals(c_intervals or [(0.0, f_max)], g)
-    return EstimationProblem(f, g, h, prune)
+    return EstimationProblem(f, g, h, c_intervals or [(0.0, f_max)])
 
 
 def weight_at(problem: EstimationProblem, x: float) -> float:
@@ -54,8 +50,7 @@ class TestImportanceWeight:
     def test_equal_distributions_weight_one(self):
         f = PiecewiseUniform.uniform(0.0, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 2.0, 1.0)])
-        prune = PruningSet.from_intervals([(0.0, 2.0)], f)
-        problem = EstimationProblem(f, f, h, prune)
+        problem = EstimationProblem(f, f, h, [(0.0, 2.0)])
         assert weight_at(problem, 1.3) == 1.0
 
     def test_ratio_of_uniform_heights(self):
@@ -69,8 +64,7 @@ class TestImportanceWeight:
 class TestIsEstimate:
     def test_counting_form(self):
         problem = basic_problem(1.0)
-        values = np.array([0.1, 0.4, 1.2, 1.9, 0.8])
-        batch = SampleBatch(values, seed=None, n=5)
+        batch = np.array([0.1, 0.4, 1.2, 1.9, 0.8])
         res = estimate_all(problem, batch)["IS"]
         assert res.value == pytest.approx(2.0 * 3 / 5, rel=1e-15)
         assert res.defined and res.k == 3
@@ -78,11 +72,10 @@ class TestIsEstimate:
     def test_on_distribution_is_sample_mean(self):
         f = PiecewiseUniform.uniform(0.0, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 2.0), (1.0, 2.0, -1.0)])
-        prune = PruningSet.from_intervals([(0.0, 2.0)], f)
-        problem = EstimationProblem(f, f, h, prune)
+        problem = EstimationProblem(f, f, h, [(0.0, 2.0)])
         batch = draw(f, 8, 200)
         res = estimate_all(problem, batch)["IS"]
-        assert res.value == pytest.approx(float(np.mean(h(batch.values))), rel=1e-14)
+        assert res.value == pytest.approx(float(np.mean(h(batch))), rel=1e-14)
 
     def test_exact_with_matched_control_variate(self):
         theta = 3.5
@@ -93,7 +86,7 @@ class TestIsEstimate:
 
     def test_k_zero_not_special(self):
         problem = basic_problem(0.5)
-        batch = SampleBatch(np.array([1.0, 1.5, 1.9]), seed=None, n=3)
+        batch = np.array([1.0, 1.5, 1.9])
         res = estimate_all(problem, batch)["IS"]
         assert res.value == 0.0 and res.defined and res.k == 0
 
@@ -108,7 +101,7 @@ class TestUsEstimate:
 
     def test_undefined_when_no_samples_in_c(self):
         problem = basic_problem(0.5)
-        batch = SampleBatch(np.array([1.0, 1.5]), seed=None, n=2)
+        batch = np.array([1.0, 1.5])
         res = estimate_all(problem, batch)["US"]
         assert res.value == 0.0 and not res.defined and res.k == 0
 
@@ -124,9 +117,8 @@ class TestUsEstimate:
         f = PiecewiseUniform.uniform(0.0, 1.0)
         g = PiecewiseUniform.uniform(0.0, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 0.5, 1.0)])
-        prune = PruningSet.from_intervals([(0.0, 0.5)], g)
-        problem = EstimationProblem(f, g, h, prune)
-        batch = SampleBatch(np.array([0.25, 0.75]), seed=None, n=2)
+        problem = EstimationProblem(f, g, h, [(0.0, 0.5)])
+        batch = np.array([0.25, 0.75])
         assert estimate_all(problem, batch)["US"].defined
         with pytest.raises(ControlVariateCoverageError):
             estimate_all(problem, batch, ControlVariate(0.5))
@@ -136,12 +128,11 @@ class TestUsEstimate:
         f = PiecewiseUniform.uniform(0.0, 1.0)
         g = PiecewiseUniform.uniform(0.0, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, -1.0), (1.0, 2.0, 3.0)])
-        prune = PruningSet.from_intervals([(0.0, 2.0)], g)
-        problem = EstimationProblem(f, g, h, prune)
+        problem = EstimationProblem(f, g, h, [(0.0, 2.0)])
         assert problem.c == 1.0
         for _ in range(1000):
             n = int(rng.integers(1, 60))
-            batch = SampleBatch(rng.uniform(0.0, 2.0, n), seed=None, n=n)
+            batch = rng.uniform(0.0, 2.0, n)
             results = estimate_all(problem, batch)
             us, is_ = results["US"], results["IS"]
             assert us.defined and us.k == n
@@ -151,11 +142,11 @@ class TestUsEstimate:
         f = PiecewiseUniform.uniform(0.0, 1.0)
         g = PiecewiseUniform.uniform(0.0, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, -1.0), (1.0, 2.0, 3.0)])
-        problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 2.0)], g))
+        problem = EstimationProblem(f, g, h, [(0.0, 2.0)])
         batch = draw(g, 606, 1_000_000)
         results = estimate_all(problem, batch)
         us, is_ = results["US"], results["IS"]
-        assert us.k == batch.n
+        assert us.k == len(batch)
         assert abs(us.value - is_.value) <= 1e-12 * max(1.0, abs(is_.value))
 
 
@@ -163,7 +154,7 @@ def us_with_empirical_c(problem, batch):
     """US with c replaced by its empirical estimate k/n: the US estimate
     scaled by k/(n c)."""
     us = estimate_all(problem, batch)["US"]
-    return EstimateResult(us.k / (batch.n * problem.c) * us.value, us.k, us.defined)
+    return EstimateResult(us.k / (len(batch) * problem.c) * us.value, us.k, us.defined)
 
 
 class TestEmpiricalC:
@@ -172,7 +163,7 @@ class TestEmpiricalC:
         problem = signed_problem(0.5, theta=4.0)
         for _ in range(1000):
             n = int(rng.integers(1, 80))
-            batch = SampleBatch(rng.uniform(0.0, 2.0, n), seed=None, n=n)
+            batch = rng.uniform(0.0, 2.0, n)
             emp = us_with_empirical_c(problem, batch)
             if emp.k == 0:
                 assert emp.value == 0.0 and not emp.defined
@@ -185,20 +176,19 @@ class TestEmpiricalC:
         batch = draw(problem.sampling, 707, 1_000_000)
         emp = us_with_empirical_c(problem, batch)
         ref = estimate_all(problem, batch)["IS"]
-        assert emp.defined and 0 < emp.k < batch.n
+        assert emp.defined and 0 < emp.k < len(batch)
         assert abs(emp.value - ref.value) <= 1e-12 * max(1.0, abs(ref.value))
 
     def test_counting_form(self):
         problem = basic_problem(1.0)
-        batch = SampleBatch(np.array([0.2, 0.6, 1.4, 1.8]), seed=None, n=4)
+        batch = np.array([0.2, 0.6, 1.4, 1.8])
         res = us_with_empirical_c(problem, batch)
         assert res.value == pytest.approx(2.0 * 2 / 4, rel=1e-14)
 
     def test_c_equals_g_all_three_agree(self):
         f = PiecewiseUniform.uniform(0.0, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 2.0, 2.5)])
-        prune = PruningSet.from_intervals([(0.0, 2.0)], f)
-        problem = EstimationProblem(f, f, h, prune)
+        problem = EstimationProblem(f, f, h, [(0.0, 2.0)])
         batch = draw(f, 12, 64)
         results = estimate_all(problem, batch)
         a, b = results["IS"].value, results["US"].value
@@ -211,11 +201,10 @@ class TestWisEstimate:
     def test_on_distribution_is_sample_mean(self):
         f = PiecewiseUniform.uniform(0.0, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 2.0, 0.5)])
-        prune = PruningSet.from_intervals([(0.0, 2.0)], f)
-        problem = EstimationProblem(f, f, h, prune)
+        problem = EstimationProblem(f, f, h, [(0.0, 2.0)])
         batch = draw(f, 31, 100)
         res = estimate_all(problem, batch)["WIS"]
-        assert res.value == pytest.approx(float(np.mean(h(batch.values))), rel=1e-14)
+        assert res.value == pytest.approx(float(np.mean(h(batch))), rel=1e-14)
 
     def test_equals_one_on_illustrative(self):
         problem = basic_problem(1.0)
@@ -224,13 +213,13 @@ class TestWisEstimate:
 
     def test_single_sample_in_c(self):
         problem = signed_problem(1.0, theta=2.0)
-        batch = SampleBatch(np.array([0.25, 1.5, 1.9]), seed=None, n=3)
+        batch = np.array([0.25, 1.5, 1.9])
         res = estimate_all(problem, batch)["WIS"]
         assert res.value == pytest.approx(1.0, rel=1e-14)  # h(0.25) = theta - 1
 
     def test_undefined_when_all_weights_zero(self):
         problem = basic_problem(0.5)
-        batch = SampleBatch(np.array([1.2, 1.7]), seed=None, n=2)
+        batch = np.array([1.2, 1.7])
         res = estimate_all(problem, batch)["WIS"]
         assert res.value == 0.0 and not res.defined
 
@@ -248,9 +237,8 @@ class TestPermutationInvariance:
     def test_shuffle_changes_nothing(self, seed, n):
         rng = np.random.default_rng(seed)
         problem = signed_problem(0.8, theta=1.5)
-        values = rng.uniform(0.0, 2.0, n)
-        batch = SampleBatch(values, seed=None, n=n)
-        shuffled = SampleBatch(rng.permutation(values), seed=None, n=n)
+        batch = rng.uniform(0.0, 2.0, n)
+        shuffled = rng.permutation(batch)
 
         def estimates(b):
             return [*estimate_all(problem, b).values(), us_with_empirical_c(problem, b)]

@@ -28,7 +28,6 @@ from unequal_support.densities import (
     IntervalUnion,
     PiecewiseUniform,
     PruningCoverageError,
-    PruningSet,
     TruncatedNormal,
 )
 from unequal_support.estimators import ControlVariate
@@ -158,9 +157,7 @@ class TestSurfacePath:
 
     def test_pruning_check_reads_observed_values(self, monkeypatch):
         surface = SyntheticReturnSurface()
-        sampling = treatment_problem(9.5, surface).sampling
-        narrow = PruningSet.from_intervals([(10.0, 11.0)], sampling)
-        problem = _surrogate_with(surface, pruning=narrow)
+        problem = _surrogate_with(surface, pruning=[(10.0, 11.0)])
         # C is not f's support, so f finds its own inside mask.
         masks = []
         pdf = TruncatedNormal.pdf
@@ -186,7 +183,7 @@ class TestSurfacePath:
         assert len(masks) == 4 and all(inside is None for inside in masks)
         # Where C is f's support, its mask is f's inside mask.
         same = _surrogate_with(surface)
-        x = sampling.sample(np.random.default_rng(0), (5, 6))
+        x = same.sampling.sample(np.random.default_rng(0), (5, 6))
         _, _, in_c = same.batch_terms(x, surface.observe(np.random.default_rng(1), x))
         assert masks[-1] is in_c
 
@@ -256,14 +253,14 @@ def assert_matches_rebuilt(problem, seed, t):
 
 class TestSamplePathWithoutSurface:
     def test_matches_terms_rebuilt_in_draw_order(self):
-        """Truncated-normal f, two-piece g, a smooth h and a C whose c is
-        not its mass: no surface and no cell table, so the sample path
-        runs."""
+        """Truncated-normal f, two-piece g, a smooth h and C = F, whose
+        mass under g is c = 0.75: no surface and no cell table, so the
+        sample path runs."""
         target = TruncatedNormal(0.25, 1.75, mean=1.0, stddev=0.4)
         sampling = PiecewiseUniform([(0.0, 1.0), (1.0, 2.0)], weights=[0.4, 0.6])
         evaluation = EvaluationFunction(lambda x: 1.0 + np.sin(3.0 * x), [(0.0, 2.0)])
-        pruning = PruningSet(IntervalUnion([(0.25, 1.75)]), 0.6)
-        problem = EstimationProblem(target, sampling, evaluation, pruning)
+        problem = EstimationProblem(target, sampling, evaluation, IntervalUnion([(0.25, 1.75)]))
+        assert problem.c == 0.75
         assert problem.cells is None
         assert_matches_rebuilt(problem, 321, 0.5)
 
@@ -402,7 +399,7 @@ def _summary_points():
         PiecewiseUniform([(0.0, 0.5), (0.5, 1.0)], [0.8, 0.2]),
         PiecewiseUniform.uniform(0.0, 2.0),
         EvaluationFunction.piecewise_constant([(0.0, 0.25, -1.0), (0.25, 1.0, 2.0)]),
-        PruningSet.from_intervals([(0.0, 1.0)], PiecewiseUniform.uniform(0.0, 2.0)),
+        [(0.0, 1.0)],
     )
     yield "cell-counts-two-weights", two_cells, 120, 0.4
     yield "cell-counts-illustrative", illustrative_problem(0.5, 10.0), 200, 10.0
@@ -538,7 +535,7 @@ class TestRunTrials:
     def test_on_distribution_all_unbiased(self):
         f = PiecewiseUniform.uniform(0.0, 1.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 0.5, 2.0), (0.5, 1.0, 0.5)])
-        prune = PruningSet.from_intervals([(0.0, 1.0)], f)
+        prune = [(0.0, 1.0)]
         problem = EstimationProblem(f, f, h, prune)
         theta = 1.25
         stats = run_trials(problem, 20, 30_000, theta, seed=7)
@@ -765,8 +762,7 @@ class TestDerivedInputs:
         h = EvaluationFunction.piecewise_constant(
             [(0.0, h_cut, values[0]), (h_cut, 4.0, values[1])]
         )
-        c_set = PruningSet.from_intervals([(4.0 * c_ends[0], 4.0 * c_ends[1])], g)
-        cells = EstimationProblem(f, g, h, c_set)
+        cells = EstimationProblem(f, g, h, [(4.0 * c_ends[0], 4.0 * c_ends[1])])
         nodes = _without_pieces(cells)
         assert cells.cells is not None and nodes.cells is None
         close = functools.partial(pytest.approx, rel=1e-10, abs=1e-10)

@@ -15,8 +15,6 @@ from unequal_support.densities import (
     EvaluationFunction,
     PiecewiseUniform,
     PruningCoverageError,
-    PruningSet,
-    SampleBatch,
     check_coverage,
     draw,
 )
@@ -127,8 +125,7 @@ class TestAgainstScalarEstimators:
         is_v, us_v, wis_v, k, wis_def = batch_estimates(w * (hv - t), w, in_c, problem.c, t)
         cv = ControlVariate(t)
         for i in range(trials):
-            batch = SampleBatch(x[i], seed=None, n=n)
-            ref = estimate_all(problem, batch, cv)
+            ref = estimate_all(problem, x[i], cv)
             ref_is, ref_us, ref_wis = ref["IS"], ref["US"], ref["WIS"]
             assert is_v[i] == pytest.approx(ref_is.value, rel=1e-10, abs=1e-12)
             assert us_v[i] == pytest.approx(ref_us.value, rel=1e-10, abs=1e-12)
@@ -185,7 +182,7 @@ class TestKernelContract:
         """f = U[0, 1], g = U[0, 2], C = [0, 0.5]: w = 0 at 1.5 and 2 at 0.75."""
         f, g = PiecewiseUniform.uniform(0.0, 1.0), PiecewiseUniform.uniform(0.0, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 0.5, 1.0)])
-        problem = EstimationProblem(f, g, h, PruningSet.from_intervals([(0.0, 0.5)], g))
+        problem = EstimationProblem(f, g, h, [(0.0, 0.5)])
         x = np.array([[0.25, x_out]])
         with pytest.raises(PruningCoverageError):
             problem.batch_terms(x, np.array([[1.0, h_out]]))
@@ -195,7 +192,7 @@ class TestKernelContract:
         underflows to 0 there, but the summed term w h does not."""
         g = PiecewiseUniform.uniform(0.0, 1e10)
         h = EvaluationFunction.piecewise_constant([(0.0, 5e9, 1.0), (5e9, 1e10, 1e-320)])
-        problem = EstimationProblem(g, g, h, PruningSet.from_intervals([(0.0, 5e9)], g))
+        problem = EstimationProblem(g, g, h, [(0.0, 5e9)])
         plain = EstimationProblem(g, g, EvaluationFunction(h.fn, h.support), problem.pruning)
         with pytest.raises(PruningCoverageError):
             estimate_all(problem, draw(g, 0, 20))

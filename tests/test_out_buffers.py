@@ -16,7 +16,6 @@ from unequal_support.densities import (
     EstimationProblem,
     PiecewiseUniform,
     PruningCoverageError,
-    PruningSet,
     SamplingSupportError,
     TruncatedNormal,
 )
@@ -138,9 +137,8 @@ def test_checks_still_raise_with_out():
     out = np.empty(4)
     with pytest.raises(SamplingSupportError):
         SURROGATE.batch_terms(np.array([9.0, 10.0, 12.0, 10.5]), out=out)
-    narrow = PruningSet.from_intervals([(10.0, 11.0)], SURROGATE.sampling)
     problem = EstimationProblem(
-        SURROGATE.target, SURROGATE.sampling, SURROGATE.evaluation, narrow
+        SURROGATE.target, SURROGATE.sampling, SURROGATE.evaluation, [(10.0, 11.0)]
     )
     with pytest.raises(PruningCoverageError):
         problem.batch_terms(np.array([9.75, 10.0, 10.5, 10.75]), out=out)
