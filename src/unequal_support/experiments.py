@@ -15,12 +15,13 @@ points for their sub-seeds, and the bound and coverage sweeps share one
 bound-trial loop on the problem their caller builds.
 
 Reproducibility contract: every sweep derives one sub-seed per grid
-point from the master seed, and each point's trials are generated in
-fixed-size chunks, each drawing from its own PCG64DXSM stream seeded by
-the SeedSequence of (point seed, chunk index). Statistics are reduced
-in a fixed order, so a rerun with the same flags yields byte-identical
-output, and a future parallel runner could own one chunk per worker
-without changing any number.
+point from the master seed, and each point draws from PCG64DXSM streams
+seeded by the SeedSequence of (point seed, chunk index): an outcome-table
+point draws all its trials at once from chunk 0's stream, and the
+per-trial paths generate theirs in fixed-size chunks, one stream each.
+Statistics are reduced in a fixed order, so a rerun with the same flags
+yields byte-identical output, and a future parallel runner could own one
+chunk per worker without changing any number.
 
 A point takes one of three paths, chosen from its problem, n and trial
 count alone:
@@ -33,13 +34,12 @@ count alone:
   coefficients depend on (n, m) alone: they are enumerated once per
   (n, m) per process and kept, read-only, while all kept tables total
   at most 4 MiB (the least recently used go first, and a larger table
-  is enumerated at every call). Each chunk of 4096 trials then
-  draws one uniform per trial, maps it through the outcome CDF and bins
-  the picks, so the trials are kept as a histogram of the outcomes they
-  drew: one :class:`SimulationResult` row per drawn outcome, with its
-  count. The rule compares the table's O(outcomes) cost with the
-  O(trials) cost of the per-trial draws it replaces, so it needs no
-  setting.
+  is enumerated at every call). The trials' histogram over the outcomes
+  is then one Multinomial(trials, pmf) draw over the outcomes of
+  positive pmf, so an outcome of pmf 0 is never drawn: one
+  :class:`SimulationResult` row per drawn outcome, with its count. The
+  rule compares the table's O(outcomes) cost with the O(trials) cost of
+  the per-trial draws it replaces, so it needs no setting.
 - **Per-trial counts.** Any other piecewise-constant problem draws each
   of a chunk's 4096 trials' per-cell sample counts, Multinomial(n, p),
   and never the samples themselves, so a chunk costs O(trials x cells)
@@ -116,7 +116,8 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    """The stream of one chunk: PCG64DXSM seeded by (seed, chunk index)."""
+    """The stream of one chunk: PCG64DXSM seeded by (seed, chunk index).
+    An outcome-table point draws from chunk 0's stream alone."""
     ss = np.random.SeedSequence([int(seed), int(chunk_index)])
     return np.random.Generator(np.random.PCG64DXSM(ss))
 
@@ -282,9 +283,10 @@ class SimulationResult:
 
     Each row holds one (IS, US, WIS, k, WIS-defined) outcome and
     ``count``, how many trials gave it: on the outcome-table path one
-    row per drawn outcome with its multiplicity, on the other paths one
-    row per trial with count 1. Every statistic of the run is a
-    count-weighted sum over the rows, and ``count`` sums to the trials.
+    row per outcome of positive count in the trials' Multinomial(trials,
+    pmf) histogram, on the other paths one row per trial with count 1.
+    Every statistic of the run is a count-weighted sum over the rows,
+    and ``count`` sums to the trials.
     """
 
     is_values: np.ndarray
@@ -401,47 +403,27 @@ def outcome_table(problem: EstimationProblem, n: int, t: float = 0.0) -> Outcome
     return OutcomeTable(counts, np.exp(log_pmf, out=log_pmf), _unit_counts(values))
 
 
-def _outcome_histogram(pmf: np.ndarray, trials: int, seed: int) -> np.ndarray:
-    """How many of ``trials`` trials draw each outcome, one uniform per trial.
-
-    A trial draws the first outcome whose CDF value exceeds its uniform
-    times the total mass: an outcome of pmf 0 has an empty CDF step and
-    is never drawn, and a product that rounds onto the top of the CDF
-    takes the last outcome of positive pmf. Each chunk of CHUNK_TRIALS
-    trials sorts its products and counts those below each CDF value,
-    which bins the same picks without searching once per trial.
-    """
-    cdf = np.cumsum(pmf)
-    below = np.zeros(pmf.size, dtype=np.int64)
-    for chunk in range(-(-trials // CHUNK_TRIALS)):
-        rows = min(CHUNK_TRIALS, trials - chunk * CHUNK_TRIALS)
-        y = _chunk_rng(seed, chunk).random(rows)
-        y *= cdf[-1]
-        y.sort()
-        below += np.searchsorted(y, cdf, side="left")
-    # The differences of ``below``; np.diff(below, prepend=0) costs five
-    # times more.
-    hist = below.copy()
-    hist[1:] -= below[:-1]
-    hist[np.flatnonzero(pmf)[-1]] += trials - below[-1]
-    return hist
-
-
 def _draw_outcomes(
     problem: EstimationProblem, n: int, trials: int, seed: int, t: float
 ) -> SimulationResult:
     """``trials`` outcomes of the problem's table, one row per outcome
-    drawn, with how many trials drew it."""
+    drawn, with how many trials drew it: the histogram of the trials is
+    one Multinomial(trials, pmf) draw from the point's chunk-0 stream,
+    over the outcomes of positive pmf only, so an outcome of pmf 0 is
+    never drawn."""
     table = outcome_table(problem, n, t)
-    hist = _outcome_histogram(table.pmf, trials, seed)
-    drawn = np.flatnonzero(hist)
+    positive = np.flatnonzero(table.pmf)
+    p = table.pmf[positive]
+    hist = _chunk_rng(seed, 0).multinomial(trials, p / p.sum())
+    hit = hist > 0
+    drawn, count = positive[hit], hist[hit]
     # The trials' samples per cell, as one row: a cell is hit when its
     # total is positive.
-    problem.cells.check_coverage((hist @ table.counts)[None, :], t)
+    problem.cells.check_coverage((count @ table.counts[drawn])[None, :], t)
     v = table.values
     return SimulationResult(
         v.is_values[drawn], v.us_values[drawn], v.wis_values[drawn],
-        v.k[drawn], v.wis_defined[drawn], hist[drawn],
+        v.k[drawn], v.wis_defined[drawn], count,
     )
 
 

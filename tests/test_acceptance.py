@@ -3,6 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -v`` to get one pass/fail
 line per criterion. Monte Carlo criteria use pinned seeds so the suite
 is deterministic; the 3-standard-error tolerances are the stated ones.
+
+A 3-SE rule fails by chance on some seeds, and the pinned seeds carry
+the verdict: criterion 02 tests 432 (cell, statistic) pairs, and its
+grid breaks the rule at 13 of the master seeds 0-39; seed 2024 passes.
 """
 
 import math

@@ -123,27 +123,6 @@ def zero_pmf_problem() -> EstimationProblem:
     return EstimationProblem(g, g, h, [(0.0, 3.0)])
 
 
-class EdgeUniforms:
-    """A chunk stream whose uniforms hit the ends of the outcome CDF; 1.0
-    stands for a product u * cdf[-1] that rounds onto its top."""
-
-    def random(self, size):
-        return np.resize([0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0], size)
-
-
-def per_trial_picks(pmf, trials: int, seed: int) -> np.ndarray:
-    """The outcome each trial draws: per chunk, its uniforms times the
-    total mass searched in the outcome CDF, clamped to the last outcome
-    of positive pmf."""
-    cdf = np.cumsum(pmf)
-    picks = []
-    for chunk in range(-(-trials // experiments.CHUNK_TRIALS)):
-        rows = min(experiments.CHUNK_TRIALS, trials - chunk * experiments.CHUNK_TRIALS)
-        u = experiments._chunk_rng(seed, chunk).random(rows)
-        picks.append(np.searchsorted(cdf, u * cdf[-1], side="right"))
-    return np.minimum(np.concatenate(picks), np.flatnonzero(pmf)[-1])
-
-
 def uncovered_cv_problem(plain_h: bool) -> EstimationProblem:
     """f = U[0, 1], g = U[0, 2], h = 1 on [0, 0.5], C = [0, 0.5].
 
@@ -368,18 +347,21 @@ class TestOutcomeTable:
         with pytest.raises(ValueError):
             outcome_table(with_plain_h(illustrative_problem(1.0)), 5)
 
-    def test_outcomes_of_zero_pmf_are_never_drawn(self, monkeypatch):
-        problem = zero_pmf_problem()
+    def test_outcomes_of_zero_pmf_are_never_drawn(self):
+        """Zero-pmf outcomes first, inside and last in the table, at 10**9
+        trials: every row is an outcome of positive pmf, and the rows'
+        counts sum to the trials."""
+        problem, trials = zero_pmf_problem(), 10**9
         table = outcome_table(problem, 2)
         assert (table.pmf == 0.0).tolist() == [True, False, False, True, False, True]
-        monkeypatch.setattr(experiments, "_chunk_rng", lambda seed, chunk: EdgeUniforms())
-        sim = simulate_estimates(problem, 2, 10, seed=0)
+        sim = simulate_estimates(problem, 2, trials, seed=0)
         # w = 1, so IS is the mean of h over the batch: unique per outcome.
         positive = table.values.is_values[table.pmf > 0.0]
         assert np.isin(sim.is_values, positive).all()
-        assert {positive[0], positive[-1]} <= set(sim.is_values.tolist())
+        assert sim.count.sum() == trials
 
-    # (problem, n, trials, seed): one to three chunks, 21 to 1326 outcomes.
+    # (problem, n, trials, seed): trial counts of one to four per-trial
+    # chunks of 4096, 21 to 1326 outcomes.
     HISTOGRAMS = [
         (illustrative_problem(0.5, 1.0), 10, 3 * 4096 + 5, 4),
         (illustrative_problem(0.2, 10.0), 50, 20_000, 11),
@@ -388,23 +370,48 @@ class TestOutcomeTable:
     ]
 
     @pytest.mark.parametrize("problem, n, trials, seed", HISTOGRAMS)
-    def test_histogram_bins_the_per_trial_picks(self, problem, n, trials, seed):
-        pmf = outcome_table(problem, n).pmf
-        want = np.bincount(per_trial_picks(pmf, trials, seed), minlength=pmf.size)
-        assert np.array_equal(experiments._outcome_histogram(pmf, trials, seed), want)
-        sim = simulate_estimates(problem, n, trials, seed)
-        assert sim.count.tolist() == want[want > 0].tolist()
-        assert sim.k.tolist() == outcome_table(problem, n).values.k[want > 0].tolist()
+    def test_histogram_bins_the_per_trial_picks(self, problem, n, trials, seed, monkeypatch):
+        """The histogram of the trials' picks is one Multinomial(trials,
+        pmf) draw over the outcomes of positive pmf, from the point's
+        chunk-0 stream whatever the trial count."""
+        calls = []
+        original = experiments._chunk_rng
 
-    def test_histogram_at_the_ends_of_the_cdf(self, monkeypatch):
-        """Zero-pmf outcomes first, inside and last in the table, and
-        uniforms at 0, at 1 - 2**-53 and rounding onto the CDF's top."""
-        pmf = outcome_table(zero_pmf_problem(), 2).pmf
-        monkeypatch.setattr(experiments, "_chunk_rng", lambda seed, chunk: EdgeUniforms())
-        for trials in (5, 4099):
-            want = np.bincount(per_trial_picks(pmf, trials, 0), minlength=pmf.size)
-            assert np.array_equal(experiments._outcome_histogram(pmf, trials, 0), want)
-            assert want[pmf == 0.0].sum() == 0 and want[-2] > 0
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "_chunk_rng", spy)
+        sim = simulate_estimates(problem, n, trials, seed)
+        assert calls == [(seed, 0)]
+        assert np.all(sim.count > 0) and sim.count.sum() == trials
+        table = outcome_table(problem, n)
+        positive = np.flatnonzero(table.pmf)
+        p = table.pmf[positive]
+        want = original(seed, 0).multinomial(trials, p / p.sum())
+        assert sim.count.tolist() == want[want > 0].tolist()
+        assert sim.k.tolist() == table.values.k[positive[want > 0]].tolist()
+
+    def test_histogram_fits_the_pmf(self):
+        """At 10**7 trials every outcome's count lies within 5 binomial
+        standard errors of trials x pmf. f = g, so w = 1, and h = 1, 10,
+        100 and 1000 on four cells of mass 1/4, so IS, the batch mean of
+        h, names its count vector at n = 9: 220 outcomes, the least
+        likely expected 38 times."""
+        g = PiecewiseUniform.uniform(0.0, 4.0)
+        h = EvaluationFunction.piecewise_constant(
+            [(float(j), j + 1.0, 10.0**j) for j in range(4)]
+        )
+        problem, n, trials = EstimationProblem(g, g, h, [(0.0, 4.0)]), 9, 10**7
+        table = outcome_table(problem, n)
+        outcome = {value: i for i, value in enumerate(table.values.is_values.tolist())}
+        assert len(outcome) == table.pmf.size == 220
+        sim = simulate_estimates(problem, n, trials, seed=2)
+        hist = np.zeros(table.pmf.size)
+        hist[[outcome[value] for value in sim.is_values.tolist()]] = sim.count
+        expected = trials * table.pmf
+        se = np.sqrt(expected * (1.0 - table.pmf))
+        assert np.all(np.abs(hist - expected) <= 5.0 * se)
 
     @pytest.mark.parametrize("cv", ["none", "sampling-mean"])
     def test_exact_moments_match_catalog_on_acceptance_grid(self, cv):
