@@ -24,7 +24,6 @@ from .bounds import (
     weighted_range,
 )
 from .densities import (
-    CellTable,
     ControlVariateCoverageError,
     Density,
     EstimationProblem,

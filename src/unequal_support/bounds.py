@@ -16,11 +16,11 @@ its side. :func:`confidence_interval` gives the two-sided interval,
 spending delta/2 per side.
 
 ``b`` is caller-supplied because no library can bound an arbitrary h;
-:func:`weighted_range` computes it exactly for the built-in
-piecewise-uniform densities with step evaluation functions. It is the
-range (max minus min) of f(x)h(x)/g(x), uncentered because the bound
-sweeps run without a control variate, and not a magnitude bound; for
-sign-changing integrands the two differ by up to a factor of two.
+:func:`weighted_range` computes it exactly, from the cells' terms, for
+a problem that is piecewise-constant and has no return surface. It is
+the range (max minus min) of f(x)h(x)/g(x), uncentered because the
+bound sweeps run without a control variate, and not a magnitude bound;
+for sign-changing integrands the two differ by up to a factor of two.
 """
 
 import math
@@ -108,20 +108,21 @@ def confidence_interval(
 def weighted_range(problem: EstimationProblem) -> float:
     """Exact range of f(x)h(x)/g(x) over the sampling support.
 
-    Only piecewise-uniform target and sampling densities with a step
-    evaluation function are supported; the integrand is then constant on
-    each cell of the problem's :class:`CellTable`. Cells where f vanishes contribute the value 0,
-    which widens the range of sign-changing integrands past any closed
-    form based on max |h| alone; a range that is not finite raises ValueError.
+    Only a ``piecewise_constant`` problem is supported, whose integrand
+    is constant on each cell, one of its ``terms``; a return surface's
+    observed returns would stand in for h. Cells where f vanishes
+    contribute the value 0, which widens the range of sign-changing
+    integrands past any closed form based on max |h| alone; a range
+    that is not finite raises ValueError.
     """
-    table = problem.cells
-    if table is None:
+    if not problem.piecewise_constant:
         raise TypeError(
-            "weighted_range needs piecewise-uniform target and sampling "
-            "and a piecewise-constant evaluation"
+            "weighted_range needs piecewise-uniform target and sampling, "
+            "a piecewise-constant evaluation and no return surface"
         )
+    _, w, h, _ = problem.terms
     with np.errstate(over="ignore", invalid="ignore"):
-        values = table.w * table.h
+        values = w * h
         b = float(values.max() - values.min())
     if not math.isfinite(b):
         raise ValueError("b must be nonnegative and finite")

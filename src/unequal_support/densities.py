@@ -8,8 +8,11 @@ the pruning set C are interval-described too, so every problem's supports
 can be checked, and C's mass c derived, on construction.
 
 A problem built only from piecewise-uniform densities and a step
-evaluation is constant between finitely many breakpoints;
-:class:`CellTable` lists those cells.
+evaluation is constant between finitely many breakpoints. Unless it
+carries a return surface, whose noisy returns stand in for h, the count
+of samples in each cell is then a sufficient statistic
+(:attr:`EstimationProblem.piecewise_constant`), and its ``terms`` are
+read at each cell's midpoint, one term per cell.
 """
 
 import math
@@ -35,7 +38,6 @@ __all__ = [
     "TruncatedNormal",
     "EvaluationFunction",
     "EstimationProblem",
-    "CellTable",
     "check_coverage",
     "draw",
 ]
@@ -438,22 +440,26 @@ class EstimationProblem:
         return list(self.pruning) == list(self.target.support)
 
     @cached_property
-    def cells(self) -> "CellTable | None":
-        """The problem's :class:`CellTable`, built once, or None."""
-        return CellTable.from_problem(self)
+    def piecewise_constant(self) -> bool:
+        """Whether f and g are piecewise-uniform, h is a step function and
+        there is no return surface: then the count of samples in each
+        :meth:`support_cells` cell is a sufficient statistic for every
+        estimator."""
+        f, g = self.target, self.sampling
+        uniform = isinstance(f, PiecewiseUniform) and isinstance(g, PiecewiseUniform)
+        return uniform and self.evaluation.pieces is not None and self.surface is None
 
     @cached_property
     def terms(self) -> tuple[np.ndarray, ...]:
         """(p, w, h, in_c), built once: sum p phi(w, h, in_c) is the
-        integral of g phi(f/g, h, [x in C]). They are the cell table's
-        exact terms if there is one, else :meth:`node_terms` at
-        ``_QUAD_NODES`` Gauss-Legendre nodes on each :meth:`support_cells`
-        cell, where each integrand is analytic (the rule converges
+        integral of g phi(f/g, h, [x in C]). They are :meth:`node_terms`
+        on each :meth:`support_cells` cell: at its midpoint, weighted by
+        its length, if the problem is :attr:`piecewise_constant` (one
+        exact term per cell), else at ``_QUAD_NODES`` Gauss-Legendre
+        nodes, where each integrand is analytic (the rule converges
         geometrically) and the interior nodes read one-sided limits."""
-        table = self.cells
-        if table is not None:
-            return table.p, table.w, table.h, table.in_c
-        return self.node_terms(*place_rule(*self.support_cells(), *_gauss_legendre()))
+        rule = ((0.0,), (2.0,)) if self.piecewise_constant else _gauss_legendre()
+        return self.node_terms(*place_rule(*self.support_cells(), *rule))
 
     @cached_property
     def _cells(self) -> tuple[np.ndarray, ...]:
@@ -559,9 +565,10 @@ def place_rule(lows, highs, z, weights) -> tuple[np.ndarray, np.ndarray]:
     return x.ravel(), (length[:, None] * (0.5 * np.asarray(weights))).ravel()
 
 
-# Gauss-Legendre nodes per support cell of a problem with no cell table.
-# Against adaptive quadrature at cr_min = 10.99 (target stddev 0.01) the
-# treatment v is 1.7e-14 off with 32 nodes and 1.3e-13 off with 16.
+# Gauss-Legendre nodes per support cell of a problem that is not
+# piecewise-constant. Against adaptive quadrature at cr_min = 10.99
+# (target stddev 0.01) the treatment v is 1.7e-14 off with 32 nodes and
+# 1.3e-13 off with 16.
 _QUAD_NODES = 32
 
 
@@ -596,45 +603,6 @@ def check_coverage(w, wh, in_c, t: float) -> None:
             "control variate requires the pruning set to cover the "
             "target support; found f(x) != 0 outside C"
         )
-
-
-@dataclass(frozen=True)
-class CellTable:
-    """The constant cells of a piecewise-constant problem.
-
-    Between consecutive breakpoints of f, g, h and C all four are
-    constant, so the count of samples in each cell is a sufficient
-    statistic for every estimator. Cell j of
-    :meth:`EstimationProblem.support_cells` carries its mass ``p[j]``
-    under g, the weight ``w[j]`` = f/g, the evaluation ``h[j]`` and
-    membership ``in_c[j]`` in C: the terms of
-    :meth:`EstimationProblem.node_terms` under the midpoint rule, the
-    one-node case of :func:`place_rule` on those cells. Cells outside
-    the sampling support are left out: no sample can land there.
-    """
-
-    p: np.ndarray
-    w: np.ndarray
-    h: np.ndarray
-    in_c: np.ndarray
-
-    @classmethod
-    def from_problem(cls, problem: EstimationProblem) -> "CellTable | None":
-        """The problem's cells, or None unless f and g are piecewise-uniform
-        and h is a step function."""
-        f, g, h = problem.target, problem.sampling, problem.evaluation
-        if h.pieces is None or not all(isinstance(d, PiecewiseUniform) for d in (f, g)):
-            return None
-        lows, highs, mid, in_g = problem._cells
-        # The midpoints and lengths: the one-node rule of place_rule (node
-        # 0, weight 2), bit for bit.
-        return cls(*problem.node_terms(mid[in_g], highs[in_g] - lows[in_g]))
-
-    def check_coverage(self, counts: np.ndarray, t: float) -> None:
-        """:func:`check_coverage` on the cells some trial hit."""
-        hit = counts.any(axis=0)
-        w = self.w[hit]
-        check_coverage(w, w * self.h[hit], self.in_c[hit], t)
 
 
 def draw(density, seed: int, count: int) -> np.ndarray:

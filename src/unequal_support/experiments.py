@@ -26,10 +26,10 @@ chunk per worker without changing any number.
 A point takes one of three paths, chosen from its problem, n and trial
 count alone:
 
-- **Outcome table.** A piecewise-constant problem (one with a
-  :class:`CellTable` and no return surface) whose m cells
-  admit at most ``trials`` count vectors, math.comb(n + m - 1, m - 1),
-  lists them with their Multinomial(n, p) probabilities and estimates
+- **Outcome table.** A problem that is ``piecewise_constant``, whose
+  ``terms`` then hold one term per cell, and whose m cells admit at
+  most ``trials`` count vectors, math.comb(n + m - 1, m - 1), lists
+  them with their Multinomial(n, p) probabilities and estimates
   (:func:`outcome_table`). The count vectors and their log multinomial
   coefficients depend on (n, m) alone: they are enumerated once per
   (n, m) per process and kept, read-only, while all kept tables total
@@ -72,6 +72,7 @@ from .densities import (
     EvaluationFunction,
     PiecewiseUniform,
     TruncatedNormal,
+    check_coverage,
 )
 from .estimators import ControlVariate
 from .moments import MomentInputs, MomentReport, moment_report, rho
@@ -244,7 +245,7 @@ def treatment_problem(
 
 def sampling_mean(problem: EstimationProblem) -> float:
     """E_g[h], the natural constant control variate: sum p h over
-    ``problem.terms``, its cell table or its Gauss-Legendre nodes."""
+    ``problem.terms``, its cells' midpoints or its Gauss-Legendre nodes."""
     p, _, h, _ = problem.terms
     return float((p * h).sum())
 
@@ -392,15 +393,24 @@ class OutcomeTable:
 
 def outcome_table(problem: EstimationProblem, n: int, t: float = 0.0) -> OutcomeTable:
     """The problem's :class:`OutcomeTable` at batch size n and control
-    variate t. Raises ValueError unless the problem has a cell table."""
-    table = problem.cells
-    if table is None:
+    variate t. Raises ValueError unless the problem is piecewise-constant."""
+    if not problem.piecewise_constant:
         raise ValueError("an outcome table needs a piecewise-constant problem")
-    counts, coefficients = _count_tables(n, table.p.size)
-    log_pmf = counts @ np.log(table.p)
+    p, w, h, in_c = problem.terms
+    counts, coefficients = _count_tables(n, p.size)
+    log_pmf = counts @ np.log(p)
     log_pmf += coefficients
-    values = cell_estimates(counts, n, table.w, table.h, table.in_c, problem.c, t)
+    values = cell_estimates(counts, n, w, h, in_c, problem.c, t)
     return OutcomeTable(counts, np.exp(log_pmf, out=log_pmf), _unit_counts(values))
+
+
+def _check_hit_cells(problem: EstimationProblem, counts: np.ndarray, t: float) -> None:
+    """:func:`~unequal_support.densities.check_coverage` on the cells of
+    ``problem.terms`` that some row of the (rows, cells) ``counts`` hit."""
+    _, w, h, in_c = problem.terms
+    hit = counts.any(axis=0)
+    w = w[hit]
+    check_coverage(w, w * h[hit], in_c[hit], t)
 
 
 def _draw_outcomes(
@@ -419,7 +429,7 @@ def _draw_outcomes(
     drawn, count = positive[hit], hist[hit]
     # The trials' samples per cell, as one row: a cell is hit when its
     # total is positive.
-    problem.cells.check_coverage((count @ table.counts[drawn])[None, :], t)
+    _check_hit_cells(problem, (count @ table.counts[drawn])[None, :], t)
     v = table.values
     return SimulationResult(
         v.is_values[drawn], v.us_values[drawn], v.wis_values[drawn],
@@ -452,12 +462,11 @@ def simulate_estimates(
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
-    surface = problem.surface
-    table = problem.cells if surface is None else None
-    m = 0 if table is None else table.p.size
+    terms = problem.terms if problem.piecewise_constant else None
+    m = 0 if terms is None else terms[0].size
     if m and math.comb(n + m - 1, m - 1) <= trials:
         return _draw_outcomes(problem, n, trials, seed, t)
-    if table is None:
+    if terms is None:
         chunk_rows = min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS // n), trials)
         workspace = np.empty((4, chunk_rows, n))
     else:
@@ -467,19 +476,17 @@ def simulate_estimates(
     for chunk in range(n_chunks):
         rows = min(chunk_rows, trials - chunk * chunk_rows)
         rng = _chunk_rng(seed, chunk)
-        if table is not None:
-            counts = rng.multinomial(n, table.p, size=rows)
-            table.check_coverage(counts, t)
-            parts.append(
-                cell_estimates(counts, n, table.w, table.h, table.in_c, problem.c, t)
-            )
+        if terms is not None:
+            counts = rng.multinomial(n, terms[0], size=rows)
+            _check_hit_cells(problem, counts, t)
+            parts.append(cell_estimates(counts, n, *terms[1:], problem.c, t))
             continue
         x, hv, w, work = workspace[:, :rows]
         problem.sampling.sample(rng, x.shape, out=x)
-        if surface is None:
+        if problem.surface is None:
             problem.evaluation(x, out=hv)
         else:
-            surface.observe(rng, x, out=hv, scratch=work)
+            problem.surface.observe(rng, x, out=hv, scratch=work)
         w, hv, in_c = problem.batch_terms(x, hv, out=w, t=t, scratch=work)
         # The kernel's centered terms w (h - t): at t = 0, the w h that
         # batch_terms checked, in ``work``.

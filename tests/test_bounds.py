@@ -15,6 +15,8 @@ from unequal_support.bounds import (
 )
 from unequal_support.experiments import illustrative_problem
 
+from oracles import surface_step_problem
+
 
 class TestHoeffdingIs:
     def test_degenerate_zero_range(self):
@@ -178,3 +180,8 @@ class TestWeightedRange:
         problem = EstimationProblem(f, g, h, [(0.0, 1.0)])
         with pytest.raises(TypeError):
             weighted_range(problem)
+
+    def test_return_surface_rejected(self):
+        """b bounds w times the observed returns, which h does not give."""
+        with pytest.raises(TypeError, match="surface"):
+            weighted_range(surface_step_problem())

@@ -1,4 +1,4 @@
-"""Cell tables and the cell-count simulation path.
+"""The cells of a piecewise-constant problem and the cell-count simulation path.
 
 Problems built from piecewise-uniform densities and a step evaluation
 are simulated from per-cell sample counts, drawn as outcomes of their
@@ -24,7 +24,6 @@ from unequal_support._kernels import batch_estimates, cell_estimates
 from unequal_support.cli import DEFAULT_F_MAX_GRID, DEFAULT_THETA_GRID
 from unequal_support.config import build_problem
 from unequal_support.densities import (
-    CellTable,
     ControlVariateCoverageError,
     EstimationProblem,
     EvaluationFunction,
@@ -45,6 +44,8 @@ from unequal_support.experiments import (
     simulate_estimates,
 )
 from unequal_support.moments import rho
+
+from oracles import surface_step_problem
 
 
 def with_plain_h(problem: EstimationProblem) -> EstimationProblem:
@@ -136,16 +137,18 @@ def uncovered_cv_problem(plain_h: bool) -> EstimationProblem:
 
 
 class TestCellTable:
+    """A piecewise-constant problem's terms: one per cell, read at its midpoint."""
+
     def test_illustrative_cells(self):
         problem = illustrative_problem(0.5, theta=10.0)
-        table = CellTable.from_problem(problem)
+        p, w, h, in_c = problem.terms
         lows, highs = problem.support_cells()
         assert lows.tolist() == [0.0, 0.25, 0.5]
         assert highs.tolist() == [0.25, 0.5, 2.0]
-        assert table.p.tolist() == [0.125, 0.125, 0.75]
-        assert table.w.tolist() == [4.0, 4.0, 0.0]
-        assert table.h.tolist() == [9.0, 11.0, 11.0]
-        assert table.in_c.tolist() == [True, True, False]
+        assert p.tolist() == [0.125, 0.125, 0.75]
+        assert w.tolist() == [4.0, 4.0, 0.0]
+        assert h.tolist() == [9.0, 11.0, 11.0]
+        assert in_c.tolist() == [True, True, False]
 
     @pytest.mark.parametrize("make", [mixed_problem, two_weight_problem])
     def test_midpoint_terms_bit_for_bit(self, make):
@@ -153,7 +156,7 @@ class TestCellTable:
         midpoints lie in G, and each cell's terms are read at its midpoint:
         p = g(mid) (high - low) and w = f(mid) / g(mid), bit for bit."""
         problem = make()
-        table = CellTable.from_problem(problem)
+        p, w, h, in_c = problem.terms
         supports = (
             problem.target.support,
             problem.sampling.support,
@@ -169,23 +172,22 @@ class TestCellTable:
         assert list(zip(lows.tolist(), highs.tolist())) == cells
         mid = 0.5 * (lows + highs)
         gv = problem.sampling.pdf(mid)
-        assert table.p.tobytes() == (gv * (highs - lows)).tobytes()
-        assert table.w.tobytes() == (problem.target.pdf(mid) / gv).tobytes()
-        assert table.h.tobytes() == problem.evaluation(mid).tobytes()
-        assert table.in_c.tolist() == problem.pruning.contains(mid).tolist()
+        assert p.tobytes() == (gv * (highs - lows)).tobytes()
+        assert w.tobytes() == (problem.target.pdf(mid) / gv).tobytes()
+        assert h.tobytes() == problem.evaluation(mid).tobytes()
+        assert in_c.tolist() == problem.pruning.contains(mid).tolist()
 
     @staticmethod
     def assert_one_node_rule_is_the_midpoint_rule(problem):
         """place_rule's one-node rule (node 0, weight 2) puts each node at
-        its cell's midpoint with the cell's length as weight, and the cell
-        table holds the terms read there, bit for bit."""
-        table = CellTable.from_problem(problem)
+        its cell's midpoint with the cell's length as weight, and the
+        problem's terms are the terms read there, bit for bit."""
         lows, highs = problem.support_cells()
         x, q = place_rule(lows, highs, np.zeros(1), np.full(1, 2.0))
         mid, length = 0.5 * (lows + highs), highs - lows
         assert x.tobytes() == mid.tobytes() and q.tobytes() == length.tobytes()
         want = problem.node_terms(mid, length)
-        for got, expected in zip((table.p, table.w, table.h, table.in_c), want):
+        for got, expected in zip(problem.terms, want):
             assert got.tobytes() == expected.tobytes()
 
     def test_one_node_rule_on_the_illustrative_grid(self):
@@ -223,22 +225,24 @@ class TestCellTable:
 
     def test_cells_outside_sampling_support_left_out(self):
         problem = mixed_problem()
-        table = CellTable.from_problem(problem)
+        p = problem.terms[0]
         lows, highs = problem.support_cells()
-        assert np.all(table.p > 0.0) and len(table.p) == len(lows)
+        assert np.all(p > 0.0) and len(p) == len(lows)
         assert not np.any((lows >= 1.0) & (highs <= 1.5))
-        assert math.fsum(table.p) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(p) == pytest.approx(1.0, abs=1e-12)
 
-    def test_none_unless_piecewise_with_interval_c(self):
+    def test_piecewise_constant_needs_uniform_pieces_step_h_and_no_surface(self):
         g = PiecewiseUniform.uniform(0.0, 2.0)
         h = EvaluationFunction.piecewise_constant([(0.0, 1.0, 1.0)])
         normal = TruncatedNormal(0.0, 1.0, 1.0, 1.0)
         c_set = [(0.0, 1.0)]
         smooth_h = EvaluationFunction(lambda x: x, [(0.0, 2.0)])
-        assert CellTable.from_problem(EstimationProblem(normal, g, h, c_set)) is None
-        assert CellTable.from_problem(EstimationProblem(g, normal, h, c_set)) is None
-        assert CellTable.from_problem(EstimationProblem(g, g, smooth_h, c_set)) is None
-        assert CellTable.from_problem(with_plain_h(illustrative_problem(1.0))) is None
+        assert EstimationProblem(g, g, h, c_set).piecewise_constant
+        assert not EstimationProblem(normal, g, h, c_set).piecewise_constant
+        assert not EstimationProblem(g, normal, h, c_set).piecewise_constant
+        assert not EstimationProblem(g, g, smooth_h, c_set).piecewise_constant
+        assert not with_plain_h(illustrative_problem(1.0)).piecewise_constant
+        assert not surface_step_problem().piecewise_constant
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -274,12 +278,8 @@ class TestCellTable:
         def sums(g_spec, h_pieces):
             g = PiecewiseUniform(*g_spec)
             h = EvaluationFunction.piecewise_constant(h_pieces)
-            table = CellTable.from_problem(EstimationProblem(f, g, h, [(0.1, 2.2)]))
-            return (
-                math.fsum(table.p),
-                math.fsum(table.p * table.w * table.h),
-                math.fsum(table.p[table.in_c]),
-            )
+            p, w, hv, in_c = EstimationProblem(f, g, h, [(0.1, 2.2)]).terms
+            return math.fsum(p), math.fsum(p * w * hv), math.fsum(p[in_c])
 
         f = PiecewiseUniform([(0.2, 0.8), (1.6, 2.0)])
         before = sums((g_ivs, g_weights), pieces)
@@ -325,13 +325,13 @@ class TestOutcomeTable:
     )
     def test_rows_are_every_count_vector_and_pmf_sums_to_one(self, problem, n):
         table = outcome_table(problem, n)
-        m = problem.cells.p.size
+        m = problem.terms[0].size
         assert table.counts.shape == (math.comb(n + m - 1, m - 1), m)
         assert np.all(table.counts.sum(axis=1) == n) and np.all(table.counts >= 0)
         rows = [tuple(row) for row in table.counts.tolist()]
         assert rows == sorted(set(rows))  # distinct, in lexicographic order
         assert abs(math.fsum(table.pmf) - 1.0) <= 1e-12
-        in_c_counts = table.counts[:, problem.cells.in_c].sum(axis=1)
+        in_c_counts = table.counts[:, problem.terms[3]].sum(axis=1)
         assert table.values.k.tolist() == in_c_counts.tolist()
 
     def test_one_cell_has_one_outcome_at_any_n(self):
@@ -346,6 +346,10 @@ class TestOutcomeTable:
     def test_needs_a_cell_table(self):
         with pytest.raises(ValueError):
             outcome_table(with_plain_h(illustrative_problem(1.0)), 5)
+        # A step h under a return surface: its simulation observes the
+        # surface's returns, never these h-outcomes.
+        with pytest.raises(ValueError):
+            outcome_table(surface_step_problem(), 5)
 
     def test_outcomes_of_zero_pmf_are_never_drawn(self):
         """Zero-pmf outcomes first, inside and last in the table, at 10**9
@@ -440,11 +444,11 @@ class TestOutcomeTable:
 
     def test_two_weight_wis_column(self):
         problem = two_weight_problem()
-        table, cells, n = outcome_table(problem, 3), problem.cells, 3
+        table, n = outcome_table(problem, 3), 3
         values = table.values
         positive = values.k > 0
         assert np.any(values.wis_values[positive] != values.us_values[positive])
-        want = cell_estimates(table.counts, n, cells.w, cells.h, cells.in_c, problem.c)
+        want = cell_estimates(table.counts, n, *problem.terms[1:], problem.c)
         assert np.array_equal(values.wis_values, want[2])
         # The same batches as samples at the cell midpoints, through the
         # scalar estimators.
@@ -478,12 +482,12 @@ class TestOutcomeTable:
     def test_repeated_calls_keep_the_uncached_bits(self, problem, n):
         """Twice in one process, and against the table built afresh by
         the formula the cached count tables replace."""
-        cells = problem.cells
-        counts = experiments._compositions(n, cells.p.size)
-        log_pmf = counts @ np.log(cells.p)
+        p, w, h, in_c = problem.terms
+        counts = experiments._compositions(n, p.size)
+        log_pmf = counts @ np.log(p)
         log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
         log_pmf += log_fact[n] - log_fact[counts].sum(axis=1)
-        values = cell_estimates(counts, n, cells.w, cells.h, cells.in_c, problem.c)
+        values = cell_estimates(counts, n, w, h, in_c, problem.c)
         first, second = outcome_table(problem, n), outcome_table(problem, n)
         for table in (first, second):
             assert table.pmf.tobytes() == np.exp(log_pmf).tobytes()
@@ -677,6 +681,6 @@ class TestCoverageErrorsOnBothPaths:
                 }
             }
         )
-        assert CellTable.from_problem(problem) is not None
+        assert problem.piecewise_constant
         with pytest.raises(PruningCoverageError):
             run_trials(problem, 10, 1000, 0.0, seed=3)

@@ -182,7 +182,7 @@ class TestUnknownKeys:
     def test_illustrative_config_still_loads(self):
         problem = load_problem(ILLUSTRATIVE_CONFIG)
         assert problem.c == pytest.approx(0.5)
-        assert problem.cells is not None
+        assert problem.piecewise_constant
 
 
 class TestLoadProblem:
@@ -261,5 +261,6 @@ class TestYamlLoader:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         fallback = load_problem(path)
         assert fallback.c == default.c == pytest.approx(0.25)
-        for field in ("p", "w", "h", "in_c"):
-            assert np.array_equal(getattr(fallback.cells, field), getattr(default.cells, field))
+        assert default.piecewise_constant
+        for got, want in zip(fallback.terms, default.terms):
+            assert np.array_equal(got, want)

@@ -540,7 +540,7 @@ class TestEstimationProblem:
                 EstimationProblem(f, g, h, pruning)
 
     def test_one_breakpoint_pass_per_problem(self, monkeypatch):
-        """The construction check, the cell table and the terms share the
+        """The construction check and the terms share the
         cells between the breakpoints of f, g, h and C."""
         calls = []
         original = densities._breakpoint_cells

@@ -21,7 +21,6 @@ from unequal_support.bounds import hoeffding_is, hoeffding_margin, hoeffding_us,
 from unequal_support.cli import DEFAULT_F_MAX_GRID, DEFAULT_THETA_GRID
 from unequal_support.config import load_problem
 from unequal_support.densities import (
-    CellTable,
     ControlVariateCoverageError,
     EstimationProblem,
     EvaluationFunction,
@@ -41,6 +40,7 @@ from unequal_support.experiments import (
     emit,
     illustrative_problem,
     moment_inputs,
+    outcome_table,
     render,
     run_trials,
     sampling_mean,
@@ -254,14 +254,14 @@ def assert_matches_rebuilt(problem, seed, t):
 class TestSamplePathWithoutSurface:
     def test_matches_terms_rebuilt_in_draw_order(self):
         """Truncated-normal f, two-piece g, a smooth h and C = F, whose
-        mass under g is c = 0.75: no surface and no cell table, so the
-        sample path runs."""
+        mass under g is c = 0.75: no surface and not piecewise-constant,
+        so the sample path runs."""
         target = TruncatedNormal(0.25, 1.75, mean=1.0, stddev=0.4)
         sampling = PiecewiseUniform([(0.0, 1.0), (1.0, 2.0)], weights=[0.4, 0.6])
         evaluation = EvaluationFunction(lambda x: 1.0 + np.sin(3.0 * x), [(0.0, 2.0)])
         problem = EstimationProblem(target, sampling, evaluation, IntervalUnion([(0.25, 1.75)]))
         assert problem.c == 0.75
-        assert problem.cells is None
+        assert not problem.piecewise_constant
         assert_matches_rebuilt(problem, 321, 0.5)
 
 
@@ -681,27 +681,43 @@ class TestSweepBounds:
         assert rows[0].mean_us_lower == rows[0].mean_us_upper
 
 
-class TestCellTableBuiltOnce:
-    @pytest.mark.parametrize("sweep", ["bounds", "coverage"])
-    def test_one_table_per_sweep(self, monkeypatch, sweep):
+class TestTermsBuiltOnce:
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        """The problems whose terms are built from here on, one entry per
+        node_terms call."""
         built = []
-        original = CellTable.from_problem.__func__
+        node_terms = EstimationProblem.node_terms
 
-        def counting(cls, problem):
+        def counting(problem, x, q):
             built.append(problem)
-            return original(cls, problem)
+            return node_terms(problem, x, q)
 
-        monkeypatch.setattr(CellTable, "from_problem", classmethod(counting))
+        monkeypatch.setattr(EstimationProblem, "node_terms", counting)
+        return built
+
+    @pytest.mark.parametrize("sweep", ["bounds", "coverage"])
+    def test_one_build_per_sweep(self, monkeypatch, sweep):
+        built = self.count_builds(monkeypatch)
         if sweep == "bounds":
             sweep_bounds(0.5, [10, 20], delta=0.1, trials=500, seed=2)
         else:
             coverage_experiment(0.5, [10, 20], delta=0.1, trials=500, seed=2)
         assert len(built) == 1
 
-    def test_cached_on_the_problem(self):
+    def test_cached_on_the_problem(self, monkeypatch):
+        """Both cell paths, the outcome table, b and the analytic inputs
+        all read one build of the problem's terms."""
+        built = self.count_builds(monkeypatch)
         problem = illustrative_problem(0.5)
-        assert problem.cells is problem.cells
-        assert np.array_equal(problem.cells.p, CellTable.from_problem(problem).p)
+        simulate_estimates(problem, 5, 1000, seed=1)  # 21 outcomes: the table
+        simulate_estimates(problem, 200, 100, seed=1)  # per-trial counts
+        outcome_table(problem, 10)
+        weighted_range(problem)
+        sampling_mean(problem)
+        moment_inputs(problem, 0.5)
+        assert len(built) == 1 and built[0] is problem
+        assert problem.terms is problem.terms
 
 
 class TestCoverage:
@@ -722,8 +738,8 @@ def _pieces_mean(problem):
 
 
 def _without_pieces(problem):
-    """The same problem with h as a plain function: no cell table, so its
-    terms come from Gauss-Legendre nodes."""
+    """The same problem with h as a plain function: not piecewise-constant,
+    so its terms come from Gauss-Legendre nodes."""
     h = problem.evaluation
     evaluation = EvaluationFunction(h.fn, h.support)
     return EstimationProblem(problem.target, problem.sampling, evaluation, problem.pruning)
@@ -764,7 +780,7 @@ class TestDerivedInputs:
         )
         cells = EstimationProblem(f, g, h, [(4.0 * c_ends[0], 4.0 * c_ends[1])])
         nodes = _without_pieces(cells)
-        assert cells.cells is not None and nodes.cells is None
+        assert cells.piecewise_constant and not nodes.piecewise_constant
         close = functools.partial(pytest.approx, rel=1e-10, abs=1e-10)
         assert sampling_mean(nodes) == close(sampling_mean(cells))
         assert moment_inputs(nodes, t) == close(moment_inputs(cells, t))
@@ -782,7 +798,7 @@ class TestDerivedInputs:
             "    intervals: [[0.0, 1.0]]\n"
         )
         problem = load_problem(config)
-        assert problem.cells is None
+        assert not problem.piecewise_constant
         assert sampling_mean(problem) == pytest.approx(_pieces_mean(problem), rel=1e-12, abs=0.0)
 
 
@@ -873,7 +889,7 @@ class TestTreatmentSurrogate:
             assert (row.theta, row.v) == moment_inputs(problem, row.t)
 
     def test_one_cell_table_build_per_illustrative_point(self, monkeypatch):
-        """A cell problem's terms are its cell table, built once per point
+        """A cell problem's terms, one per cell, are built once per point
         and shared by the analytic inputs and the simulation."""
         built = []
         node_terms = EstimationProblem.node_terms
