@@ -2,9 +2,10 @@
 
 The Monte Carlo harness evaluates hundreds of thousands of independent
 batches per grid point; doing that one estimator call at a time is the
-hot path. ``batch_estimates`` takes precomputed per-sample centered
-terms w (h - t), weights and in-C masks shaped (trials, n) and returns
-per-trial IS/US/WIS values, in-C counts, and WIS definedness in one pass.
+hot path. ``batch_estimates`` takes the per-sample centered terms
+w (h - t), weights and in-C masks, shaped (trials, n), that
+``EstimationProblem.batch_terms`` forms, and returns per-trial IS/US/WIS
+values, in-C counts, and WIS definedness in one pass.
 ``cell_estimates`` returns the same from per-cell sample counts when
 every sample in a cell shares its weight, evaluation and membership.
 
@@ -55,7 +56,7 @@ def _estimates_from_sums(row_sum, sum_w, k, n, c, t):
 def batch_estimates(wh, w, in_c, c: float, t: float = 0.0):
     """Per-trial (IS, US, WIS, k, WIS-defined) over a (trials, n) batch matrix.
 
-    ``wh`` holds the centered terms w (h - t) that the caller formed,
+    ``wh`` holds the centered terms w (h - t) that ``batch_terms`` formed,
     ``w`` the importance weights and ``in_c`` pruning-set membership of
     each sample. ``t`` is the constant control variate; undefined US and
     WIS rows take the value 0.

@@ -501,18 +501,19 @@ class EstimationProblem:
         t: float = 0.0,
         scratch=None,
     ):
-        """Per-sample (weight, evaluation, in-C) arrays for a batch.
+        """Per-sample (w, w (h - t), in C) arrays for a batch: the weights
+        f/g, the centered terms the estimators sum, and membership in C.
 
         Accepts any array shape; trailing axis semantics are up to the
         caller. ``observed``, when given, holds one observed value per
-        sample (a noisy return, say) and is returned in place of h(x):
-        h is then not evaluated, and the pruning spot-check reads the
-        weight times the observed value, the term the estimators sum. Raises
-        if a sample is impossible under g, and runs the coverage checks
-        of :func:`check_coverage` for the control variate ``t``. The
-        weights go into ``out`` and g(x), then the checked products, into
-        ``scratch`` (float64, the batch's shape; fresh if None). A one-piece
-        g is read as its height; if C is f's support, one mask is both.
+        sample (a noisy return, say) that stands in for h(x), which is
+        then not evaluated. Raises if a sample is impossible under g,
+        and runs the coverage checks of :func:`check_coverage` for the
+        control variate ``t`` on w h. The weights go into ``out``, and
+        g(x), then w h, then, if t != 0, w (h - t) into ``scratch``
+        (float64, the batch's shape; fresh if None), which is returned
+        as the centered terms. A one-piece g is read as its height; if
+        C is f's support, one mask is both.
         """
         values = np.asarray(values, dtype=float)
         scratch = out_array(values.shape, scratch)
@@ -537,12 +538,15 @@ class EstimationProblem:
             hv = np.asarray(observed, dtype=float)
             if hv.shape != values.shape:
                 raise ValueError("observed must hold one value per sample")
-        # A w h that overflows fails check_coverage outside C and the
-        # kernel's finiteness check inside it; NumPy need not warn first.
+        # A w h or w (h - t) that overflows fails check_coverage outside C
+        # and the kernel's finiteness check inside it; NumPy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            wh = np.multiply(w, hv, out=scratch)
-        check_coverage(w, wh, in_c, t)
-        return w, hv, in_c
+            centered = np.multiply(w, hv, out=scratch)
+            check_coverage(w, centered, in_c, t)
+            if t:
+                np.subtract(hv, t, out=centered)
+                centered *= w
+        return w, centered, in_c
 
 
 def _breakpoint_cells(*unions: IntervalUnion):

@@ -99,13 +99,9 @@ def estimate_all(
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 1:
         raise ValueError("values must be a 1-D array of at least one sample")
-    t = cv.t
-    w, hv, in_c = problem.batch_terms(values[None, :], t=t)
-    # The kernel, not NumPy, reports estimates that overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = w * (hv - t)
+    w, centered, in_c = problem.batch_terms(values[None, :], t=cv.t)
     is_value, us_value, wis_value, k, wis_defined = (
-        x[0].item() for x in batch_estimates(centered, w, in_c, problem.c, t)
+        x[0].item() for x in batch_estimates(centered, w, in_c, problem.c, cv.t)
     )
     return {
         "IS": EstimateResult(value=is_value, k=k, defined=True),

@@ -165,7 +165,9 @@ class SyntheticReturnSurface:
     base(CR), and the CF and noise terms only add a constant
     ``extra_variance`` to the per-sample conditional variance.
 
-    ``marginal_return`` and ``observe`` compute in place in ``out``, if given.
+    ``marginal_return`` is base(CR), the treatment problem's h, and
+    ``observe`` draws the returns a simulation reads in its place,
+    computed in place in ``out``, if given.
     """
 
     cr_low: float = 8.5
@@ -177,16 +179,9 @@ class SyntheticReturnSurface:
     tilt_amplitude: float = 0.01
     noise_scale: float = 0.03
 
-    def marginal_return(self, cr, out=None) -> np.ndarray:
-        cr = np.asarray(cr, dtype=float)
-        span = self.cr_high - self.cr_low
-        rel = np.subtract(self.cr_high, cr, out=out_array(cr.shape, out))
-        rel /= span
-        rel *= rel
-        base = np.subtract(1.0, rel, out=rel)
-        base *= self.base_gain
-        base += self.base_level
-        return base
+    def marginal_return(self, cr) -> np.ndarray:
+        rel = (self.cr_high - np.asarray(cr, dtype=float)) / (self.cr_high - self.cr_low)
+        return self.base_level + self.base_gain * (1.0 - rel * rel)
 
     def observe(self, rng: np.random.Generator, cr, out=None, scratch=None) -> np.ndarray:
         """Noisy per-day returns base(CR) + tilt(CF) + noise, from uniforms
@@ -214,12 +209,6 @@ class SyntheticReturnSurface:
     def extra_variance(self) -> float:
         """Var(tilt) + Var(noise); both uniform, so amplitude^2 / 3 each."""
         return (self.tilt_amplitude**2 + self.noise_scale**2) / 3.0
-
-    @property
-    def return_bounds(self) -> tuple[float, float]:
-        """Deterministic bounds on any observed return."""
-        slack = self.tilt_amplitude + self.noise_scale
-        return (self.base_level - slack, self.base_level + self.base_gain + slack)
 
 
 def treatment_problem(
@@ -454,11 +443,10 @@ def simulate_estimates(
     CHUNK_ELEMENTS // n)), whose prefixes every chunk writes: x; h(x), or
     the surface's observations in its place (CF, then noise, drawn after
     x); the weights; and a scratch for the uniforms, then g(x), then the
-    checked w h, which are the kernel's centered terms w (h - t) at t = 0
-    and are overwritten by them at t != 0. A batch with w h != 0 outside
-    C (h observed on the surface path) raises :class:`PruningCoverageError`,
-    and with t != 0 one with f != 0 outside C raises
-    :class:`ControlVariateCoverageError`.
+    centered terms w (h - t) that ``batch_terms`` forms there and the
+    kernel sums. A batch with w h != 0 outside C (h observed on the
+    surface path) raises :class:`PruningCoverageError`, and with t != 0
+    one with f != 0 outside C raises :class:`ControlVariateCoverageError`.
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
@@ -487,13 +475,8 @@ def simulate_estimates(
             problem.evaluation(x, out=hv)
         else:
             problem.surface.observe(rng, x, out=hv, scratch=work)
-        w, hv, in_c = problem.batch_terms(x, hv, out=w, t=t, scratch=work)
-        # The kernel's centered terms w (h - t): at t = 0, the w h that
-        # batch_terms checked, in ``work``.
-        if t:
-            np.subtract(hv, t, out=work)
-            work *= w
-        parts.append(batch_estimates(work, w, in_c, problem.c, t))
+        w, centered, in_c = problem.batch_terms(x, hv, out=w, t=t, scratch=work)
+        parts.append(batch_estimates(centered, w, in_c, problem.c, t))
     return _unit_counts([np.concatenate([p[i] for p in parts]) for i in range(5)])
 
 
@@ -964,12 +947,21 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _null_nonfinite(value):
+    """``value`` with every non-finite float in it, nested dicts included, made None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _null_nonfinite(item) for key, item in value.items()}
+    return value
+
+
 def render(rows, format: str) -> str:
     """Deterministic CSV or JSON text for a list of row objects.
 
     CSV takes each row's flat ``record()``. JSON takes the nested
     ``to_record()`` where a row defines one (:class:`SweepRow`) and the
-    flat record otherwise.
+    flat record otherwise, writing each non-finite float as null (JSON has no NaN).
     """
     rows = list(rows)
     if not rows:
@@ -984,8 +976,8 @@ def render(rows, format: str) -> str:
         lines += [",".join(_format_cell(rec[key]) for key in header) for rec in records]
         return "\n".join(lines) + "\n"
     if format == "json":
-        records = [getattr(row, "to_record", row.record)() for row in rows]
-        return json.dumps(records, indent=2) + "\n"
+        records = [_null_nonfinite(getattr(row, "to_record", row.record)()) for row in rows]
+        return json.dumps(records, indent=2, allow_nan=False) + "\n"
     raise ValueError("format must be csv or json")
 
 

@@ -229,6 +229,27 @@ class TestBoundsAndCoverage:
         assert float(row[rho_column]) == 0.0  # no trial has k > 0
         assert [row[name] for name in us_columns] == ["nan"] * len(us_columns)
 
+    @pytest.mark.parametrize(
+        "command, us_columns",
+        [
+            ("bounds", ["mean_us_lower", "mean_us_upper"]),
+            ("coverage", ["coverage_us", "mean_margin_us", "margin_ratio", "predicted_ratio"]),
+        ],
+    )
+    def test_no_trial_in_c_gives_null_us_fields_in_json(self, command, us_columns, capsys):
+        """JSON has no NaN: the undefined US fields are null, and the
+        output parses under a parser that rejects NaN and Infinity."""
+        out = run(
+            [command, "--f-max", "0.01", "--n-grid", "1", "--trials", "5", "--format", "json"],
+            capsys,
+        )
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        (row,) = json.loads(out, parse_constant=reject)
+        assert [row[name] for name in us_columns] == [None] * len(us_columns)
+
     @pytest.mark.parametrize("command", ["bounds", "coverage"])
     def test_overflowing_range_is_a_user_error(self, command, capsys):
         """At theta = 1e308 the range b of f h / g overflows to inf."""

@@ -521,10 +521,12 @@ class TestEstimationProblem:
 
     def test_batch_terms_values(self):
         problem = self._problem()
-        w, hv, in_c = problem.batch_terms(np.array([0.5, 1.5]))
+        w, centered, in_c = problem.batch_terms(np.array([0.5, 1.5]))
         assert w.tolist() == [2.0, 0.0]
-        assert hv.tolist() == [1.0, 0.0]
+        assert centered.tolist() == [2.0, 0.0]
         assert in_c.tolist() == [True, False]
+        _, centered, _ = problem.batch_terms(np.array([0.5, 0.75]), t=0.25)
+        assert centered.tolist() == [1.5, 1.5]
         assert problem.c == 0.5
 
     def test_target_mass_outside_sampling_support_rejected(self):

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,14 @@ class TestSimulateEstimates:
             simulate_estimates(problem, 0, 10, seed=1)
         with pytest.raises(ValueError):
             simulate_estimates(problem, 10, 0, seed=1)
+
+    def test_overflowing_centered_terms_raise_without_warning(self):
+        """At t = 1e308, w (h - t) overflows wherever w > 1.8: the kernel's
+        finiteness check, not NumPy, reports it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow the double range"):
+                simulate_estimates(treatment_problem(9.5), 30, 100, 1, t=1e308)
 
 
 class HEvaluated(Exception):
@@ -263,6 +272,29 @@ class TestSamplePathWithoutSurface:
         assert problem.c == 0.75
         assert not problem.piecewise_constant
         assert_matches_rebuilt(problem, 321, 0.5)
+
+
+class TestSamplePathKernelInput:
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    def test_kernel_sums_the_workspace_scratch(self, t, monkeypatch):
+        """Each chunk hands the kernel the scratch array of its workspace,
+        into which batch_terms wrote the centered terms, not a copy."""
+        scratches, kernel_terms = [], []
+        batch_terms = EstimationProblem.batch_terms
+
+        def spy_terms(self, *args, **kwargs):
+            scratches.append(kwargs["scratch"])
+            return batch_terms(self, *args, **kwargs)
+
+        def spy_kernel(*args):
+            kernel_terms.append(args[0])
+            return batch_estimates(*args)
+
+        monkeypatch.setattr(EstimationProblem, "batch_terms", spy_terms)
+        monkeypatch.setattr(experiments, "batch_estimates", spy_kernel)
+        simulate_estimates(treatment_problem(9.5), 30, 5000, seed=3, t=t)
+        assert len(kernel_terms) == len(scratches) == 2
+        assert all(a is b for a, b in zip(kernel_terms, scratches))
 
 
 class TestSamplePathMemory:
@@ -942,7 +974,10 @@ class TestTreatmentSurrogate:
         rng = np.random.default_rng(6)
         cr = rng.uniform(8.5, 11.0, (100, 10))
         obs = surface.observe(rng, cr)
-        lo, hi = surface.return_bounds
+        # base(CR) lies in [base_level, base_level + base_gain], and the
+        # tilt and noise add at most their amplitudes either way.
+        slack = surface.tilt_amplitude + surface.noise_scale
+        lo, hi = surface.base_level - slack, surface.base_level + surface.base_gain + slack
         assert (obs >= lo).all() and (obs <= hi).all()
 
     def test_empirical_matches_quadrature_analytics(self):
@@ -966,6 +1001,19 @@ class TestEmission:
         emit(rows, "json", out)
         parsed = json.loads(out.read_text())
         assert parsed == [row.to_record() for row in rows]
+
+    def test_json_writes_nested_nonfinite_values_as_null(self):
+        """One trial leaves every standard error NaN, deep in the nested
+        empirical records; JSON, which has no NaN, reads null there."""
+        rows = sweep_illustrative([1.0], [0.0], [5], trials=1, seed=0)
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        (record,) = json.loads(render(rows, "json"), parse_constant=reject)
+        assert math.isnan(rows[0].empirical["IS"].se_mean)
+        assert record["empirical"]["IS"]["se_mean"] is None
+        assert record["empirical"]["IS"]["mean"] == rows[0].empirical["IS"].mean
 
     def test_same_rows_same_bytes(self, tmp_path):
         rows = sweep_illustrative([0.5], [1.0], [5], trials=600, seed=11)

@@ -121,8 +121,8 @@ class TestAgainstScalarEstimators:
         rng = np.random.default_rng(5150)
         trials, n = 300, 23
         x = problem.sampling.sample(rng, (trials, n))
-        w, hv, in_c = problem.batch_terms(x)
-        is_v, us_v, wis_v, k, wis_def = batch_estimates(w * (hv - t), w, in_c, problem.c, t)
+        w, centered, in_c = problem.batch_terms(x, t=t)
+        is_v, us_v, wis_v, k, wis_def = batch_estimates(centered, w, in_c, problem.c, t)
         cv = ControlVariate(t)
         for i in range(trials):
             ref = estimate_all(problem, x[i], cv)
@@ -171,10 +171,24 @@ class TestKernelContract:
         rng = np.random.default_rng(seed)
         x = problem.sampling.sample(rng, (64, n))
         observed = None if problem.surface is None else problem.surface.observe(rng, x)
-        w, hv, in_c = problem.batch_terms(x, observed, t=t)
-        wh = w * (hv - t)
+        _, wh, in_c = problem.batch_terms(x, observed, t=t)
         masked = np.where(in_c, wh, 0.0).sum(axis=1)
         assert masked.tobytes() == wh.sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(CONTRACT_PROBLEMS))
+    def test_centered_terms_written_into_scratch(self, name, t):
+        """batch_terms returns w (h - t), h evaluated or observed, in the
+        scratch array it is given."""
+        problem = CONTRACT_PROBLEMS[name]
+        rng = np.random.default_rng(8)
+        x = problem.sampling.sample(rng, (64, 9))
+        observed = None if problem.surface is None else problem.surface.observe(rng, x)
+        h = problem.evaluation(x) if observed is None else observed
+        scratch = np.empty(x.shape)
+        w, centered, _ = problem.batch_terms(x, observed, t=t, scratch=scratch)
+        assert centered is scratch
+        assert centered.tobytes() == ((h - t) * w).tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("x_out, h_out", [(1.5, np.nan), (1.5, np.inf), (0.75, np.inf)])

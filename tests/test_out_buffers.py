@@ -70,11 +70,6 @@ CASES = [
         for name, d in DENSITIES.items()
     ),
     Case(
-        "marginal_return",
-        lambda: (points(),),
-        lambda a, out: SURFACE.marginal_return(a[0], out=out),
-    ),
-    Case(
         "observe",
         lambda: (surrogate_points(),),
         lambda a, out: SURFACE.observe(np.random.default_rng(7), a[0], out=out),
