@@ -160,9 +160,11 @@ class Density(Protocol):
     be nonnegative and integrate to 1 over it; ``interval_mass``
     returns the analytic probability of an interval union; ``sample``
     draws i.i.d. points inside the support from a caller-owned
-    generator. ``pdf`` and ``sample`` write into ``out``, a float64
-    array of the result's shape, when one is given, and return it; ``pdf``
-    may read x's support membership from ``inside``, when one is given.
+    generator; ``restrict`` returns the density of the same family
+    conditioned on an interval of positive mass. ``pdf`` and ``sample``
+    write into ``out``, a float64 array of the result's shape, when one is
+    given, and return it; ``pdf`` may read x's support membership from
+    ``inside``, when one is given.
     """
 
     support: IntervalUnion
@@ -172,6 +174,8 @@ class Density(Protocol):
     def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray: ...
 
     def interval_mass(self, intervals) -> float: ...
+
+    def restrict(self, low: float, high: float) -> "Density": ...
 
 
 def _as_interval_union(intervals) -> IntervalUnion:
@@ -248,6 +252,17 @@ class PiecewiseUniform:
         query = _as_interval_union(intervals)
         overlap = self.support.overlap_lengths(query)
         return float(np.dot(self.heights, overlap))
+
+    def restrict(self, low: float, high: float) -> "PiecewiseUniform":
+        """The density conditioned on [low, high]: its pieces clipped to
+        the interval, each weighted by its height times its clipped
+        length. Inside one piece it is uniform on [low, high], whose
+        draws are ``low + u (high - low)``."""
+        lows = np.maximum(self.support.lows, low)
+        highs = np.minimum(self.support.highs, high)
+        keep = lows < highs
+        mass = self.heights[keep] * (highs[keep] - lows[keep])
+        return PiecewiseUniform(list(zip(lows[keep], highs[keep])), mass / mass.sum())
 
 
 def _normal_cdf(z: float) -> float:
@@ -341,6 +356,12 @@ class TruncatedNormal:
                 z_b = (b_c - self.mean) / self.stddev
                 total += _normal_cdf(z_b) - _normal_cdf(z_a)
         return total / self._z
+
+    def restrict(self, low: float, high: float) -> "TruncatedNormal":
+        """The same normal truncated to [low, high] within [lower, upper]."""
+        return TruncatedNormal(
+            max(low, self.lower), min(high, self.upper), self.mean, self.stddev
+        )
 
 
 class EvaluationFunction:

@@ -18,12 +18,12 @@ Reproducibility contract: every sweep derives one sub-seed per grid
 point from the master seed, and each point draws from PCG64DXSM streams
 seeded by the SeedSequence of (point seed, chunk index): an outcome-table
 point draws all its trials at once from chunk 0's stream, and the
-per-trial paths generate theirs in fixed-size chunks, one stream each.
+per-trial points generate theirs in fixed-size chunks, one stream each.
 Statistics are reduced in a fixed order, so a rerun with the same flags
 yields byte-identical output, and a future parallel runner could own one
 chunk per worker without changing any number.
 
-A point takes one of three paths, chosen from its problem, n and trial
+A point takes one of two paths, chosen from its problem, n and trial
 count alone:
 
 - **Outcome table.** A problem that is ``piecewise_constant``, whose
@@ -40,22 +40,33 @@ count alone:
   :class:`SimulationResult` row per drawn outcome, with its count. The
   rule compares the table's O(outcomes) cost with the O(trials) cost of
   the per-trial draws it replaces, so it needs no setting.
-- **Per-trial counts.** Any other piecewise-constant problem draws each
-  of a chunk's 4096 trials' per-cell sample counts, Multinomial(n, p),
-  and never the samples themselves, so a chunk costs O(trials x cells)
-  time and memory whatever n is.
-- **Samples.** Every other problem draws the samples of min(4096,
-  CHUNK_ELEMENTS // n) trials per chunk, at least one, into a workspace
-  allocated once per call: four arrays of at most CHUNK_ELEMENTS = 2**17
-  float64 values (x, h or the observations, the weights, one scratch)
-  whatever n is; only n > 2**17 holds more, one row of n samples.
+- **Per-trial chunks.** Every other point draws its trials in chunks,
+  and every chunk starts alike: one multinomial call draws each
+  trial's sample counts over the problem's ``support_cells``,
+  Multinomial(n, masses), the masses being the cell terms' p on a
+  piecewise-constant problem and g's mass on each cell otherwise.
+
+  - A piecewise-constant problem reads each count vector's estimates off
+    its cell terms and never draws a sample, so its 4096-trial chunks
+    cost O(trials x cells) time and memory whatever n is.
+  - Any other problem then draws, cell by cell, only the samples of the
+    cells that lie in F = supp f, from g restricted to the cell, and
+    observes or evaluates those alone: a sample outside F has w = 0,
+    so only its cell's membership in C, through k, reaches an estimate.
+    Drawing the counts first and then each sample given its cell is
+    exact in distribution. Each trial's segment sums go to
+    :func:`segment_estimates`. A chunk holds min(4096, CHUNK_ELEMENTS //
+    n) trials, at least one, in a workspace allocated once per call:
+    four arrays of at most CHUNK_ELEMENTS = 2**17 float64 values (x, h
+    or the observations, the weights, one scratch) whatever n is; only
+    n > 2**17 holds more, one row of n samples.
 
 Both cell paths give each count vector the same estimates, through
 :func:`cell_estimates`, and run the same coverage checks on the cells
-their trials hit. The two per-trial paths keep one row per trial, with
-count 1, and every summary (:func:`summarize_trials`, the bound and
-coverage rows) is one count-weighted sum over the rows on all paths,
-read from the one :class:`TrialWeights` its point forms.
+their trials hit. Per-trial chunks keep one row per trial, with count
+1, and every summary (:func:`summarize_trials`, the bound and coverage
+rows) is one count-weighted sum over the rows on both paths, read from
+the one :class:`TrialWeights` its point forms.
 """
 
 import itertools
@@ -65,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import batch_estimates, cell_estimates, out_array
+from ._kernels import cell_estimates, out_array, segment_estimates
 from .bounds import hoeffding_is, hoeffding_us, weighted_range
 from .densities import (
     EstimationProblem,
@@ -399,7 +410,11 @@ def _check_hit_cells(problem: EstimationProblem, counts: np.ndarray, t: float) -
     _, w, h, in_c = problem.terms
     hit = counts.any(axis=0)
     w = w[hit]
-    check_coverage(w, w * h[hit], in_c[hit], t)
+    # A w h that overflows fails the check outside C and the kernel's
+    # finiteness check inside it; NumPy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        wh = w * h[hit]
+    check_coverage(w, wh, in_c[hit], t)
 
 
 def _draw_outcomes(
@@ -438,45 +453,73 @@ def simulate_estimates(
     outcome, with its ``count`` of trials, on the outcome table, else one
     row per trial with count 1.
 
-    The sample path's workspace, allocated once per call, is four
-    (rows, n) float64 arrays, rows = min(CHUNK_TRIALS, max(1,
-    CHUNK_ELEMENTS // n)), whose prefixes every chunk writes: x; h(x), or
-    the surface's observations in its place (CF, then noise, drawn after
-    x); the weights; and a scratch for the uniforms, then g(x), then the
-    centered terms w (h - t) that ``batch_terms`` forms there and the
-    kernel sums. A batch with w h != 0 outside C (h observed on the
-    surface path) raises :class:`PruningCoverageError`, and with t != 0
-    one with f != 0 outside C raises :class:`ControlVariateCoverageError`.
+    Every per-trial chunk first draws its trials' counts over
+    ``problem.support_cells()``, Multinomial(n, masses) per trial. On
+    the sample path it then draws, cell by cell, the samples of the cells
+    that lie in F = supp f, from g restricted to the cell: a sample
+    outside F has w = 0, so only whether it lies in C, which its cell's
+    count gives, reaches an estimate. h, or the surface's observations in
+    its place (CF, then noise, drawn after the samples), is read only
+    where f > 0, so a non-finite h outside F reaches no sum. The
+    workspace, allocated once per call, is four float64 arrays of rows x
+    n values, rows = min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS // n)),
+    whose prefixes every chunk writes: x; h(x) or the observations; the
+    weights; and a scratch for the uniforms, then g(x), then the centered
+    terms w (h - t) that ``batch_terms`` forms there and
+    :func:`segment_estimates` sums trial by trial. A batch with w h != 0
+    outside C (h observed on the surface path) raises
+    :class:`PruningCoverageError`, and with t != 0 one with f != 0
+    outside C raises :class:`ControlVariateCoverageError`.
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
-    terms = problem.terms if problem.piecewise_constant else None
-    m = 0 if terms is None else terms[0].size
-    if m and math.comb(n + m - 1, m - 1) <= trials:
-        return _draw_outcomes(problem, n, trials, seed, t)
-    if terms is None:
-        chunk_rows = min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS // n), trials)
-        workspace = np.empty((4, chunk_rows, n))
-    else:
+    if problem.piecewise_constant:
+        terms = problem.terms
+        masses = terms[0]
+        m = masses.size
+        if math.comb(n + m - 1, m - 1) <= trials:
+            return _draw_outcomes(problem, n, trials, seed, t)
         chunk_rows = CHUNK_TRIALS
+    else:
+        terms = None
+        lows, highs = problem.support_cells()
+        mid = 0.5 * (lows + highs)
+        masses = np.array([problem.sampling.interval_mass([cell]) for cell in zip(lows, highs)])
+        in_c = problem.pruning.contains(mid)
+        # g on each cell in F; a cell of no mass under g is never drawn.
+        in_f = np.flatnonzero(problem.target.support.contains(mid))
+        f_cells = [
+            problem.sampling.restrict(lows[j], highs[j]) if masses[j] > 0.0 else None
+            for j in in_f
+        ]
+        chunk_rows = min(CHUNK_TRIALS, max(1, CHUNK_ELEMENTS // n), trials)
+        workspace = np.empty((4, chunk_rows * n))
     parts = []
     n_chunks = -(-trials // chunk_rows)
     for chunk in range(n_chunks):
         rows = min(chunk_rows, trials - chunk * chunk_rows)
         rng = _chunk_rng(seed, chunk)
+        counts = rng.multinomial(n, masses, size=rows)
         if terms is not None:
-            counts = rng.multinomial(n, terms[0], size=rows)
             _check_hit_cells(problem, counts, t)
             parts.append(cell_estimates(counts, n, *terms[1:], problem.c, t))
             continue
-        x, hv, w, work = workspace[:, :rows]
-        problem.sampling.sample(rng, x.shape, out=x)
+        # (F cells, rows): the segments of the samples, cell by cell.
+        sizes = counts[:, in_f].T
+        totals = sizes.sum(axis=1).tolist()
+        x, hv, w, work = workspace[:, : sum(totals)]
+        end = 0
+        for density, total in zip(f_cells, totals):
+            if total:
+                density.sample(rng, total, out=x[end : end + total])
+                end += total
         if problem.surface is None:
             problem.evaluation(x, out=hv)
         else:
             problem.surface.observe(rng, x, out=hv, scratch=work)
-        w, centered, in_c = problem.batch_terms(x, hv, out=w, t=t, scratch=work)
-        parts.append(batch_estimates(centered, w, in_c, problem.c, t))
+        w, centered, _ = problem.batch_terms(x, hv, out=w, t=t, scratch=work)
+        k = counts[:, in_c].sum(axis=1)
+        parts.append(segment_estimates(centered, w, sizes, k, n, problem.c, t))
     return _unit_counts([np.concatenate([p[i] for p in parts]) for i in range(5)])
 
 

@@ -13,6 +13,7 @@ its pmf-weighted moments are checked against the analytic catalog.
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -684,3 +685,17 @@ class TestCoverageErrorsOnBothPaths:
         assert problem.piecewise_constant
         with pytest.raises(PruningCoverageError):
             run_trials(problem, 10, 1000, 0.0, seed=3)
+
+
+class TestOverflowOnCellPaths:
+    @pytest.mark.parametrize("n", [5, 200])
+    def test_overflowing_terms_raise_without_warning(self, n):
+        """theta = 1e308 and w = 20 in C, so w h overflows: at n = 5 on
+        the outcome table (21 outcomes <= 100 trials), at n = 200 on the
+        per-trial counts. The kernel's finiteness check, not NumPy,
+        reports it."""
+        problem = illustrative_problem(0.1, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow the double range"):
+                simulate_estimates(problem, n, 100, 1)

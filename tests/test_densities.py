@@ -204,6 +204,41 @@ class TestPiecewiseUniform:
         assert (d.pdf(x) > 0).all()
 
 
+class TestRestrict:
+    def test_piecewise_uniform_inside_one_piece_is_uniform(self):
+        g = PiecewiseUniform([(0.0, 1.0), (1.0, 2.0)], weights=[0.4, 0.6])
+        cell = g.restrict(1.0, 1.75)
+        assert list(cell.support) == [(1.0, 1.75)] and cell.weights.tolist() == [1.0]
+        rng, plain = np.random.default_rng(5), np.random.default_rng(5)
+        assert np.array_equal(cell.sample(rng, 100), plain.uniform(1.0, 1.75, 100))
+
+    def test_piecewise_uniform_across_pieces_is_conditioned(self):
+        g = PiecewiseUniform([(0.0, 1.0), (2.0, 3.0), (3.0, 5.0)], weights=[0.2, 0.5, 0.3])
+        part = g.restrict(0.5, 4.0)
+        assert list(part.support) == [(0.5, 1.0), (2.0, 3.0), (3.0, 4.0)]
+        mass = g.interval_mass([(0.5, 4.0)])
+        x = np.linspace(0.0, 5.0, 101)
+        inside = (x >= 0.5) & (x <= 4.0) & g.support.contains(x)
+        want = np.where(inside, g.pdf(x) / mass, 0.0)
+        assert part.pdf(x) == pytest.approx(want, rel=1e-14)
+
+    def test_truncated_normal(self):
+        g = TruncatedNormal(0.0, 2.0, mean=0.5, stddev=1.0)
+        part = g.restrict(1.0, 3.0)
+        assert (part.lower, part.upper, part.mean, part.stddev) == (1.0, 2.0, 0.5, 1.0)
+        x = np.linspace(1.0, 2.0, 11)
+        assert part.pdf(x) == pytest.approx(g.pdf(x) / g.interval_mass([(1.0, 2.0)]), rel=1e-13)
+        # Over its whole support it draws g's samples.
+        whole, rng = g.restrict(0.0, 2.0), np.random.default_rng(2)
+        assert np.array_equal(whole.sample(rng, 50), g.sample(np.random.default_rng(2), 50))
+
+    def test_no_mass_rejected(self):
+        with pytest.raises(ValueError):
+            PiecewiseUniform([(0.0, 1.0), (2.0, 3.0)]).restrict(1.2, 1.8)
+        with pytest.raises(ValueError):
+            TruncatedNormal(0.0, 100.0, mean=0.0, stddev=0.1).restrict(50.0, 60.0)
+
+
 class TestTruncatedNormal:
     def test_pdf_against_quadrature_oracle(self):
         lo, hi, mean, sd = 10.375, 11.0, 11.0, 0.625

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from unequal_support import densities, experiments
-from unequal_support._kernels import batch_estimates
+from unequal_support._kernels import segment_estimates
 from unequal_support.bounds import hoeffding_is, hoeffding_margin, hoeffding_us, weighted_range
 from unequal_support.cli import DEFAULT_F_MAX_GRID, DEFAULT_THETA_GRID
 from unequal_support.config import load_problem
@@ -216,15 +216,33 @@ CHUNKINGS = [(7, [4096, 50]), (100, [1310, 1310, 50]), (2**17 + 1, [1, 1])]
 SURFACE_RTOL = 1e-14
 
 
+def segment_sum(values):
+    """A nonempty segment's sum in the order np.add.reduceat takes: its
+    first value plus the pairwise sum of the rest."""
+    return values[0] + values[1:].sum()
+
+
 def rebuilt_estimates(problem, n, chunk_rows, seed, t):
-    """simulate_estimates rebuilt in plain allocating NumPy: each chunk
-    draws x, then, with a surface on the problem, CF and then the day
-    noise."""
-    surface = problem.surface
+    """simulate_estimates rebuilt in plain allocating NumPy for a
+    piecewise-uniform g: each chunk draws the trials' counts over the
+    support cells, then the samples of each cell in F, uniform on the
+    cell, then, with a surface on the problem, CF and then the day noise
+    of those samples. A trial sums its segments cell by cell, each in
+    np.add.reduceat's order."""
+    g, surface = problem.sampling, problem.surface
+    assert isinstance(g, PiecewiseUniform)
+    lows, highs = problem.support_cells()
+    masses = [g.interval_mass([(a, b)]) for a, b in zip(lows, highs)]
+    mid = 0.5 * (lows + highs)
+    f_cells = np.flatnonzero(problem.target.support.contains(mid))
+    in_c = problem.pruning.contains(mid)
     parts = []
     for chunk, rows in enumerate(chunk_rows):
         rng = experiments._chunk_rng(seed, chunk)
-        x = problem.sampling.sample(rng, (rows, n))
+        counts = rng.multinomial(n, masses, size=rows)
+        x = np.concatenate(
+            [rng.uniform(lows[j], highs[j], size=counts[:, j].sum()) for j in f_cells]
+        )
         if surface is None:
             hv = problem.evaluation(x)
         else:
@@ -235,8 +253,21 @@ def rebuilt_estimates(problem, n, chunk_rows, seed, t):
             tilt = surface.tilt_amplitude * (cf - cf_mid) / cf_half
             hv = surface.marginal_return(x) + tilt + noise
         w = problem.target.pdf(x) / problem.sampling.pdf(x)
-        in_c = problem.pruning.contains(x)
-        parts.append(batch_estimates(w * (hv - t), w, in_c, problem.c, t))
+        wh = w * (hv - t)
+        row_sum, sum_w = np.zeros(rows), np.zeros(rows)
+        start = 0
+        for j in f_cells:
+            for i, size in enumerate(counts[:, j].tolist()):
+                if size:
+                    row_sum[i] += segment_sum(wh[start : start + size])
+                    sum_w[i] += segment_sum(w[start : start + size])
+                    start += size
+        k = counts[:, in_c].sum(axis=1)
+        us, wis = np.zeros(rows), np.zeros(rows)
+        us[k > 0] = t + problem.c * row_sum[k > 0] / k[k > 0]
+        wis_defined = sum_w > 0.0
+        wis[wis_defined] = t + row_sum[wis_defined] / sum_w[wis_defined]
+        parts.append((t + row_sum / n, us, wis, k, wis_defined))
     return [np.concatenate([p[i] for p in parts]) for i in range(5)]
 
 
@@ -260,15 +291,21 @@ def assert_matches_rebuilt(problem, seed, t):
             assert np.all(np.abs(column - expected) <= SURFACE_RTOL * (abs(t) + scale))
 
 
+def two_piece_problem():
+    """Truncated-normal f, two-piece g, a smooth h and C = F, whose mass
+    under g is c = 0.75: no surface and not piecewise-constant, so the
+    sample path runs, and F holds two support cells."""
+    target = TruncatedNormal(0.25, 1.75, mean=1.0, stddev=0.4)
+    sampling = PiecewiseUniform([(0.0, 1.0), (1.0, 2.0)], weights=[0.4, 0.6])
+    evaluation = EvaluationFunction(lambda x: 1.0 + np.sin(3.0 * x), [(0.0, 2.0)])
+    return EstimationProblem(target, sampling, evaluation, IntervalUnion([(0.25, 1.75)]))
+
+
 class TestSamplePathWithoutSurface:
     def test_matches_terms_rebuilt_in_draw_order(self):
-        """Truncated-normal f, two-piece g, a smooth h and C = F, whose
-        mass under g is c = 0.75: no surface and not piecewise-constant,
-        so the sample path runs."""
-        target = TruncatedNormal(0.25, 1.75, mean=1.0, stddev=0.4)
-        sampling = PiecewiseUniform([(0.0, 1.0), (1.0, 2.0)], weights=[0.4, 0.6])
-        evaluation = EvaluationFunction(lambda x: 1.0 + np.sin(3.0 * x), [(0.0, 2.0)])
-        problem = EstimationProblem(target, sampling, evaluation, IntervalUnion([(0.25, 1.75)]))
+        """The two-piece problem: its F cells, [0.25, 1] and [1, 1.75],
+        each draw their own samples."""
+        problem = two_piece_problem()
         assert problem.c == 0.75
         assert not problem.piecewise_constant
         assert_matches_rebuilt(problem, 321, 0.5)
@@ -277,9 +314,10 @@ class TestSamplePathWithoutSurface:
 class TestSamplePathKernelInput:
     @pytest.mark.parametrize("t", [0.0, 0.3])
     def test_kernel_sums_the_workspace_scratch(self, t, monkeypatch):
-        """Each chunk hands the kernel the scratch array of its workspace,
-        into which batch_terms wrote the centered terms, not a copy."""
-        scratches, kernel_terms = [], []
+        """Each chunk hands the segment kernel the scratch array of its
+        workspace, into which batch_terms wrote the centered terms, not a
+        copy, with its trials' in-F counts as the segments."""
+        scratches, kernel_args = [], []
         batch_terms = EstimationProblem.batch_terms
 
         def spy_terms(self, *args, **kwargs):
@@ -287,14 +325,19 @@ class TestSamplePathKernelInput:
             return batch_terms(self, *args, **kwargs)
 
         def spy_kernel(*args):
-            kernel_terms.append(args[0])
-            return batch_estimates(*args)
+            kernel_args.append(args)
+            return segment_estimates(*args)
 
         monkeypatch.setattr(EstimationProblem, "batch_terms", spy_terms)
-        monkeypatch.setattr(experiments, "batch_estimates", spy_kernel)
-        simulate_estimates(treatment_problem(9.5), 30, 5000, seed=3, t=t)
-        assert len(kernel_terms) == len(scratches) == 2
-        assert all(a is b for a, b in zip(kernel_terms, scratches))
+        monkeypatch.setattr(experiments, "segment_estimates", spy_kernel)
+        sim = simulate_estimates(treatment_problem(9.5), 30, 5000, seed=3, t=t)
+        assert len(kernel_args) == len(scratches) == 2
+        assert all(args[0] is work for args, work in zip(kernel_args, scratches))
+        # One F cell, [9.5, 11], which is C: every in-C sample is drawn.
+        for wh, w, sizes, k, *_ in kernel_args:
+            assert sizes.shape == (1, len(k)) and sizes.sum() == wh.size == w.size
+            assert np.array_equal(sizes[0], k)
+        assert np.array_equal(np.concatenate([args[3] for args in kernel_args]), sim.k)
 
 
 class TestSamplePathMemory:
@@ -318,15 +361,17 @@ class TestSamplePathMemory:
         assert np.isfinite(sim.is_values).all()
 
     def test_one_workspace_per_call(self):
-        """Every chunk runs in the workspace of its call: four (4096, 30)
-        float64 arrays (x, the observations, the weights, one scratch),
-        8 bytes a sample each, beside one chunk's boolean masks, 1 byte a
-        sample each. The rest is the result columns, 74 bytes a trial:
-        33 (IS, US, WIS, k, WIS-defined) in each chunk's part, 33 as the
-        parts are joined, and the 8-byte counts."""
+        """Every chunk runs in the workspace of its call: four float64
+        arrays of 4096 x 30 values (x, the observations, the weights, one
+        scratch), 8 bytes a sample each, beside one chunk's boolean masks
+        of its drawn samples, 1 byte a sample each. The rest is the result
+        columns, 74 bytes a trial: 33 (IS, US, WIS, k, WIS-defined) in
+        each chunk's part, 33 as the parts are joined, and the 8-byte
+        counts; each chunk's part also holds five array headers, under
+        1 kB."""
         problem = treatment_problem(9.0)
         samples = experiments.CHUNK_TRIALS * 30
-        workspace, masks, per_trial = 4 * 8 * samples, 4 * samples, 74
+        workspace, masks, per_trial, per_chunk = 4 * 8 * samples, 4 * samples, 74, 1024
         peaks = {}
         for trials in (8192, 32768):
             tracemalloc.start()
@@ -334,7 +379,122 @@ class TestSamplePathMemory:
             peaks[trials] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peaks[trials] < workspace + masks + per_trial * trials
-        assert peaks[32768] - peaks[8192] <= per_trial * (32768 - 8192)
+        extra_chunks = (32768 - 8192) // experiments.CHUNK_TRIALS
+        assert peaks[32768] - peaks[8192] <= per_trial * (32768 - 8192) + per_chunk * extra_chunks
+
+
+class TestSamplesOnlyInF:
+    @pytest.mark.parametrize("name", ["surface", "plain", "two-piece"])
+    def test_no_x_outside_f_is_observed_or_evaluated(self, name, monkeypatch):
+        """observe, h and f's pdf see only samples in F = supp f: a sample
+        outside F has w = 0, and its cell's count alone gives whether it
+        lies in C."""
+        problem = two_piece_problem() if name == "two-piece" else treatment_problem(9.75)
+        if name == "plain":
+            problem = dataclasses.replace(problem, surface=None)
+        in_f = problem.target.support.contains
+        seen = []
+        observe = SyntheticReturnSurface.observe
+        evaluate = EvaluationFunction.__call__
+        pdf = TruncatedNormal.pdf
+
+        def spy_observe(self, rng, cr, out=None, scratch=None):
+            seen.append(("observe", np.asarray(cr).copy()))
+            return observe(self, rng, cr, out=out, scratch=scratch)
+
+        def spy_evaluate(self, x, out=None):
+            seen.append(("h", np.asarray(x).copy()))
+            return evaluate(self, x, out=out)
+
+        def spy_pdf(self, x, out=None, inside=None):
+            if self is problem.target:
+                seen.append(("f", np.asarray(x).copy()))
+            return pdf(self, x, out=out, inside=inside)
+
+        monkeypatch.setattr(SyntheticReturnSurface, "observe", spy_observe)
+        monkeypatch.setattr(EvaluationFunction, "__call__", spy_evaluate)
+        monkeypatch.setattr(TruncatedNormal, "pdf", spy_pdf)
+        sim = simulate_estimates(problem, 30, 5000, seed=4, t=0.3)
+        want = {"f", "observe"} if problem.surface is not None else {"f", "h"}
+        assert {call for call, _ in seen} == want
+        # Every in-C sample lies in F here, so k counts the samples drawn.
+        assert sum(x.size for call, x in seen if call == "f") == sim.k.sum()
+        assert all(in_f(x).all() for _, x in seen)
+
+    def test_f_cell_of_no_g_mass_is_never_drawn(self):
+        """g's mass on F = [50, 60] underflows to 0, so g cannot be
+        restricted there; no sample lands in it, and every w is 0."""
+        g = TruncatedNormal(0.0, 100.0, mean=0.0, stddev=0.1)
+        h = EvaluationFunction(lambda x: 1.0 + 0.0 * x, [(0.0, 100.0)])
+        problem = EstimationProblem(PiecewiseUniform.uniform(50.0, 60.0), g, h, [(0.0, 100.0)])
+        assert g.interval_mass([(50.0, 60.0)]) == 0.0
+        sim = simulate_estimates(problem, 5, 100, seed=1)
+        assert np.all(sim.is_values == 0.0) and not sim.wis_defined.any()
+        assert np.all(sim.k == 5)
+
+
+def binomial_pmf(n, c):
+    return np.array([math.comb(n, j) * c**j * (1.0 - c) ** (n - j) for j in range(n + 1)])
+
+
+def reference_wis(problem, n, trials, seed):
+    """WIS over batches drawn the textbook way, every sample from g and
+    observed, in plain allocating NumPy: Var and E of Sum w R / Sum w,
+    0 where every w is 0."""
+    rng = np.random.default_rng(seed)
+    x = problem.sampling.sample(rng, (trials, n))
+    r = problem.surface.observe(rng, x)
+    w = problem.target.pdf(x) / problem.sampling.pdf(x)
+    sum_w = w.sum(axis=1)
+    return np.where(sum_w > 0.0, (w * r).sum(axis=1) / np.where(sum_w > 0.0, sum_w, 1.0), 0.0)
+
+
+def mean_and_variance_ses(values):
+    """(mean, variance, se of the mean, se of the variance) of a sample."""
+    mean, var = values.mean(), values.var(ddof=1)
+    fourth = ((values - mean) ** 4).mean()
+    size = values.size
+    return mean, var, math.sqrt(var / size), math.sqrt(max(fourth - var * var, 0.0) / size)
+
+
+class TestCountsFirstDistribution:
+    TRIALS = 40_000
+    N = 30
+
+    @pytest.mark.parametrize("cr_min", [8.5, 9.75, 10.9])
+    def test_k_is_binomial_and_moments_match_the_catalog(self, cr_min):
+        """Drawing each trial's cell counts first and then its samples in
+        F is exact in distribution: k follows Binomial(n, c), and the IS
+        and US means and variances, over all trials and over those with
+        k > 0, match analytic_reports within 4 standard errors. The
+        catalog has no WIS cell, so WIS's mean and variance are held to a
+        textbook full-sample draw within 4 combined standard errors."""
+        n, trials = self.N, self.TRIALS
+        problem = treatment_problem(cr_min)
+        c = problem.c
+        theta, v = moment_inputs(problem)
+        sim = simulate_estimates(problem, n, trials, seed=12)
+        freq = np.bincount(sim.k, minlength=n + 1) / trials
+        pmf = binomial_pmf(n, c)
+        assert np.all(np.abs(freq - pmf) <= 4.0 * np.sqrt(pmf * (1.0 - pmf) / trials) + 1e-12)
+
+        stats = run_trials(problem, n, trials, theta, seed=12)
+        reports = analytic_reports(n, c, v, theta)
+        for cell, label in [
+            ("is_unconditional", "IS"), ("is_positive", "IS"),
+            ("us_unconditional", "US"), ("us_positive", "US"),
+        ]:
+            prefix = "cond_" if cell.endswith("positive") else ""
+            for stat in ("mean", "variance"):
+                empirical = getattr(stats[label], prefix + stat)
+                se = getattr(stats[label], prefix + "se_" + stat)
+                analytic = getattr(reports[cell], stat)
+                assert abs(empirical - analytic) <= 4.0 * se + 1e-15, (cell, stat)
+
+        got = mean_and_variance_ses(sim.wis_values)
+        want = mean_and_variance_ses(reference_wis(problem, n, trials, seed=13))
+        for i in (0, 1):
+            assert abs(got[i] - want[i]) <= 4.0 * math.hypot(got[i + 2], want[i + 2]), i
 
 
 class TestSummarize:

@@ -1,6 +1,7 @@
 """The batched kernel against a per-row reference and the scalar estimator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unequal_support._kernels import batch_estimates, cell_estimates
+from unequal_support._kernels import batch_estimates, cell_estimates, segment_estimates
 from unequal_support.config import build_problem
 from unequal_support.densities import (
     EstimationProblem,
@@ -105,6 +106,13 @@ class TestPathAgreement:
         with pytest.raises(ValueError, match="overflow the double range"):
             cell_estimates([[1, 99]], 100, w[0, :2], hv[0, :2], in_c[0, :2], 1.0, t)
 
+    def test_finite_estimates_whose_total_overflows_pass(self):
+        """The finiteness check reads the estimates' total first; a total
+        that overflows sends it term by term, where these pass."""
+        w, wh = np.ones((3, 1)), np.full((3, 1), 1.5e308)
+        is_v, us_v, wis_v, *_ = batch_estimates(wh, w, w > 0.0, 1.0)
+        assert is_v.tolist() == us_v.tolist() == wis_v.tolist() == [1.5e308] * 3
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             batch_estimates(np.zeros(3), np.zeros(3), np.zeros(3, dtype=bool), 0.5)
@@ -112,6 +120,79 @@ class TestPathAgreement:
             batch_estimates(
                 np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 3), dtype=bool), 0.5
             )
+
+
+class TestSegmentEstimates:
+    """The trials' samples in F held in (segment, trial) runs of one flat
+    array, against the full batch with w = 0 on every sample left out."""
+
+    def segments(self, seed, segments=3, trials=60, n=5):
+        rng = np.random.default_rng(seed)
+        sizes = rng.multinomial(n, [0.1, 0.15, 0.1, 0.65], size=trials)[:, :segments].T
+        # The last trial draws nothing: its segments start past the end.
+        sizes[:, -1] = 0
+        total = sizes.sum()
+        w = np.where(rng.uniform(size=total) < 0.2, 0.0, rng.uniform(0.0, 5.0, total))
+        hv = rng.normal(0.0, 2.0, total)
+        # Each trial's batch: its segments' samples in segment order, then
+        # n minus their count left-out samples, w = 0, in C or not.
+        full_w, full_h = np.zeros((trials, n)), rng.normal(0.0, 2.0, (trials, n))
+        in_c = rng.uniform(size=(trials, n)) < 0.5
+        starts = (np.cumsum(sizes.ravel()) - sizes.ravel()).reshape(sizes.shape)
+        for i in range(trials):
+            picks = np.concatenate(
+                [np.arange(starts[j, i], starts[j, i] + sizes[j, i]) for j in range(segments)]
+            ).astype(int)
+            full_w[i, : picks.size], full_h[i, : picks.size] = w[picks], hv[picks]
+            in_c[i, : picks.size] = True
+        return sizes, w, hv, full_w, full_h, in_c
+
+    @pytest.mark.parametrize("t", [0.0, 1.25])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_full_batch(self, seed, t):
+        sizes, w, hv, full_w, full_h, in_c = self.segments(seed)
+        k = in_c.sum(axis=1)
+        got = segment_estimates(w * (hv - t), w, sizes, k, 5, 0.4, t)
+        want = fsum_oracle(full_w, full_h, in_c, 0.4, t)
+        for column, expected in zip(got[:3], want[:3]):
+            assert column == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert np.array_equal(got[3], want[3]) and got[3].dtype == np.int64
+        assert np.array_equal(got[4], want[4])
+        # Some trials draw nothing, the last among them.
+        assert (sizes.sum(axis=0) == 0).sum() > 1
+
+    def test_segments_sum_in_segment_order(self):
+        """A trial's sum adds its segment sums in segment order, and a
+        segment sums as np.add.reduceat sums it."""
+        sizes, w, hv, *_ = self.segments(3, segments=2, trials=40, n=300)
+        wh = w * hv
+        got = segment_estimates(wh, w, sizes, np.full(40, 300), 300, 1.0)[0]
+        bounds = np.cumsum(np.concatenate([[0], sizes.ravel()])).reshape(-1)
+        sums = [wh[a] + wh[a + 1 : b].sum() if b > a else 0.0 for a, b in zip(bounds, bounds[1:])]
+        sums = np.array(sums).reshape(sizes.shape)
+        assert np.array_equal(got, (sums[0] + sums[1]) / 300)
+
+    def test_no_drawn_sample(self):
+        is_v, us_v, wis_v, k, wis_def = segment_estimates(
+            np.zeros(0), np.zeros(0), np.zeros((1, 4), dtype=np.int64), [0, 2, 0, 5], 5, 0.5, 0.7
+        )
+        assert is_v.tolist() == [0.7] * 4
+        assert us_v.tolist() == [0.0, 0.7, 0.0, 0.7]
+        assert wis_v.tolist() == [0.0] * 4 and not wis_def.any()
+        assert k.tolist() == [0, 2, 0, 5]
+
+    def test_overflowing_sums_raise_without_warning(self):
+        w, wh = np.full(4, 10.0), np.full(4, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow the double range"):
+                segment_estimates(wh, w, [[2, 2]], [2, 2], 4, 1.0)
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            segment_estimates(np.zeros(3), np.zeros(3), [[1, 1]], [1, 1], 2, 0.5)
+        with pytest.raises(ValueError):
+            segment_estimates(np.zeros(2), np.zeros(3), [[1, 1]], [1, 1], 2, 0.5)
 
 
 class TestAgainstScalarEstimators:
