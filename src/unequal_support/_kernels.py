@@ -2,26 +2,25 @@
 
 The Monte Carlo harness evaluates hundreds of thousands of independent
 batches per grid point; doing that one estimator call at a time is the
-hot path. ``cell_estimates`` returns per-trial IS/US/WIS values, in-C
-counts, and WIS definedness from per-cell sample counts when every
-sample in a cell shares its weight, evaluation and membership.
-``segment_estimates`` returns the same from the samples a trial drew in
-the cells where f > 0, held in segments of one flat array, and the
-trial's in-C count: a sample where f = 0 has w = 0 and adds nothing to
-any sum, so it need not be drawn. ``batch_estimates`` returns the same
-from a (trials, n) matrix of the per-sample centered terms w (h - t),
-weights and in-C masks that ``EstimationProblem.batch_terms`` forms; the
-scalar estimator, :func:`unequal_support.estimators.estimate_all`, is
-``batch_estimates`` on a single row. Its row sums and the segment sums
-of ``segment_estimates`` add the same terms in different orders, so
-their last bits can differ.
+hot path. The kernels have two front ends. ``cell_estimates`` returns
+per-trial IS/US/WIS values, in-C counts, and WIS definedness from
+per-cell sample counts when every sample in a cell shares its weight,
+evaluation and membership. ``segment_estimates`` returns the same from
+the centered terms w (h - t) and weights that
+``EstimationProblem.batch_terms`` forms, held in segments of one flat
+array, and each trial's in-C count. The sample path passes the samples
+a trial drew in the cells where f > 0, one segment per cell: a sample
+where f = 0 has w = 0 and adds nothing to any sum, so it need not be
+drawn. :func:`unequal_support.estimators.estimate_all` passes its one
+batch as a single segment, so a trial summed as one segment gets its
+bits.
 
 Their inputs have passed :func:`unequal_support.densities.check_coverage`,
 so the centered term w (h - t) is 0 outside C and the US sum over C is
-the IS row sum. All three reduce their batches to three sums and hand
-them to one place, ``_estimates_from_sums``, which holds the estimator
-formulas and the zero conventions (US is 0 when k = 0, WIS is 0 when
-every weight vanishes).
+the IS sum. Both reduce their batches to three sums and hand them to
+one place, ``_estimates_from_sums``, which holds the estimator formulas
+and the zero conventions (US is 0 when k = 0, WIS is 0 when every
+weight vanishes).
 
 ``out_array`` checks the NumPy-style ``out=`` buffers that the
 sample-path layers accept, so that a caller can run every chunk in one
@@ -32,7 +31,7 @@ import math
 
 import numpy as np
 
-__all__ = ["batch_estimates", "cell_estimates", "segment_estimates", "out_array"]
+__all__ = ["cell_estimates", "segment_estimates", "out_array"]
 
 
 def out_array(shape, out=None) -> np.ndarray:
@@ -65,33 +64,6 @@ def _estimates_from_sums(row_sum, sum_w, k, n, c, t):
     return is_v, us_v, wis_v, k, wis_def
 
 
-def batch_estimates(wh, w, in_c, c: float, t: float = 0.0):
-    """Per-trial (IS, US, WIS, k, WIS-defined) over a (trials, n) batch matrix.
-
-    ``wh`` holds the centered terms w (h - t) that ``batch_terms`` formed,
-    ``w`` the importance weights and ``in_c`` pruning-set membership of
-    each sample. ``t`` is the constant control variate; undefined US and
-    WIS rows take the value 0.
-    """
-    # Contiguous rows make each row's summation order depend on its
-    # values alone, not on the caller's memory layout.
-    wh = np.ascontiguousarray(wh, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    in_c = np.ascontiguousarray(in_c, dtype=np.bool_)
-    if w.ndim != 2 or w.shape != wh.shape or w.shape != in_c.shape:
-        raise ValueError("wh, w, in_c must share one (trials, n) shape")
-    # Finite terms can sum past the double range; _estimates_from_sums,
-    # not NumPy, reports that.
-    with np.errstate(over="ignore", invalid="ignore"):
-        row_sum, sum_w = wh.sum(axis=1), w.sum(axis=1)
-    return _estimates_from_sums(
-        row_sum,
-        sum_w,
-        in_c.sum(axis=1).astype(np.int64),
-        w.shape[1], float(c), float(t),
-    )
-
-
 def cell_estimates(counts, n: int, w, hv, in_c, c: float, t: float = 0.0):
     """Per-trial (IS, US, WIS, k, WIS-defined) from (trials, cells) counts.
 
@@ -99,7 +71,8 @@ def cell_estimates(counts, n: int, w, hv, in_c, c: float, t: float = 0.0):
     pruning-set membership; every row of ``counts`` sums to the batch
     size ``n``. Each batch sum is one count-weighted sum over the cells.
     """
-    # As in batch_estimates, an overflowing term or sum is reported below.
+    # Finite terms can sum past the double range, and a term can
+    # overflow; _estimates_from_sums, not NumPy, reports that.
     with np.errstate(over="ignore", invalid="ignore"):
         cols = np.stack([w * (hv - t), w, in_c], axis=1)
         row_sum, sum_w, k = (np.asarray(counts, dtype=np.float64) @ cols).T
@@ -126,7 +99,7 @@ def segment_estimates(wh, w, sizes, k, n: int, c: float, t: float = 0.0):
     sums = np.zeros((2, flat.size))
     filled = flat > 0
     starts = (np.cumsum(flat) - flat)[filled]
-    # As in batch_estimates, an overflowing sum is reported below.
+    # As in cell_estimates, an overflowing sum is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         if starts.size:
             sums[0, filled] = np.add.reduceat(wh, starts)

@@ -163,13 +163,12 @@ class Density(Protocol):
     generator; ``restrict`` returns the density of the same family
     conditioned on an interval of positive mass. ``pdf`` and ``sample``
     write into ``out``, a float64 array of the result's shape, when one is
-    given, and return it; ``pdf`` may read x's support membership from
-    ``inside``, when one is given.
+    given, and return it.
     """
 
     support: IntervalUnion
 
-    def pdf(self, x, out=None, inside=None) -> np.ndarray: ...
+    def pdf(self, x, out=None) -> np.ndarray: ...
 
     def sample(self, rng: np.random.Generator, size, out=None) -> np.ndarray: ...
 
@@ -225,9 +224,8 @@ class PiecewiseUniform:
     def uniform(cls, low: float, high: float) -> "PiecewiseUniform":
         return cls([(low, high)])
 
-    def pdf(self, x, out=None, inside=None) -> np.ndarray:
+    def pdf(self, x, out=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        # ``inside`` is not read: locate gives the piece index with the mask.
         idx, inside = self.support.locate(x)
         # Heights are finite and positive, so the mask multiply is exact.
         return np.multiply(self.heights[idx], inside, out=out_array(x.shape, out))
@@ -276,9 +274,6 @@ def _normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-_EXP_UNDERFLOW = math.log(np.finfo(float).tiny)
-
-
 class TruncatedNormal:
     """Normal(mean, stddev) truncated to [lower, upper] and renormalized.
 
@@ -287,6 +282,9 @@ class TruncatedNormal:
     CDF is :func:`_normal_cdf` (``math.erfc``) and its quantile is
     ``statistics.NormalDist().inv_cdf``, imported on the first draw.
     ``pdf`` and ``sample`` run their chains in place in one array.
+    ``pdf`` runs exp at every x, then zeroes x outside the support. Far
+    outside a narrow support exp underflows to +0.0; only quadrature
+    nodes and a scalar batch reach there, as the sample path draws in F.
     """
 
     def __init__(self, lower: float, upper: float, mean: float, stddev: float):
@@ -306,21 +304,15 @@ class TruncatedNormal:
         if not self._z > 0:
             raise ValueError("truncation interval has no normal mass")
 
-    def pdf(self, x, out=None, inside=None) -> np.ndarray:
+    def pdf(self, x, out=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        inside = self.support.contains(x) if inside is None else inside
+        inside = self.support.contains(x)
         z = np.subtract(x, self.mean, out=out_array(x.shape, out))
         z /= self.stddev
         # z * z * -0.5 equals -0.5 * z * z: scaling by a power of two is
         # exact, and where it is not (|z| < 1e-154) exp rounds both to 1.
         z *= z
         z *= -0.5
-        # Below log(tiny), about -708.4, exp takes its slow underflow
-        # path. Far outside a narrow support z falls there, and only then
-        # is z masked (the min costs a fraction of the mask); exp(0) in
-        # its place is zeroed again below.
-        if z.min(initial=0.0) < _EXP_UNDERFLOW:
-            zero_outside(z, inside)
         dens = np.exp(z, out=z)
         dens /= self.stddev * np.sqrt(2.0 * np.pi) * self._z
         return zero_outside(dens, inside)
@@ -456,11 +448,6 @@ class EstimationProblem:
             )
 
     @cached_property
-    def _c_is_f(self) -> bool:
-        """Whether C is f's support, so that one mask is both."""
-        return list(self.pruning) == list(self.target.support)
-
-    @cached_property
     def piecewise_constant(self) -> bool:
         """Whether f and g are piecewise-uniform, h is a step function and
         there is no return surface: then the count of samples in each
@@ -533,8 +520,7 @@ class EstimationProblem:
         control variate ``t`` on w h. The weights go into ``out``, and
         g(x), then w h, then, if t != 0, w (h - t) into ``scratch``
         (float64, the batch's shape; fresh if None), which is returned
-        as the centered terms. A one-piece g is read as its height; if
-        C is f's support, one mask is both.
+        as the centered terms. A one-piece g is read as its height.
         """
         values = np.asarray(values, dtype=float)
         scratch = out_array(values.shape, scratch)
@@ -551,7 +537,7 @@ class EstimationProblem:
                 "sample has zero density under the sampling distribution"
             )
         in_c = self.pruning.contains(values)
-        w = self.target.pdf(values, out=out, inside=in_c if self._c_is_f else None)
+        w = self.target.pdf(values, out=out)
         w /= g_x
         if observed is None:
             hv = self.evaluation(values)

@@ -12,14 +12,15 @@ constant control variate t:
 * ``"WIS"``: the self-normalized (weighted) variant,
   Σ w_i h(X_i) / Σ w_i.
 
-It is :func:`unequal_support._kernels.batch_estimates` on the batch as a
-single row, and its coverage checks are those of
+It is :func:`unequal_support._kernels.segment_estimates` on the batch
+as one trial of one segment, and its coverage checks are those of
 :meth:`~unequal_support.densities.EstimationProblem.batch_terms`, so the
 formulas, their zero conventions (US is 0 when k = 0, WIS is 0 when
-every weight vanishes) and the errors they raise exist once, and the
-scalar and batched paths agree by construction. The checks leave
-w (h − t) = 0 outside C, so the sum over C is the IS sum; replacing c
-by its empirical estimate k/n therefore turns US back into IS.
+every weight vanishes) and the errors they raise exist once, and a
+batch summed as one segment gets the same bits on either path. The
+checks leave w (h − t) = 0 outside C, so the sum over C is the IS sum;
+replacing c by its empirical estimate k/n therefore turns US back into
+IS.
 """
 
 import math
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import batch_estimates
+from ._kernels import segment_estimates
 from .densities import EstimationProblem
 
 __all__ = [
@@ -88,7 +89,7 @@ def estimate_all(
     cv: ControlVariate = NO_CONTROL_VARIATE,
 ) -> dict[str, EstimateResult]:
     """``{"IS", "US", "WIS"}`` of one batch, the 1-D array ``values`` of
-    n >= 1 draws from g, as one (1, n) kernel row.
+    n >= 1 draws from g, as one kernel segment.
 
     The batch must pass the coverage checks of
     :meth:`EstimationProblem.batch_terms`. With a nonzero control
@@ -99,9 +100,13 @@ def estimate_all(
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 1:
         raise ValueError("values must be a 1-D array of at least one sample")
-    w, centered, in_c = problem.batch_terms(values[None, :], t=cv.t)
+    n = values.size
+    w, centered, in_c = problem.batch_terms(values, t=cv.t)
     is_value, us_value, wis_value, k, wis_defined = (
-        x[0].item() for x in batch_estimates(centered, w, in_c, problem.c, cv.t)
+        x[0].item()
+        for x in segment_estimates(
+            centered, w, [[n]], [np.count_nonzero(in_c)], n, problem.c, cv.t
+        )
     )
     return {
         "IS": EstimateResult(value=is_value, k=k, defined=True),

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unequal_support import experiments
-from unequal_support._kernels import batch_estimates, cell_estimates
+from unequal_support._kernels import cell_estimates, segment_estimates
 from unequal_support.cli import DEFAULT_F_MAX_GRID, DEFAULT_THETA_GRID
 from unequal_support.config import build_problem
 from unequal_support.densities import (
@@ -302,9 +302,11 @@ class TestCellEstimates:
         n = 3
         for t in (0.0, 1.5):
             got = cell_estimates(counts, n, w, hv, in_c, 0.4, t)
-            rows = [np.repeat(np.arange(4), row) for row in counts]
-            want = batch_estimates(
-                w[rows] * (hv[rows] - t), w[rows], in_c[rows], 0.4, t
+            # Each trial's n samples as one segment.
+            idx = np.concatenate([np.repeat(np.arange(4), row) for row in counts])
+            want = segment_estimates(
+                w[idx] * (hv[idx] - t), w[idx], [[n] * len(counts)],
+                (counts * in_c).sum(axis=1), n, 0.4, t,
             )
             for a, b in zip(got, want):
                 np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)

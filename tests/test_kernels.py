@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unequal_support._kernels import batch_estimates, cell_estimates, segment_estimates
+from unequal_support._kernels import cell_estimates, segment_estimates
 from unequal_support.config import build_problem
 from unequal_support.densities import (
     EstimationProblem,
@@ -33,6 +33,14 @@ def random_inputs(seed, trials=400, n=37):
     hv = rng.normal(0.0, 2.0, (trials, n))
     in_c = w > 0.0
     return w, hv, in_c
+
+
+def row_estimates(wh, w, in_c, c, t=0.0):
+    """segment_estimates on a (trials, n) batch, one segment per row."""
+    trials, n = w.shape
+    return segment_estimates(
+        wh.ravel(), w.ravel(), [[n] * trials], in_c.sum(axis=1), n, c, t
+    )
 
 
 def fsum_oracle(w, hv, in_c, c, t):
@@ -69,7 +77,7 @@ class TestPathAgreement:
         else:
             hv[~in_c & (w > 0.0)] = 0.0
         check_coverage(w, w * hv, in_c, t)
-        got = batch_estimates(w * (hv - t), w, in_c, 0.4, t)
+        got = row_estimates(w * (hv - t), w, in_c, 0.4, t)
         ref = fsum_oracle(w, hv, in_c, 0.4, t)
         assert ref[3][0] == ref[3][1] == 0 and not ref[4][0]
         assert ref[4][1] == (~in_c & (w > 0.0)).any() == (t == 0.0)
@@ -83,7 +91,7 @@ class TestPathAgreement:
         w = np.array([[0.0, 0.0], [1.0, 0.0]])
         hv = np.array([[3.0, 3.0], [2.0, 1.0]])
         in_c = w > 0
-        is_v, us_v, wis_v, k, wis_def = batch_estimates(w * hv, w, in_c, 0.5, 0.0)
+        is_v, us_v, wis_v, k, wis_def = row_estimates(w * hv, w, in_c, 0.5, 0.0)
         assert us_v[0] == 0.0 and k[0] == 0
         assert wis_v[0] == 0.0 and not wis_def[0]
         assert us_v[1] == pytest.approx(0.5 * 2.0, rel=1e-14)
@@ -102,7 +110,7 @@ class TestPathAgreement:
         w[0, 0], hv[0, 0] = w0, h0
         in_c = w > 0.0
         with pytest.raises(ValueError, match="overflow the double range"):
-            batch_estimates(w * (hv - t), w, in_c, 1.0, t)
+            row_estimates(w * (hv - t), w, in_c, 1.0, t)
         with pytest.raises(ValueError, match="overflow the double range"):
             cell_estimates([[1, 99]], 100, w[0, :2], hv[0, :2], in_c[0, :2], 1.0, t)
 
@@ -110,16 +118,20 @@ class TestPathAgreement:
         """The finiteness check reads the estimates' total first; a total
         that overflows sends it term by term, where these pass."""
         w, wh = np.ones((3, 1)), np.full((3, 1), 1.5e308)
-        is_v, us_v, wis_v, *_ = batch_estimates(wh, w, w > 0.0, 1.0)
+        is_v, us_v, wis_v, *_ = row_estimates(wh, w, w > 0.0, 1.0)
         assert is_v.tolist() == us_v.tolist() == wis_v.tolist() == [1.5e308] * 3
 
     def test_shape_validation(self):
+        """A batch is a 1-D array of samples, and the kernel takes 1-D
+        terms and weights of one shape."""
+        problem = illustrative_problem(0.5)
+        for values in (np.zeros(0), np.full((1, 3), 0.5)):
+            with pytest.raises(ValueError, match="1-D array"):
+                estimate_all(problem, values)
         with pytest.raises(ValueError):
-            batch_estimates(np.zeros(3), np.zeros(3), np.zeros(3, dtype=bool), 0.5)
+            segment_estimates(np.zeros((1, 3)), np.zeros((1, 3)), [[3]], [3], 3, 0.5)
         with pytest.raises(ValueError):
-            batch_estimates(
-                np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 3), dtype=bool), 0.5
-            )
+            segment_estimates(np.zeros(3), np.zeros(4), [[3]], [3], 3, 0.5)
 
 
 class TestSegmentEstimates:
@@ -203,14 +215,15 @@ class TestAgainstScalarEstimators:
         trials, n = 300, 23
         x = problem.sampling.sample(rng, (trials, n))
         w, centered, in_c = problem.batch_terms(x, t=t)
-        is_v, us_v, wis_v, k, wis_def = batch_estimates(centered, w, in_c, problem.c, t)
+        is_v, us_v, wis_v, k, wis_def = row_estimates(centered, w, in_c, problem.c, t)
         cv = ControlVariate(t)
         for i in range(trials):
             ref = estimate_all(problem, x[i], cv)
             ref_is, ref_us, ref_wis = ref["IS"], ref["US"], ref["WIS"]
-            assert is_v[i] == pytest.approx(ref_is.value, rel=1e-10, abs=1e-12)
-            assert us_v[i] == pytest.approx(ref_us.value, rel=1e-10, abs=1e-12)
-            assert wis_v[i] == pytest.approx(ref_wis.value, rel=1e-10, abs=1e-12)
+            # One kernel: the batched and scalar paths agree bit for bit.
+            assert is_v[i].tobytes() == np.float64(ref_is.value).tobytes()
+            assert us_v[i].tobytes() == np.float64(ref_us.value).tobytes()
+            assert wis_v[i].tobytes() == np.float64(ref_wis.value).tobytes()
             assert k[i] == ref_us.k
             assert bool(wis_def[i]) == ref_wis.defined
 
